@@ -7,6 +7,11 @@ step index placed in the most-significant counter word, and walk ids index
 into that step's block of uniforms. Results are therefore bitwise
 reproducible regardless of execution order or worker count, and two
 processes sharing a trial seed see identical per-(step, id) moves.
+
+Two readers produce those uniforms: ``StepStream``, one trial's steps one
+at a time, and ``philox_uniforms``, a pure-numpy Philox4x64-10 that
+evaluates a whole (trial, step) block in one call. ``step_uniforms`` is
+the reference both are tested against.
 """
 from __future__ import annotations
 
@@ -37,8 +42,8 @@ def step_uniforms(seed: int, step: int, count: int) -> np.ndarray:
 
     Reference implementation: a fresh Philox stream keyed by the trial
     seed, with the step index in the top counter word so each step owns a
-    disjoint 2**192-block range. ``StepStream`` produces identical values
-    without reconstructing the generator.
+    disjoint 2**192-block range. ``StepStream`` and ``philox_uniforms``
+    produce identical values without constructing a generator per step.
     """
     bg = np.random.Philox(key=mix64(seed), counter=[0, 0, 0, step])
     return np.random.Generator(bg).random(count)
@@ -68,6 +73,62 @@ class StepStream:
         state["buffer_pos"] = 4  # discard any buffered words
         self._bit.state = state
         return self._gen.random(count)
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011) as numpy's ``Philox`` runs it: round multipliers, key bumps.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product ``m * x``.
+
+    numpy has no 64x64->128 multiply, so the high word is assembled from
+    32-bit halves; no partial sum exceeds 64 bits.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    u = x_lo * m_hi + (t & _LO32)
+    return x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32), x * np.uint64(m)
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """The Philox key word ``mix64(seed)`` of each trial seed, as uint64."""
+    return np.array([mix64(s) for s in seeds], dtype=np.uint64)
+
+
+def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
+    """``step_uniforms`` for every (trial, step) pair in one call.
+
+    With ``keys = philox_keys(seeds)``, ``out[i, j]`` equals
+    ``step_uniforms(seeds[i], steps[j], count)`` bit for bit: Philox4x64-10
+    with key ``[mix64(seed), 0]`` on counters ``[block + 1, 0, 0, step]``,
+    four 64-bit words per block, each word ``w`` giving the double
+    ``(w >> 11) * 2**-53``. The rounds run on broadcast uint64 arrays of
+    shape (len(keys), len(steps), blocks).
+    """
+    key0 = np.asarray(keys, dtype=np.uint64)[:, None, None]
+    key1 = 0
+    steps = np.asarray(steps, dtype=np.uint64)
+    blocks = -(-count // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = np.zeros(1, dtype=np.uint64)
+    c3 = steps[None, :, None]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0 = key0 + np.uint64(_PHILOX_W[0])
+            key1 = (key1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    words = words.reshape(key0.shape[0], steps.size, 4 * blocks)[..., :count]
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def generator(seed: int, *context: int) -> np.random.Generator:

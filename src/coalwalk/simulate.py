@@ -7,6 +7,9 @@ Every step consumes one uniform per walk id from a counter-based stream
 keyed by (trial seed, step), so runs are bitwise reproducible, trials can
 execute on any number of workers, and two processes sharing a trial seed
 see identical per-(step, id) moves (the paired-seed coupling harness).
+Meeting trials run as a batch: one vectorized Philox call draws the
+uniforms of every live trial over its next steps, and each trial then
+walks its own row, so a sample is the same whatever batch it ran in.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ import numpy as np
 
 from .errors import AllCensored, InvalidIds, InvalidSpec
 from .graphs import Graph
-from .seeding import StepStream, generator, trial_seed
+from .seeding import (StepStream, generator, philox_keys, philox_uniforms,
+                      trial_seed)
 
 WORKERS_ENV = "COALWALK_WORKERS"
 
@@ -76,31 +80,82 @@ def _adjacency_lists(g: Graph) -> list[list[int]]:
     return lists
 
 
-def simulate_meeting(g: Graph, u: int, v: int, seed: int,
-                     cap: int | None = None) -> SimSample:
-    """First time two synchronized lazy walks from u and v co-locate."""
+# Meeting trials run in chunks of _TRIAL_CHUNK; each Philox call covers at
+# most _PHILOX_COUNTERS (trial, step) counters, so a block's memory stays
+# flat whatever the trial count. Row widths start at _FIRST_WIDTH steps and
+# double, so short trials draw little past their end.
+_TRIAL_CHUNK = 256
+_PHILOX_COUNTERS = 8192
+_FIRST_WIDTH = 32
+
+
+def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
+    """Meeting samples of many trials; trial i starts at ``starts[i]``.
+
+    Trial i reads the same per-(step, id) uniforms as any other run keyed by
+    ``seeds[i]``, so its sample does not depend on the rest of the batch.
+    """
     if cap is None:
         cap = default_cap(g)
     if cap < 1:
         raise InvalidSpec("cap must be >= 1")
-    if u == v:
-        return SimSample(0, False, seed)
     adj = _adjacency_lists(g)
-    x, y = int(u), int(v)
-    stream = StepStream(seed)
-    for t in range(1, cap + 1):
-        a, b = stream.uniforms(t, 2).tolist()
-        if a >= 0.5:
-            nbrs = adj[x]
-            rank = int((a - 0.5) * 2.0 * len(nbrs))
-            x = nbrs[rank if rank < len(nbrs) else len(nbrs) - 1]
-        if b >= 0.5:
-            nbrs = adj[y]
-            rank = int((b - 0.5) * 2.0 * len(nbrs))
-            y = nbrs[rank if rank < len(nbrs) else len(nbrs) - 1]
-        if x == y:
-            return SimSample(t, False, seed)
-    return SimSample(cap, True, seed)
+    samples = []
+    for lo in range(0, len(seeds), _TRIAL_CHUNK):
+        samples += _meeting_chunk(adj, starts[lo:lo + _TRIAL_CHUNK],
+                                  seeds[lo:lo + _TRIAL_CHUNK], cap)
+    return samples
+
+
+def _meeting_chunk(adj, starts, seeds, cap: int) -> list[SimSample]:
+    samples: list[SimSample | None] = [None] * len(seeds)
+    live = []  # [trial, x, y] of each trial that has not met yet
+    for i, (u, v) in enumerate(starts):
+        if u == v:
+            samples[i] = SimSample(0, False, seeds[i])
+        else:
+            live.append([i, int(u), int(v)])
+    keys = philox_keys(seeds)
+    done, width = 0, _FIRST_WIDTH
+    while live and done < cap:
+        width = min(width, cap - done, max(1, _PHILOX_COUNTERS // len(live)))
+        uniforms = philox_uniforms(keys[[i for i, _, _ in live]],
+                                   range(done + 1, done + width + 1), 2)
+        # rank arithmetic of a lazy step: stay when r < 0, else neighbor
+        # int(r * deg), where r = (u - 0.5) * 2.0
+        residual = (uniforms - 0.5) * 2.0
+        still = []
+        for trial, row_x, row_y in zip(live, residual[:, :, 0].tolist(),
+                                       residual[:, :, 1].tolist()):
+            i, x, y = trial
+            t = done
+            for a, b in zip(row_x, row_y):
+                t += 1
+                if a >= 0.0:
+                    nbrs = adj[x]
+                    rank = int(a * len(nbrs))
+                    x = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+                if b >= 0.0:
+                    nbrs = adj[y]
+                    rank = int(b * len(nbrs))
+                    y = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+                if x == y:
+                    samples[i] = SimSample(t, False, seeds[i])
+                    break
+            else:
+                still.append([i, x, y])
+        live = still
+        done += width
+        width *= 2
+    for i, _, _ in live:
+        samples[i] = SimSample(cap, True, seeds[i])
+    return samples
+
+
+def simulate_meeting(g: Graph, u: int, v: int, seed: int,
+                     cap: int | None = None) -> SimSample:
+    """First time two synchronized lazy walks from u and v co-locate."""
+    return _meeting_batch(g, [(u, v)], [seed], cap)[0]
 
 
 def _merge_min_id(pos, ids):
@@ -266,16 +321,16 @@ def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
 _KINDS = ("meeting", "coalescence", "voter", "immortal")
 
 
+def _meeting_starts(g: Graph, params: dict, seeds) -> list:
+    if params.get("stationary"):
+        # starts drawn from pi per trial; independent of the step stream
+        weights = g.degrees / (2.0 * g.m)
+        return [generator(s, 1).choice(g.n, size=2, p=weights) for s in seeds]
+    return [(params["u"], params["v"])] * len(seeds)
+
+
 def _run_trial(kind: str, g: Graph, params: dict, seed: int,
                cap: int | None) -> SimSample:
-    if kind == "meeting":
-        if params.get("stationary"):
-            # starts drawn from pi per trial; independent of the step stream
-            weights = g.degrees / (2.0 * g.m)
-            u, v = generator(seed, 1).choice(g.n, size=2, p=weights)
-        else:
-            u, v = params["u"], params["v"]
-        return simulate_meeting(g, u, v, seed, cap)
     if kind == "coalescence":
         return simulate_coalescence(g, params.get("start_vertices"), seed, cap,
                                     params.get("record_trajectory", False))
@@ -290,6 +345,8 @@ def _run_trial(kind: str, g: Graph, params: dict, seed: int,
 
 def _trial_batch_samples(args):
     kind, g, params, seeds, cap = args
+    if kind == "meeting":
+        return _meeting_batch(g, _meeting_starts(g, params, seeds), seeds, cap)
     return [_run_trial(kind, g, params, s, cap) for s in seeds]
 
 
@@ -318,7 +375,7 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
             results = [s for batch in pool.map(_trial_batch_samples, batches)
                        for s in batch]
     else:
-        results = [_run_trial(kind, g, params, s, cap) for s in seeds]
+        results = _trial_batch_samples((kind, g, params, seeds, cap))
     values = np.array([float(s.value) for s in results])
     censored = np.array([s.censored for s in results])
     kept = values[~censored]

@@ -4,8 +4,10 @@ import pytest
 from coalwalk import chain
 from coalwalk.errors import AllCensored, InvalidIds, InvalidSpec
 from coalwalk.graphs import FamilySpec, generate
+from coalwalk.seeding import generator, mix64, step_uniforms
 from coalwalk.simulate import (
     Estimate,
+    _meeting_batch,
     default_cap,
     estimate,
     paired_batch_means,
@@ -175,6 +177,15 @@ class TestEstimate:
                        workers=2)
         assert one == two
 
+    @pytest.mark.parametrize("params", [{"stationary": True}, {"u": 0, "v": 8}],
+                             ids=["stationary", "fixed"])
+    def test_meeting_worker_count_invariant(self, cycle16, params):
+        one = estimate("meeting", cycle16, params, 300, master_seed=7,
+                       cap=60, workers=1)
+        two = estimate("meeting", cycle16, params, 300, master_seed=7,
+                       cap=60, workers=2)
+        assert one == two and one.censored_count > 0
+
     def test_hypercube_linear_coalescence(self):
         ratios = []
         for dim in (6, 8, 10):
@@ -187,7 +198,88 @@ class TestEstimate:
         assert default_cap(cycle16) == 50 * 16 ** 3
 
 
-def test_stationary_meeting_start_draw(cycle16=None):
+def test_stationary_meeting_start_draw():
+    # golden: recorded from the per-step meeting loop the batched kernel
+    # replaced; 400 trials span two trial chunks
     g = generate(FamilySpec("star", n=32))
     est = estimate("meeting", g, {"stationary": True}, 400, master_seed=23)
-    assert est.mean >= 0.0 and est.trials == 400
+    assert (est.mean, est.stderr, est.censored_count, est.trials) == (
+        2.84, 0.15980407804056812, 0, 400)
+
+
+def _reference_meeting(g, u, v, seed, cap):
+    """The per-step meeting loop on the ``step_uniforms`` oracle."""
+    if u == v:
+        return 0, False
+    x, y = int(u), int(v)
+    for t in range(1, cap + 1):
+        a, b = step_uniforms(seed, t, 2).tolist()
+        if a >= 0.5:
+            nbrs = g.indices[g.indptr[x]:g.indptr[x + 1]]
+            x = int(nbrs[min(int((a - 0.5) * 2.0 * len(nbrs)), len(nbrs) - 1)])
+        if b >= 0.5:
+            nbrs = g.indices[g.indptr[y]:g.indptr[y + 1]]
+            y = int(nbrs[min(int((b - 0.5) * 2.0 * len(nbrs)), len(nbrs) - 1)])
+        if x == y:
+            return t, False
+    return cap, True
+
+
+def test_meeting_batch_matches_reference_loop():
+    # irregular degrees, same-vertex starts, censoring off a row boundary,
+    # and more trials than one chunk
+    g = generate(FamilySpec("lower_bound", n=64, alpha=1.0), seed=11)
+    seeds = [mix64(5, i) for i in range(300)]
+    starts = [generator(s, 1).choice(g.n, size=2) for s in seeds]
+    samples = _meeting_batch(g, starts, seeds, cap=150)
+    want = [_reference_meeting(g, u, v, s, 150)
+            for (u, v), s in zip(starts, seeds)]
+    assert [(s.value, s.censored) for s in samples] == want
+    assert [s.seed for s in samples] == seeds
+    assert any(c for _, c in want) and any(v == 0 for v, _ in want)
+
+
+class TestGoldenSamples:
+    """Samples recorded from the per-step kernels; any rewrite of a kernel
+    must reproduce them exactly."""
+
+    FREE = [150, 12, 45, 32, 29, 122, 34, 228, 144, 51, 97, 24]
+    CAPPED = [(40, True), (12, False), (40, True), (32, False), (29, False),
+              (40, True), (34, False), (40, True), (40, True), (40, True),
+              (40, True), (24, False)]
+
+    def test_meeting_fixed_start(self, cycle16):
+        got = [simulate_meeting(cycle16, 0, 8, seed) for seed in range(12)]
+        assert [(s.value, s.censored) for s in got] == [
+            (v, False) for v in self.FREE]
+
+    def test_meeting_fixed_start_capped(self, cycle16):
+        got = [simulate_meeting(cycle16, 0, 8, seed, cap=40)
+               for seed in range(12)]
+        assert [(s.value, s.censored) for s in got] == self.CAPPED
+
+    @pytest.mark.parametrize("cap,want", [
+        (None, (99.14, 5.555442779977609, 0)),
+        (100, (39.675824175824175, 2.130550860270144, 118)),
+    ], ids=["uncapped", "cap100"])
+    def test_stationary_meeting_torus(self, cap, want):
+        g = generate(FamilySpec("torus", dim=3, side=4))
+        est = estimate("meeting", g, {"stationary": True}, 300, master_seed=5,
+                       cap=cap)
+        assert (est.mean, est.stderr, est.censored_count) == want
+
+    def test_coalescence(self, cycle16):
+        s = simulate_coalescence(cycle16, seed=8, record_trajectory=True)
+        assert (s.value, s.censored) == (200, False)
+        assert s.trajectory == ((0, 16), (1, 11), (2, 10), (4, 8), (8, 4),
+                                (16, 4), (32, 3), (64, 2), (128, 2))
+
+    def test_voter(self, cycle16):
+        s = simulate_voter(cycle16, seed=4)
+        assert (s.value, s.censored) == (47, False)
+
+    def test_immortal(self, cycle16):
+        s = simulate_immortal(cycle16, range(16), [0, 1, 2, 3], 4, seed=6,
+                              record_trajectory=True)
+        assert (s.value, s.censored) == (15, False)
+        assert s.trajectory == ((0, 16), (1, 13), (2, 12), (4, 9), (8, 7))
