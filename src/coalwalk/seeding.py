@@ -10,8 +10,9 @@ processes sharing a trial seed see identical per-(step, id) moves.
 
 Two readers produce those uniforms: ``StepStream``, one trial's steps one
 at a time, and ``philox_uniforms``, a pure-numpy Philox4x64-10 that
-evaluates a whole (trial, step) block in one call. ``step_uniforms`` is
-the reference both are tested against.
+evaluates a whole (trial, step) block in one call, either for ids
+0..count-1 or for chosen ids only. ``step_uniforms`` is the reference both
+are tested against.
 """
 from __future__ import annotations
 
@@ -102,7 +103,8 @@ def philox_keys(seeds) -> np.ndarray:
     return np.array([mix64(s) for s in seeds], dtype=np.uint64)
 
 
-def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
+def philox_uniforms(keys: np.ndarray, steps, count: int | None = None,
+                    ids=None) -> np.ndarray:
     """``step_uniforms`` for every (trial, step) pair in one call.
 
     With ``keys = philox_keys(seeds)``, ``out[i, j]`` equals
@@ -111,12 +113,17 @@ def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
     four 64-bit words per block, each word ``w`` giving the double
     ``(w >> 11) * 2**-53``. The rounds run on broadcast uint64 arrays of
     shape (len(keys), len(steps), blocks).
+
+    Given walk ``ids`` instead of ``count``, ``out[i, j, k]`` is the uniform
+    of walk id ``ids[k]``, and only the blocks ``id >> 2`` of those ids are
+    evaluated rather than every block below the largest id.
     """
     key0 = np.asarray(keys, dtype=np.uint64)[:, None, None]
     key1 = 0
     steps = np.asarray(steps, dtype=np.uint64)
-    blocks = -(-count // 4)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    ids = np.arange(count) if ids is None else np.asarray(ids, dtype=np.int64)
+    blocks, inverse = np.unique(ids >> 2, return_inverse=True)
+    c0 = blocks.astype(np.uint64) + np.uint64(1)
     c1 = c2 = np.zeros(1, dtype=np.uint64)
     c3 = steps[None, :, None]
     for r in range(_PHILOX_ROUNDS):
@@ -127,8 +134,8 @@ def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
     words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
-    words = words.reshape(key0.shape[0], steps.size, 4 * blocks)[..., :count]
-    return (words >> np.uint64(11)) * 2.0 ** -53
+    words = words.reshape(key0.shape[0], steps.size, 4 * blocks.size)
+    return (words[..., 4 * inverse + (ids & 3)] >> np.uint64(11)) * 2.0 ** -53
 
 
 def generator(seed: int, *context: int) -> np.random.Generator:

@@ -10,6 +10,10 @@ see identical per-(step, id) moves (the paired-seed coupling harness).
 Meeting trials run as a batch: one vectorized Philox call draws the
 uniforms of every live trial over its next steps, and each trial then
 walks its own row, so a sample is the same whatever batch it ran in.
+Coalescence and immortal trials share one per-trial kernel that reads,
+through ``philox_uniforms``, only the Philox blocks of the ids still alive.
+The voter model here and the concentration walkers in ``bounds`` still read
+all n uniforms of a step through ``StepStream``.
 """
 from __future__ import annotations
 
@@ -56,18 +60,6 @@ class Estimate:
 
     def overlaps(self, other: "Estimate") -> bool:
         return self.ci95_lo <= other.ci95_hi and other.ci95_lo <= self.ci95_hi
-
-
-def _move(g: Graph, pos: np.ndarray, uniforms: np.ndarray) -> None:
-    """Advance walks in place: stay w.p. 1/2, else uniform neighbor."""
-    moving = uniforms >= 0.5
-    if not np.any(moving):
-        return
-    residual = (uniforms[moving] - 0.5) * 2.0
-    at = pos[moving]
-    ranks = (residual * g.degrees[at]).astype(np.int64)
-    np.minimum(ranks, g.degrees[at] - 1, out=ranks)
-    pos[moving] = g.indices[g.indptr[at] + ranks]
 
 
 def _adjacency_lists(g: Graph) -> list[list[int]]:
@@ -155,34 +147,91 @@ def _meeting_chunk(adj, starts, seeds, cap: int) -> list[SimSample]:
 def simulate_meeting(g: Graph, u: int, v: int, seed: int,
                      cap: int | None = None) -> SimSample:
     """First time two synchronized lazy walks from u and v co-locate."""
+    _check_starts(g, (u, v))
     return _meeting_batch(g, [(u, v)], [seed], cap)[0]
 
 
-def _merge_min_id(pos, ids):
-    order = np.lexsort((ids, pos))
-    p, i = pos[order], ids[order]
-    keep = np.empty(p.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(p[1:], p[:-1], out=keep[1:])
-    return p[keep], i[keep]
+def _check_starts(g: Graph, vertices) -> None:
+    if any(not 0 <= v < g.n for v in vertices):
+        raise InvalidSpec(f"start vertices must lie in [0, {g.n})")
 
 
-def _merge_immortal(pos, ids, g1_mask):
-    is_g1 = g1_mask[ids]
-    order = np.lexsort((ids, ~is_g1, pos))
-    p, i, g1 = pos[order], ids[order], is_g1[order]
-    head = np.empty(p.size, dtype=bool)
-    head[0] = True
-    np.not_equal(p[1:], p[:-1], out=head[1:])
-    group = np.cumsum(head) - 1
-    group_has_g1 = g1[head]  # immortals sort first within a vertex group
-    keep = np.where(group_has_g1[group], g1, head)
-    return p[keep], i[keep]
+def _start_list(g: Graph, vertices) -> list[int]:
+    """Distinct start vertices, ascending: walk i starts at the i-th."""
+    starts = sorted({int(v) for v in vertices})
+    _check_starts(g, starts)
+    return starts
 
 
-def _checkpoint(trajectory, t, count):
-    if trajectory is not None and (t & (t - 1)) == 0:  # powers of two and 0,1
-        trajectory.append((t, count))
+def _survivors(ids, pos, immortal) -> list[int]:
+    """Indices of the walks a merge keeps: every immortal walk, and at each
+    vertex holding none the smallest id (``ids`` ascend, so the first)."""
+    taken = {x for i, x in zip(ids, pos) if i in immortal}
+    keep = []
+    for j, (i, x) in enumerate(zip(ids, pos)):
+        if i in immortal:
+            keep.append(j)
+        elif x not in taken:
+            taken.add(x)
+            keep.append(j)
+    return keep
+
+
+def _coalesce(g: Graph, starts: list[int], immortal: frozenset, target_k: int,
+              mortal: bool, seed: int, cap: int | None,
+              record_trajectory: bool) -> SimSample:
+    """One trial of coalescing walks; walk i starts at ``starts[i]``.
+
+    Coalescence is the case ``immortal = {0}``, ``target_k = 1``: the
+    immortal rule then keeps the smallest id at every vertex. Each row of
+    steps draws one Philox block for the live ids only, so the long tail
+    with a few walks left costs a few counters per step, not n.
+    """
+    if cap is None:
+        cap = default_cap(g)
+    adj = _adjacency_lists(g)
+    ids, pos = list(range(len(starts))), list(starts)
+    # (t, walks alive) at t = 0 and at every power of two
+    trajectory = [(0, len(ids))] if record_trajectory else None
+
+    def stopped():
+        alive = [i for i in ids if i not in immortal] if mortal else ids
+        return len(alive) <= target_k
+
+    def sample(t, censored):
+        return SimSample(t, censored, seed,
+                         None if trajectory is None else tuple(trajectory))
+
+    if stopped():
+        return sample(0, False)
+    key = philox_keys([seed])
+    done, width = 0, _FIRST_WIDTH
+    while done < cap:
+        blocks = len({i >> 2 for i in ids})
+        width = min(width, cap - done, max(1, _PHILOX_COUNTERS // blocks))
+        uniforms = philox_uniforms(key, range(done + 1, done + width + 1),
+                                   ids=ids)[0]
+        cols = range(len(ids))  # column of each live walk in the row
+        for t, row in enumerate(((uniforms - 0.5) * 2.0).tolist(), done + 1):
+            for j, c in enumerate(cols):
+                a = row[c]
+                if a >= 0.0:
+                    nbrs = adj[pos[j]]
+                    rank = int(a * len(nbrs))
+                    pos[j] = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+            merged = len(set(pos)) < len(pos)
+            if merged:
+                keep = _survivors(ids, pos, immortal)
+                ids = [ids[j] for j in keep]
+                pos = [pos[j] for j in keep]
+                cols = [cols[j] for j in keep]
+            if trajectory is not None and t & (t - 1) == 0:
+                trajectory.append((t, len(ids)))
+            if merged and stopped():
+                return sample(t, False)
+        done += width
+        width *= 2
+    return sample(cap, True)
 
 
 def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
@@ -194,33 +243,12 @@ def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
     vertex merge with the smallest id surviving. Returns the first time a
     single walk remains.
     """
-    if cap is None:
-        cap = default_cap(g)
-    starts = (np.arange(g.n) if start_vertices is None
-              else np.unique(np.asarray(list(start_vertices), dtype=np.int64)))
-    if starts.size == 0:
+    starts = _start_list(g, range(g.n) if start_vertices is None
+                         else start_vertices)
+    if not starts:
         raise InvalidSpec("start set must be non-empty")
-    width = starts.size
-    pos = starts.copy()
-    ids = np.arange(width)
-    trajectory = [] if record_trajectory else None
-    if record_trajectory:
-        _checkpoint(trajectory, 0, width)
-    if width == 1:
-        return SimSample(0, False, seed,
-                         tuple(trajectory) if record_trajectory else None)
-    stream = StepStream(seed)
-    for t in range(1, cap + 1):
-        uniforms = stream.uniforms(t, width)
-        _move(g, pos, uniforms[ids])
-        pos, ids = _merge_min_id(pos, ids)
-        if record_trajectory:
-            _checkpoint(trajectory, t, pos.size)
-        if pos.size == 1:
-            return SimSample(t, False, seed,
-                             tuple(trajectory) if record_trajectory else None)
-    return SimSample(cap, True, seed,
-                     tuple(trajectory) if record_trajectory else None)
+    return _coalesce(g, starts, frozenset([0]), 1, False, seed, cap,
+                     record_trajectory)
 
 
 def simulate_voter(g: Graph, seed: int, cap: int | None = None,
@@ -272,46 +300,16 @@ def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
     semantics make target_k = |S0| stop at time 0 and keep the immortal
     variant reachable when target_k = |G1|.)
     """
-    if cap is None:
-        cap = default_cap(g)
     if mode not in ("total", "mortal"):
         raise InvalidSpec(f"unknown stopping mode {mode!r}")
     if target_k < 1:
         raise InvalidSpec("target_k must be >= 1")
-    starts = np.unique(np.asarray(list(start_vertices), dtype=np.int64))
-    width = starts.size
-    g1_list = sorted(int(i) for i in set(immortal_ids))
-    if not g1_list or g1_list[0] < 0 or g1_list[-1] >= width:
+    starts = _start_list(g, start_vertices)
+    immortal = frozenset(int(i) for i in immortal_ids)
+    if not immortal or min(immortal) < 0 or max(immortal) >= len(starts):
         raise InvalidIds("immortal ids must be ids of the start ensemble")
-    g1_mask = np.zeros(width, dtype=bool)
-    g1_mask[g1_list] = True
-
-    pos = starts.copy()
-    ids = np.arange(width)
-    trajectory = [] if record_trajectory else None
-
-    def stopped(p, i):
-        if mode == "total":
-            return p.size <= target_k
-        return int((~g1_mask[i]).sum()) <= target_k
-
-    if record_trajectory:
-        _checkpoint(trajectory, 0, width)
-    if stopped(pos, ids):
-        return SimSample(0, False, seed,
-                         tuple(trajectory) if record_trajectory else None)
-    stream = StepStream(seed)
-    for t in range(1, cap + 1):
-        uniforms = stream.uniforms(t, width)
-        _move(g, pos, uniforms[ids])
-        pos, ids = _merge_immortal(pos, ids, g1_mask)
-        if record_trajectory:
-            _checkpoint(trajectory, t, pos.size)
-        if stopped(pos, ids):
-            return SimSample(t, False, seed,
-                             tuple(trajectory) if record_trajectory else None)
-    return SimSample(cap, True, seed,
-                     tuple(trajectory) if record_trajectory else None)
+    return _coalesce(g, starts, immortal, target_k, mode == "mortal", seed,
+                     cap, record_trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +362,8 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     if trials < 2:
         raise InvalidSpec("trials must be >= 2")
     params = dict(params or {})
+    if kind == "meeting" and not params.get("stationary"):
+        _check_starts(g, (params["u"], params["v"]))
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))

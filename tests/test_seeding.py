@@ -34,6 +34,18 @@ def test_philox_block_shapes(n_seeds, first_step, n_steps):
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("ids", [(0, 5, 6, 1023), (1023, 6, 0, 5), (7,),
+                                 (4, 4, 9)])
+def test_philox_selected_ids(ids):
+    seeds, steps = [0, 2**64 - 1], [1, 2**63]
+    out = philox_uniforms(philox_keys(seeds), steps, ids=ids)
+    assert out.shape == (len(seeds), len(steps), len(ids))
+    for i, seed in enumerate(seeds):
+        for j, step in enumerate(steps):
+            full = step_uniforms(seed, step, max(ids) + 1)
+            assert np.array_equal(out[i, j], full[list(ids)])
+
+
 def test_philox_keys_are_mix64():
     assert philox_keys(SEEDS).tolist() == [mix64(s) for s in SEEDS]
 

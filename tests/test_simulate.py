@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coalwalk import chain
+from coalwalk import chain, simulate
 from coalwalk.errors import AllCensored, InvalidIds, InvalidSpec
 from coalwalk.graphs import FamilySpec, generate
 from coalwalk.seeding import generator, mix64, step_uniforms
@@ -170,11 +170,16 @@ class TestEstimate:
         est = estimate("coalescence", cycle16, {}, 100, master_seed=5)
         assert est.ci95_lo <= est.mean <= est.ci95_hi
 
-    def test_worker_count_invariant(self, cycle16):
-        one = estimate("coalescence", cycle16, {}, 120, master_seed=7,
-                       workers=1)
-        two = estimate("coalescence", cycle16, {}, 120, master_seed=7,
-                       workers=2)
+    @pytest.mark.parametrize("kind,params", [
+        ("coalescence", {}),
+        ("immortal", {"start_vertices": range(16), "immortal_ids": [1, 2],
+                      "target_k": 3, "mode": "total"}),
+        ("immortal", {"start_vertices": range(16), "immortal_ids": [1, 2],
+                      "target_k": 2, "mode": "mortal"}),
+    ], ids=["coalescence", "immortal-total", "immortal-mortal"])
+    def test_worker_count_invariant(self, cycle16, kind, params):
+        one = estimate(kind, cycle16, params, 120, master_seed=7, workers=1)
+        two = estimate(kind, cycle16, params, 120, master_seed=7, workers=2)
         assert one == two
 
     @pytest.mark.parametrize("params", [{"stationary": True}, {"u": 0, "v": 8}],
@@ -207,6 +212,28 @@ def test_stationary_meeting_start_draw():
         2.84, 0.15980407804056812, 0, 400)
 
 
+class TestStartRange:
+    """Start vertices outside [0, n) are rejected before any draw."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g: simulate_meeting(g, -1, 3, 5),
+        lambda g: simulate_meeting(g, 0, 16, 5),
+        lambda g: simulate_coalescence(g, [-1, 3], 5),
+        lambda g: simulate_coalescence(g, [0, 20], 5),
+        lambda g: simulate_immortal(g, [-2, 3, 5], [0], 1, 5),
+        lambda g: simulate_immortal(g, [0, 3, 16], [0], 1, 5),
+        lambda g: estimate("meeting", g, {"u": -1, "v": 3}, 10, 1),
+        lambda g: estimate("meeting", g, {"u": 0, "v": 16}, 10, 1),
+    ], ids=["meeting-neg", "meeting-n", "coalescence-neg", "coalescence-big",
+            "immortal-neg", "immortal-n", "estimate-neg", "estimate-n"])
+    def test_rejected(self, cycle16, monkeypatch, call):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew uniforms for an invalid start")
+        monkeypatch.setattr(simulate, "philox_uniforms", no_draw)
+        with pytest.raises(InvalidSpec):
+            call(cycle16)
+
+
 def _reference_meeting(g, u, v, seed, cap):
     """The per-step meeting loop on the ``step_uniforms`` oracle."""
     if u == v:
@@ -237,6 +264,90 @@ def test_meeting_batch_matches_reference_loop():
     assert [(s.value, s.censored) for s in samples] == want
     assert [s.seed for s in samples] == seeds
     assert any(c for _, c in want) and any(v == 0 for v, _ in want)
+
+
+def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
+                           seed, cap):
+    """The per-step numpy loop on the ``step_uniforms`` oracle.
+
+    Every live id takes a vectorized lazy step, then a lexsort merge keeps
+    the smallest id at each vertex (``immortal=None``) or, by the immortal
+    rule, every immortal walk at a vertex and else its smallest id.
+    Returns (value, censored, trajectory).
+    """
+    pos = np.unique(np.asarray(list(start_vertices), dtype=np.int64))
+    ids = np.arange(pos.size)
+    g1 = np.isin(ids, list(immortal or ()))
+
+    def stopped():
+        return (int((~g1[ids]).sum()) if mortal else ids.size) <= target_k
+
+    trajectory = [(0, ids.size)]
+    if stopped():
+        return 0, False, trajectory
+    for t in range(1, cap + 1):
+        u = step_uniforms(seed, t, g1.size)[ids]
+        moving = u >= 0.5
+        at = pos[moving]
+        ranks = (((u[moving] - 0.5) * 2.0) * g.degrees[at]).astype(np.int64)
+        np.minimum(ranks, g.degrees[at] - 1, out=ranks)
+        pos[moving] = g.indices[g.indptr[at] + ranks]
+        if immortal is None:
+            order = np.lexsort((ids, pos))
+        else:
+            order = np.lexsort((ids, ~g1[ids], pos))
+        pos, ids = pos[order], ids[order]
+        head = np.r_[True, pos[1:] != pos[:-1]]
+        if immortal is None:
+            keep = head
+        else:
+            is_g1 = g1[ids]  # immortals sort first within a vertex group
+            keep = np.where(is_g1[head][np.cumsum(head) - 1], is_g1, head)
+        pos, ids = pos[keep], ids[keep]
+        if t & (t - 1) == 0:
+            trajectory.append((t, ids.size))
+        if stopped():
+            return t, False, trajectory
+    return cap, True, trajectory
+
+
+@pytest.mark.parametrize("label,spec,starts,immortal,target_k,mode,caps", [
+    # 512 ids over 128 Philox blocks
+    ("torus3-8", FamilySpec("torus", dim=3, side=8), None, None, 1, None,
+     (None, 37, 700)),
+    # sparse subsets whose ids cross block boundaries
+    ("torus3-8", FamilySpec("torus", dim=3, side=8),
+     [3, 40, 41, 100, 257, 300, 301, 420, 511], None, 1, None, (None, 37)),
+    ("lower_bound-64", FamilySpec("lower_bound", n=64, alpha=1.0), None,
+     None, 1, None, (None, 37, 700)),
+    ("lower_bound-64", FamilySpec("lower_bound", n=64, alpha=1.0),
+     range(0, 64, 5), (2, 7), 3, "total", (None, 37)),
+    ("lower_bound-64", FamilySpec("lower_bound", n=64, alpha=1.0),
+     range(0, 64, 5), (2, 7), 2, "mortal", (None, 37)),
+    ("star-32", FamilySpec("star", n=32), None, None, 1, None, (None, 5)),
+    ("star-32", FamilySpec("star", n=32), range(1, 32, 3), (1, 9), 2,
+     "mortal", (None, 5)),
+    ("star-32", FamilySpec("star", n=32), None, (5, 6, 30), 4, "total",
+     (None, 5)),
+], ids=["torus-all", "torus-sparse", "lb-all", "lb-immortal-total",
+        "lb-immortal-mortal", "star-all", "star-immortal-mortal",
+        "star-immortal-total"])
+def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
+                                         target_k, mode, caps):
+    g = generate(spec, seed=11)
+    vertices = range(g.n) if starts is None else starts
+    for seed in (mix64(19, i) for i in range(3)):
+        for cap in caps:
+            limit = default_cap(g) if cap is None else cap
+            want = _reference_coalescence(g, vertices, immortal, target_k,
+                                          mode == "mortal", seed, limit)
+            if immortal is None:
+                got = simulate_coalescence(g, starts, seed, cap,
+                                           record_trajectory=True)
+            else:
+                got = simulate_immortal(g, vertices, immortal, target_k, seed,
+                                        cap, mode, record_trajectory=True)
+            assert (got.value, got.censored, list(got.trajectory)) == want
 
 
 class TestGoldenSamples:
