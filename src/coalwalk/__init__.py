@@ -48,7 +48,6 @@ from .errors import (
     BudgetExceeded,
     CoalwalkError,
     ConfigError,
-    ConvergenceFailure,
     DisconnectedGraph,
     GenerationFailure,
     InsufficientPoints,
@@ -58,7 +57,6 @@ from .errors import (
     MissingQuantity,
     ParseError,
     SelfLoop,
-    SolverFailure,
     TooLarge,
 )
 from .graphs import (

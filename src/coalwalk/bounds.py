@@ -251,12 +251,13 @@ def verify_relations(g: Graph, mq: MeasuredQuantities) -> BoundReport:
             raise MissingQuantity("t_meet present but t_meet_pi missing")
         report.add_explicit("meet_vs_hit", mq.t_meet, "<=",
                             bound_meet_hit(mq.t_hit))
-        report.add_explicit("meet_sandwich_lower",
-                            max(mix_lo / _E, mq.t_meet_pi), "<=", mq.t_meet,
-                            note=bracket_note)
+        report.add_explicit(
+            "meet_sandwich_lower",
+            sandwich_avgmeet(mix_lo, mq.t_meet_pi, mq.t_meet).lower, "<=",
+            mq.t_meet, note=bracket_note)
         report.add_explicit(
             "meet_sandwich_upper", mq.t_meet, "<=",
-            2.0 / (1.0 - 1.0 / _E) ** 2 * (4.0 * mix_hi + 2.0 * mq.t_meet_pi),
+            sandwich_avgmeet(mix_hi, mq.t_meet_pi, mq.t_meet).upper,
             note=bracket_note)
         coll_lo, coll_hi = bound_meet_interval(mq.collision)
         report.add_explicit("collision_lower", coll_lo, "<=", mq.t_meet_pi)
@@ -339,8 +340,10 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     2^-lambda plus three binomial standard errors.
     """
     if f_values is None:
+        targets = np.asarray(list(target_set), dtype=np.int64)
+        g.check_vertices(targets, "target vertices")
         f_values = np.zeros(g.n)
-        f_values[np.asarray(list(target_set), dtype=np.int64)] = 1.0
+        f_values[targets] = 1.0
     else:
         f_values = np.asarray(f_values, dtype=float)
         if f_values.min() < 0 or f_values.max() > 1:
@@ -386,6 +389,8 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     """
     members = np.asarray(sorted(set(int(v) for v in target_set)),
                          dtype=np.int64)
+    g.check_vertices(members, "target vertices")
+    g.check_vertices((start,))
     if t_hit_value is None:
         t_hit_value = chain.t_hit(g)
     t_plus = max(t_hit_value, steps)

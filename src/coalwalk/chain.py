@@ -17,16 +17,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial.distance import pdist
 
-from .errors import (
-    BudgetExceeded,
-    ConvergenceFailure,
-    LengthMismatch,
-    SolverFailure,
-    TooLarge,
-)
+from .errors import BudgetExceeded, LengthMismatch, TooLarge
 from .graphs import Graph
 
 INV_E = 1.0 / math.e
+_REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +72,7 @@ def tstep_row(g: Graph, u: int, t: int) -> np.ndarray:
     """Distribution of the walk after t steps from a point mass at u."""
     if t < 0:
         raise ValueError("t must be >= 0")
+    g.check_vertices((u,), "u")
     row = np.zeros(g.n)
     row[u] = 1.0
     for _ in range(t):
@@ -212,6 +208,8 @@ def mixing_time(g: Graph, eps: float = INV_E, dense_pairwise_limit: int = 256,
 def mixing_time_d(g: Graph, eps: float = INV_E,
                   max_steps: int = 10 ** 8) -> int:
     """First t with max_u TV(p_u^t, pi) <= eps (the one-sided variant)."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
     if g.n == 1:
         return 0
     pi = stationary(g)
@@ -247,51 +245,21 @@ class SpectralSummary:
     residual: float
 
 
-def spectral(g: Graph, dense_limit: int = 2048, tol: float = 1e-8,
-             max_iter: int = 500_000) -> SpectralSummary:
+def spectral(g: Graph) -> SpectralSummary:
     """Second-largest eigenvalue of the lazy walk.
 
-    Works on the symmetric similarity transform D^{1/2} P D^{-1/2}: dense
-    eigensolve up to ``dense_limit`` vertices, above that power iteration
-    with the known top eigenvector sqrt(pi) deflated.
+    One dense symmetric eigensolve (``eigvalsh``) of the similarity
+    transform D^{1/2} P D^{-1/2}; being direct, it reports residual 0.
     """
     if g.n == 1:
         return SpectralSummary(0.0, 1.0, "dense", 0.0)
     dinv = 1.0 / np.sqrt(g.degrees)
-    if g.n <= dense_limit:
-        sym = 0.5 * np.eye(g.n) + 0.5 * (
-            dinv[:, None] * g.adjacency().toarray() * dinv[None, :])
-        eigs = np.linalg.eigvalsh(sym)
-        lam2 = float(eigs[-2])
-        lam2 = min(max(lam2, 0.0), 1.0)
-        return SpectralSummary(lam2, 1.0 - lam2, "dense", 0.0)
-
-    adj = g.adjacency()
-    top = np.sqrt(stationary(g))
-    top /= np.linalg.norm(top)
-
-    def apply_sym(vec: np.ndarray) -> np.ndarray:
-        return 0.5 * vec + 0.5 * dinv * (adj @ (dinv * vec))
-
-    vec = np.cos(np.arange(g.n) * (2.0 * math.pi / g.n)) + 0.5
-    vec -= top * (top @ vec)
-    vec /= np.linalg.norm(vec)
-    lam2 = 0.0
-    for _ in range(max_iter):
-        nxt = apply_sym(vec)
-        nxt -= top * (top @ nxt)
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return SpectralSummary(0.0, 1.0, "iterative", 0.0)
-        nxt /= norm
-        lam2 = float(nxt @ apply_sym(nxt))
-        resid = float(np.linalg.norm(apply_sym(nxt) - lam2 * nxt))
-        vec = nxt
-        if resid <= tol:
-            return SpectralSummary(min(max(lam2, 0.0), 1.0), 1.0 - lam2,
-                                   "iterative", resid)
-    raise ConvergenceFailure(
-        f"power iteration residual above {tol} after {max_iter} iterations")
+    sym = 0.5 * np.eye(g.n) + 0.5 * (
+        dinv[:, None] * g.adjacency().toarray() * dinv[None, :])
+    eigs = np.linalg.eigvalsh(sym)
+    lam2 = float(eigs[-2])
+    lam2 = min(max(lam2, 0.0), 1.0)
+    return SpectralSummary(lam2, 1.0 - lam2, "dense", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,50 +275,27 @@ class HittingProfile:
     method: str
 
 
-def hitting_to(g: Graph, target: int, dense_limit: int = 512,
-               tol: float = 1e-10, max_sweeps: int = 200_000) -> HittingProfile:
+def hitting_to(g: Graph, target: int) -> HittingProfile:
     """Solve (I - P restricted to V minus {target}) h = 1.
 
-    Dense LU (with one refinement pass) up to ``dense_limit`` vertices,
-    Gauss-Seidel sweeps via sparse triangular solves above.
+    One dense LU solve, refined once when its max residual exceeds
+    1e-10 * n; ``residual`` is the final max residual.
     """
+    g.check_vertices((target,), "target")
     if g.n == 1:
         return HittingProfile(target, np.zeros(1), 0.0, "dense")
     others = np.flatnonzero(np.arange(g.n) != target)
     rhs = np.ones(g.n - 1)
-    if g.n <= dense_limit:
-        P = _dense_transition(g)
-        A = np.eye(g.n - 1) - P[np.ix_(others, others)]
-        h = np.linalg.solve(A, rhs)
+    P = _dense_transition(g)
+    A = np.eye(g.n - 1) - P[np.ix_(others, others)]
+    h = np.linalg.solve(A, rhs)
+    resid = np.abs(A @ h - rhs).max()
+    if resid > _REFINE_TOL * g.n:
+        h = h + np.linalg.solve(A, rhs - A @ h)
         resid = np.abs(A @ h - rhs).max()
-        if resid > tol * g.n:
-            h = h + np.linalg.solve(A, rhs - A @ h)
-            resid = np.abs(A @ h - rhs).max()
-        method = "dense"
-    else:
-        P = transition_matrix(g).tocsr()
-        A = (sp.identity(g.n - 1, format="csr")
-             - P[others][:, others]).tocsr()
-        lower = sp.tril(A, k=0).tocsr()
-        upper = sp.triu(A, k=1).tocsr()
-        h = np.zeros(g.n - 1)
-        resid = math.inf
-        for sweep in range(max_sweeps):
-            h = spla.spsolve_triangular(lower, rhs - upper @ h, lower=True)
-            if sweep % 8 == 7 or sweep == max_sweeps - 1:
-                resid = np.abs(A @ h - rhs).max()
-                if resid <= tol * g.n:
-                    break
-        else:
-            raise SolverFailure(
-                f"Gauss-Seidel residual {resid:.2e} after {max_sweeps} sweeps")
-        if resid > tol * g.n:
-            raise SolverFailure(
-                f"Gauss-Seidel residual {resid:.2e} after {max_sweeps} sweeps")
-        method = "gauss-seidel"
     full = np.zeros(g.n)
     full[others] = h
-    return HittingProfile(target, full, float(resid), method)
+    return HittingProfile(target, full, float(resid), "dense")
 
 
 def hitting_matrix(g: Graph, per_target_limit: int = 128) -> np.ndarray:
@@ -398,15 +343,13 @@ class MeetingResult:
     method: str
 
 
-def meeting_exact(g: Graph, limit: int = 100, method: str = "auto",
-                  jacobi_tol: float = 1e-8,
-                  jacobi_max_sweeps: int = 10 ** 6) -> MeetingResult:
+def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     """Expected meeting times of two independent lazy walks.
 
     Solves the absorption time of the synchronous product chain over
-    ordered off-diagonal pairs: one sparse (or dense, when the product
-    operator is dense) linear solve. ``method="jacobi"`` selects the
-    damped-free Jacobi iteration instead.
+    ordered off-diagonal pairs in one direct solve: dense (``method``
+    "dense") when P (x) P has more than 2% nonzeros, else sparse LU
+    ("sparse"). ``residual`` is the max residual of m = 1 + K m.
 
     Returns the worst-case value, the stationary-start average, the argmax
     pair, and the full matrix of pair values.
@@ -420,29 +363,18 @@ def meeting_exact(g: Graph, limit: int = 100, method: str = "auto",
     offdiag = np.flatnonzero(states // n != states % n)
     N = offdiag.size
     rhs = np.ones(N)
-    if method == "auto":
-        density = (n + 2.0 * g.m) ** 2 / (float(N) * N)
-        method = "dense" if density > 0.02 else "sparse"
-    if method == "dense":
+    density = (n + 2.0 * g.m) ** 2 / (float(N) * N)
+    if density > 0.02:
+        method = "dense"
         Kd = np.kron(_dense_transition(g), _dense_transition(g))
         K = Kd[np.ix_(offdiag, offdiag)]
         m_vec = np.linalg.solve(np.eye(N) - K, rhs)
     else:
+        method = "sparse"
         P = transition_matrix(g)
         K = sp.kron(P, P, format="csr")[offdiag][:, offdiag].tocsr()
-        if method == "jacobi":
-            m_vec = np.zeros(N)
-            for _ in range(jacobi_max_sweeps):
-                nxt = rhs + K @ m_vec
-                delta = np.abs(nxt - m_vec).max()
-                m_vec = nxt
-                if delta <= jacobi_tol:
-                    break
-            else:
-                raise SolverFailure("Jacobi for meeting times did not converge")
-        else:
-            A = (sp.identity(N, format="csr") - K).tocsc()
-            m_vec = spla.spsolve(A, rhs)
+        A = (sp.identity(N, format="csr") - K).tocsc()
+        m_vec = spla.spsolve(A, rhs)
     resid = float(np.abs(m_vec - (rhs + K @ m_vec)).max())
     full = np.zeros(n * n)
     full[offdiag] = m_vec

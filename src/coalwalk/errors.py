@@ -33,14 +33,6 @@ class BudgetExceeded(CoalwalkError):
     """A step budget was exhausted before the stopping condition held."""
 
 
-class ConvergenceFailure(CoalwalkError):
-    """An iterative eigensolver failed to reach the requested residual."""
-
-
-class SolverFailure(CoalwalkError):
-    """A linear solve failed to reach the requested residual."""
-
-
 class TooLarge(CoalwalkError):
     """The graph exceeds the configured limit for an exact computation."""
 

@@ -126,6 +126,11 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
+    def check_vertices(self, vertices, what: str = "start vertices") -> None:
+        """Raise InvalidSpec unless every vertex lies in [0, n)."""
+        if any(not 0 <= v < self.n for v in vertices):
+            raise InvalidSpec(f"{what} must lie in [0, {self.n})")
+
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an (m, 2) array with u < v."""
         src = np.repeat(np.arange(self.n), self.degrees)

@@ -147,19 +147,14 @@ def _meeting_chunk(adj, starts, seeds, cap: int) -> list[SimSample]:
 def simulate_meeting(g: Graph, u: int, v: int, seed: int,
                      cap: int | None = None) -> SimSample:
     """First time two synchronized lazy walks from u and v co-locate."""
-    _check_starts(g, (u, v))
+    g.check_vertices((u, v))
     return _meeting_batch(g, [(u, v)], [seed], cap)[0]
-
-
-def _check_starts(g: Graph, vertices) -> None:
-    if any(not 0 <= v < g.n for v in vertices):
-        raise InvalidSpec(f"start vertices must lie in [0, {g.n})")
 
 
 def _start_list(g: Graph, vertices) -> list[int]:
     """Distinct start vertices, ascending: walk i starts at the i-th."""
     starts = sorted({int(v) for v in vertices})
-    _check_starts(g, starts)
+    g.check_vertices(starts)
     return starts
 
 
@@ -363,7 +358,7 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
         raise InvalidSpec("trials must be >= 2")
     params = dict(params or {})
     if kind == "meeting" and not params.get("stationary"):
-        _check_starts(g, (params["u"], params["v"]))
+        g.check_vertices((params["u"], params["v"]))
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))

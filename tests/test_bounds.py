@@ -6,7 +6,7 @@ import pytest
 
 from coalwalk import bounds, chain
 from coalwalk.chain import CollisionStats
-from coalwalk.errors import MissingQuantity
+from coalwalk.errors import InvalidSpec, MissingQuantity
 from coalwalk.graphs import FamilySpec, generate
 
 
@@ -185,6 +185,22 @@ class TestConcentration:
         with pytest.raises(ValueError):
             bounds.check_concentration(g, [], steps=10, trials=8, seed=1,
                                        f_values=np.full(8, 1.5))
+
+    @pytest.mark.parametrize("targets", [[-1], [0, 8]])
+    def test_rejects_target_outside(self, targets):
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(InvalidSpec):
+            bounds.check_concentration(g, targets, steps=10, trials=8,
+                                       seed=1, t_hit_value=10.0)
+
+    @pytest.mark.parametrize("start, targets", [(0, [-1]), (0, [1, 8]),
+                                                (-1, [0]), (8, [0])])
+    def test_collision_rejects_vertex_outside(self, start, targets):
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(InvalidSpec):
+            bounds.check_collision_concentration(
+                g, start, targets, steps=10, trials=8, seed=1,
+                t_hit_value=10.0)
 
     def test_collision_variant(self):
         g = generate(FamilySpec("cycle", n=32))

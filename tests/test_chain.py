@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from coalwalk import chain
-from coalwalk.errors import BudgetExceeded, LengthMismatch, TooLarge
+from coalwalk.errors import (BudgetExceeded, InvalidSpec, LengthMismatch,
+                             TooLarge)
 from coalwalk.graphs import FamilySpec, generate
 
 INV_E = 1.0 / math.e
@@ -64,6 +66,11 @@ class TestStationaryAndSteps:
     def test_t0_point_mass(self, cycle8):
         row = chain.tstep_row(cycle8, 3, 0)
         assert row[3] == 1.0 and row.sum() == 1.0
+
+    @pytest.mark.parametrize("u", [-1, 8])
+    def test_tstep_row_rejects_start_outside(self, cycle8, u):
+        with pytest.raises(InvalidSpec):
+            chain.tstep_row(cycle8, u, 1)
 
     def test_reversibility(self, small_graph):
         g = small_graph
@@ -148,6 +155,11 @@ class TestMixingSeparation:
     def test_mixing_time_d_below_pairwise(self, cycle8):
         assert chain.mixing_time_d(cycle8) <= chain.mixing_time(cycle8).value
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
+    def test_mixing_time_d_rejects_eps_outside(self, cycle8, eps):
+        with pytest.raises(ValueError):
+            chain.mixing_time_d(cycle8, eps=eps)
+
     def test_cycle_mixing_scales_quadratically(self):
         from coalwalk.cli import fit_scaling
         series = [(n, float(chain.mixing_time(
@@ -185,25 +197,13 @@ class TestSpectral:
     def test_nonnegative_everywhere(self, small_graph):
         assert chain.spectral(small_graph).lambda2 >= 0.0
 
-    def test_power_iteration_matches_dense(self):
-        g = generate(FamilySpec("cycle", n=60))
-        dense = chain.spectral(g)
-        iterative = chain.spectral(g, dense_limit=4, tol=1e-10)
-        assert iterative.method == "iterative"
-        assert iterative.lambda2 == pytest.approx(dense.lambda2, abs=1e-8)
-        assert iterative.residual <= 1e-10
-
-    def test_power_iteration_non_circulant(self):
-        g = generate(FamilySpec("barbell", n=32))
-        dense = chain.spectral(g)
-        iterative = chain.spectral(g, dense_limit=4, tol=1e-10)
-        assert iterative.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
-
-    def test_convergence_failure(self):
-        from coalwalk.errors import ConvergenceFailure
-        g = generate(FamilySpec("barbell", n=32))
-        with pytest.raises(ConvergenceFailure):
-            chain.spectral(g, dense_limit=4, tol=1e-13, max_iter=2)
+    def test_torus3_13_closed_form(self):
+        # n = 2197: the dense eigensolve holds above 2048 vertices too
+        g = generate(FamilySpec("torus", dim=3, side=13))
+        expected = (1.0 + (2.0 + math.cos(2 * math.pi / 13)) / 3.0) / 2.0
+        summary = chain.spectral(g)
+        assert summary.lambda2 == pytest.approx(expected, abs=1e-10)
+        assert summary.method == "dense"
 
 
 class TestHitting:
@@ -236,18 +236,18 @@ class TestHitting:
         pi_min = chain.stationary(small_graph).min()
         assert chain.t_hit(small_graph) >= 2.0 / pi_min - 2.0 - 1e-9
 
-    def test_gauss_seidel_matches_dense(self):
-        g = generate(FamilySpec("random_regular", n=60, degree=3), seed=4)
-        dense = chain.hitting_to(g, 7, dense_limit=512)
-        gs = chain.hitting_to(g, 7, dense_limit=8)
-        assert gs.method == "gauss-seidel"
-        assert np.abs(gs.times - dense.times).max() < 1e-6
+    def test_binary_tree_10_matches_fundamental(self):
+        # n = 1023: the per-target dense solve against the fundamental matrix
+        g = generate(FamilySpec("binary_tree", levels=10))
+        column = chain.hitting_matrix(g)[:, 0]
+        profile = chain.hitting_to(g, 0)
+        assert profile.method == "dense"
+        assert np.abs(profile.times - column).max() <= 1e-9 * column.max()
 
-    def test_gauss_seidel_sweep_cap(self):
-        from coalwalk.errors import SolverFailure
-        g = generate(FamilySpec("cycle", n=40))
-        with pytest.raises(SolverFailure):
-            chain.hitting_to(g, 0, dense_limit=8, max_sweeps=2)
+    @pytest.mark.parametrize("target", [-1, 8])
+    def test_rejects_target_outside(self, cycle8, target):
+        with pytest.raises(InvalidSpec):
+            chain.hitting_to(cycle8, target)
 
     def test_fundamental_matrix_matches_per_target(self):
         for spec in (FamilySpec("cycle", n=24), FamilySpec("barbell", n=16),
@@ -290,17 +290,22 @@ class TestMeeting:
         with pytest.raises(TooLarge):
             chain.meeting_exact(g)
 
-    def test_jacobi_matches_direct(self):
-        g = generate(FamilySpec("cycle", n=12))
-        direct = chain.meeting_exact(g)
-        jacobi = chain.meeting_exact(g, method="jacobi")
-        assert jacobi.t_meet == pytest.approx(direct.t_meet, abs=1e-5)
-
     def test_single_vertex_conventions(self):
         one = _single_vertex_graph()
         assert chain.meeting_exact(one).t_meet == 0.0
         assert chain.t_hit(one) == 0.0
         assert chain.mixing_time(one).value == 0
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (chain.HittingProfile, {"method", "residual"}),
+    (chain.SpectralSummary, {"method", "residual"}),
+    (chain.MeetingResult, {"method", "residual"}),
+    (chain.MixingResult, {"method"}),
+])
+def test_results_keep_provenance_fields(cls, fields):
+    # the benchmark tracer reads these fields off every solver result
+    assert fields <= {f.name for f in dataclasses.fields(cls)}
 
 
 def _single_vertex_graph():
