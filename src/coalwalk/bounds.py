@@ -5,7 +5,7 @@ theorems with all constants pinned; they get hard pass/fail verdicts and a
 failure means an implementation bug. Asymptotic expressions carry an
 unknown constant; they are only ever reported as ratios for the scaling
 harness, never converted into hard checks without a declared harness
-constant.
+constant. The concentration checks run their walks in ``simulate``.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ import numpy as np
 
 from . import chain
 from .chain import CollisionStats
-from .errors import MissingQuantity
+from .errors import InvalidSpec, MissingQuantity
 from .graphs import Graph, VERTEX_TRANSITIVE
-from .seeding import StepStream, mix64
-from .simulate import Estimate
+from .seeding import mix64
+from .simulate import Estimate, _walk_sums
 
 _E = math.e
 _REL_TOL = 1e-9  # float slack on exact theorem comparisons
@@ -305,25 +305,17 @@ class ConcentrationReport:
         return self.mean_ok and all(t.ok for t in self.tails)
 
 
-def _simulate_walk_sums(g: Graph, start: int, steps: int, n_walks: int,
-                        seed: int, values_by_time) -> np.ndarray:
-    """Vectorized walkers accumulating sum_t f_t(X_t); f may be static."""
-    pos = np.full(n_walks, start, dtype=np.int64)
-    static = values_by_time.ndim == 1
-    sums = np.full(n_walks,
-                   values_by_time[start] if static else values_by_time[0, start],
-                   dtype=float)
-    stream = StepStream(seed)
-    for t in range(1, steps):
-        uniforms = stream.uniforms(t, n_walks)
-        moving = uniforms >= 0.5
-        residual = (uniforms[moving] - 0.5) * 2.0
-        at = pos[moving]
-        ranks = (residual * g.degrees[at]).astype(np.int64)
-        np.minimum(ranks, g.degrees[at] - 1, out=ranks)
-        pos[moving] = g.indices[g.indptr[at] + ranks]
-        sums += values_by_time[pos] if static else values_by_time[t, pos]
-    return sums
+def _tails(sums: np.ndarray, scale: float, lambdas) -> tuple[TailCheck, ...]:
+    """Tail frequencies of ``sums`` at lambda * (scale + 1), each required
+    to stay below 2^-lambda plus three binomial standard errors."""
+    tails = []
+    for lam in lambdas:
+        threshold = lam * (scale + 1.0)
+        freq = float((sums >= threshold).mean())
+        stderr = math.sqrt(max(freq * (1 - freq), 0.0) / sums.size)
+        limit = 2.0 ** (-lam) + 3.0 * stderr
+        tails.append(TailCheck(lam, threshold, freq, limit, freq <= limit))
+    return tuple(tails)
 
 
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
@@ -339,6 +331,8 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1) must stay below
     2^-lambda plus three binomial standard errors.
     """
+    if steps < 1:
+        raise InvalidSpec("steps must be >= 1")
     if f_values is None:
         targets = np.asarray(list(target_set), dtype=np.int64)
         g.check_vertices(targets, "target vertices")
@@ -354,25 +348,15 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     f_bar = float(f_values @ chain.stationary(g))
     mean_bound = 8.0 * t_plus * f_bar
 
-    per_start = max(trials // g.n, 2)
-    all_sums = []
-    worst_mean = 0.0
-    for start in range(g.n):
-        sums = _simulate_walk_sums(g, start, steps, per_start,
-                                   mix64(seed, start), f_values)
-        worst_mean = max(worst_mean, float(sums.mean()))
-        all_sums.append(sums)
-    pooled = np.concatenate(all_sums)
-    tails = []
-    for lam in lambdas:
-        threshold = lam * (16.0 * t_plus * f_bar + 1.0)
-        freq = float((pooled >= threshold).mean())
-        stderr = math.sqrt(max(freq * (1 - freq), 0.0) / pooled.size)
-        limit = 2.0 ** (-lam) + 3.0 * stderr
-        tails.append(TailCheck(lam, threshold, freq, limit, freq <= limit))
+    sums = _walk_sums(g, range(g.n), [mix64(seed, s) for s in range(g.n)],
+                      steps, max(trials // g.n, 2),
+                      np.broadcast_to(f_values, (steps, g.n)))
+    worst_mean = float(sums.mean(axis=1).max())
     return ConcentrationReport(mean_bound=mean_bound, worst_mean=worst_mean,
                                mean_ok=worst_mean <= mean_bound,
-                               tails=tuple(tails), walks=pooled.size)
+                               tails=_tails(sums, 16.0 * t_plus * f_bar,
+                                            lambdas),
+                               walks=sums.size)
 
 
 def check_collision_concentration(g: Graph, start: int, target_set,
@@ -389,6 +373,10 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     """
     members = np.asarray(sorted(set(int(v) for v in target_set)),
                          dtype=np.int64)
+    if not members.size:
+        raise InvalidSpec("target set must be non-empty")
+    if steps < 1 or trials < 1:
+        raise InvalidSpec("steps and trials must be >= 1")
     g.check_vertices(members, "target vertices")
     g.check_vertices((start,))
     if t_hit_value is None:
@@ -407,15 +395,9 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     for t in range(steps):
         rows[t] = row * mask
         row = chain.lazy_step(g, row)
-    sums = _simulate_walk_sums(g, start, steps, trials, seed, rows)
-    tails = []
-    for lam in lambdas:
-        threshold = lam * (2.0 * upsilon + 1.0)
-        freq = float((sums >= threshold).mean())
-        stderr = math.sqrt(max(freq * (1 - freq), 0.0) / sums.size)
-        limit = 2.0 ** (-lam) + 3.0 * stderr
-        tails.append(TailCheck(lam, threshold, freq, limit, freq <= limit))
+    sums = _walk_sums(g, [start], [seed], steps, trials, rows)[0]
     return ConcentrationReport(mean_bound=upsilon,
                                worst_mean=float(sums.mean()),
                                mean_ok=float(sums.mean()) <= upsilon,
-                               tails=tuple(tails), walks=sums.size)
+                               tails=_tails(sums, 2.0 * upsilon, lambdas),
+                               walks=sums.size)

@@ -8,11 +8,10 @@ into that step's block of uniforms. Results are therefore bitwise
 reproducible regardless of execution order or worker count, and two
 processes sharing a trial seed see identical per-(step, id) moves.
 
-Two readers produce those uniforms: ``StepStream``, one trial's steps one
-at a time, and ``philox_uniforms``, a pure-numpy Philox4x64-10 that
-evaluates a whole (trial, step) block in one call, either for ids
-0..count-1 or for chosen ids only. ``step_uniforms`` is the reference both
-are tested against.
+Every simulation reads those uniforms through ``philox_uniforms``, a
+pure-numpy Philox4x64-10 that evaluates a whole (trial, step) block in one
+call, either for ids 0..count-1 or for chosen ids only. ``step_uniforms``
+is the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -43,37 +42,11 @@ def step_uniforms(seed: int, step: int, count: int) -> np.ndarray:
 
     Reference implementation: a fresh Philox stream keyed by the trial
     seed, with the step index in the top counter word so each step owns a
-    disjoint 2**192-block range. ``StepStream`` and ``philox_uniforms``
-    produce identical values without constructing a generator per step.
+    disjoint 2**192-block range. ``philox_uniforms`` produces identical
+    values without constructing a generator per step.
     """
     bg = np.random.Philox(key=mix64(seed), counter=[0, 0, 0, step])
     return np.random.Generator(bg).random(count)
-
-
-class StepStream:
-    """Reusable per-trial stream of per-(step, id) uniforms.
-
-    Bitwise-identical to ``step_uniforms`` but about 10x faster in step
-    loops: one Philox instance whose counter is repositioned per step.
-    """
-
-    __slots__ = ("_bit", "_gen", "_state")
-
-    def __init__(self, seed: int):
-        self._bit = np.random.Philox(key=mix64(seed))
-        self._gen = np.random.Generator(self._bit)
-        self._state = self._bit.state
-
-    def uniforms(self, step: int, count: int) -> np.ndarray:
-        state = self._state
-        counter = state["state"]["counter"]
-        counter[0] = 0
-        counter[1] = 0
-        counter[2] = 0
-        counter[3] = step
-        state["buffer_pos"] = 4  # discard any buffered words
-        self._bit.state = state
-        return self._gen.random(count)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -136,6 +109,18 @@ def philox_uniforms(keys: np.ndarray, steps, count: int | None = None,
     words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
     words = words.reshape(key0.shape[0], steps.size, 4 * blocks.size)
     return (words[..., 4 * inverse + (ids & 3)] >> np.uint64(11)) * 2.0 ** -53
+
+
+class StepStream:
+    """``step_uniforms`` of one trial, one step at a time. No simulation
+    reads it: it stays only while the benchmark tracer
+    (``perfbench/tracing.py``) wraps ``StepStream.uniforms`` by name."""
+
+    def __init__(self, seed: int):
+        self._key = philox_keys([seed])
+
+    def uniforms(self, step: int, count: int) -> np.ndarray:
+        return philox_uniforms(self._key, [step], count)[0, 0]
 
 
 def generator(seed: int, *context: int) -> np.random.Generator:

@@ -1,19 +1,18 @@
 """Seeded Monte Carlo simulation of interacting lazy random walks.
 
 Covers pairwise meetings, the coalescing process (walks merge on
-co-location, smallest id survives), the synchronous voter model, and the
-immortal-group variant in which a designated id set cannot be eliminated.
+co-location, smallest id survives), the synchronous voter model, the
+immortal-group variant in which a designated id set cannot be eliminated,
+and the visit-count walkers of the concentration checks in ``bounds``.
 Every step consumes one uniform per walk id from a counter-based stream
 keyed by (trial seed, step), so runs are bitwise reproducible, trials can
 execute on any number of workers, and two processes sharing a trial seed
 see identical per-(step, id) moves (the paired-seed coupling harness).
-Meeting trials run as a batch: one vectorized Philox call draws the
-uniforms of every live trial over its next steps, and each trial then
-walks its own row, so a sample is the same whatever batch it ran in.
-Coalescence and immortal trials share one per-trial kernel that reads,
-through ``philox_uniforms``, only the Philox blocks of the ids still alive.
-The voter model here and the concentration walkers in ``bounds`` still read
-all n uniforms of a step through ``StepStream``.
+Every kind reads ``philox_uniforms`` a row of steps per call. Meeting and
+voter trials run as batches that drop each trial as it stops; coalescence
+and immortal trials share one per-trial kernel that draws only the blocks
+of the ids still alive. Either way a sample does not depend on its batch.
+The scalar kernels and the numpy ``_lazy_moves`` share one rank arithmetic.
 """
 from __future__ import annotations
 
@@ -25,8 +24,7 @@ import numpy as np
 
 from .errors import AllCensored, InvalidIds, InvalidSpec
 from .graphs import Graph
-from .seeding import (StepStream, generator, philox_keys, philox_uniforms,
-                      trial_seed)
+from .seeding import generator, philox_keys, philox_uniforms, trial_seed
 
 WORKERS_ENV = "COALWALK_WORKERS"
 
@@ -62,6 +60,15 @@ class Estimate:
         return self.ci95_lo <= other.ci95_hi and other.ci95_lo <= self.ci95_hi
 
 
+def _step_cap(g: Graph, cap: int | None) -> int:
+    """``cap``, or ``default_cap(g)`` when it is None; below 1 is rejected."""
+    if cap is None:
+        return default_cap(g)
+    if cap < 1:
+        raise InvalidSpec("cap must be >= 1")
+    return cap
+
+
 def _adjacency_lists(g: Graph) -> list[list[int]]:
     lists = g._cache.get("adj_lists")
     if lists is None:
@@ -72,10 +79,25 @@ def _adjacency_lists(g: Graph) -> list[list[int]]:
     return lists
 
 
-# Meeting trials run in chunks of _TRIAL_CHUNK; each Philox call covers at
-# most _PHILOX_COUNTERS (trial, step) counters, so a block's memory stays
-# flat whatever the trial count. Row widths start at _FIRST_WIDTH steps and
-# double, so short trials draw little past their end.
+def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
+    """Vertices of walks at ``pos`` after one lazy step on ``uniforms``.
+
+    With r = (u - 0.5) * 2.0 a walk stays when r < 0 and else moves to
+    neighbor rank int(r * deg) of its vertex, or the last neighbor should
+    rounding reach deg. ``pos`` broadcasts against ``uniforms``; a staying
+    walk's rank is clipped to 0 only to keep its unused index in range.
+    """
+    residual = (uniforms - 0.5) * 2.0
+    degs = g.degrees[pos]
+    ranks = np.clip((residual * degs).astype(np.int64), 0, degs - 1)
+    return np.where(residual >= 0.0, g.indices[g.indptr[pos] + ranks], pos)
+
+
+# Meeting and voter trials run in chunks of _TRIAL_CHUNK; each Philox call
+# covers at most _PHILOX_COUNTERS counters, one per trial, step and block of
+# four ids, so a block's memory stays flat whatever the trial count. Row
+# widths start at _FIRST_WIDTH steps and double, so short trials draw little
+# past their end.
 _TRIAL_CHUNK = 256
 _PHILOX_COUNTERS = 8192
 _FIRST_WIDTH = 32
@@ -87,10 +109,7 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
     Trial i reads the same per-(step, id) uniforms as any other run keyed by
     ``seeds[i]``, so its sample does not depend on the rest of the batch.
     """
-    if cap is None:
-        cap = default_cap(g)
-    if cap < 1:
-        raise InvalidSpec("cap must be >= 1")
+    cap = _step_cap(g, cap)
     adj = _adjacency_lists(g)
     samples = []
     for lo in range(0, len(seeds), _TRIAL_CHUNK):
@@ -113,8 +132,7 @@ def _meeting_chunk(adj, starts, seeds, cap: int) -> list[SimSample]:
         width = min(width, cap - done, max(1, _PHILOX_COUNTERS // len(live)))
         uniforms = philox_uniforms(keys[[i for i, _, _ in live]],
                                    range(done + 1, done + width + 1), 2)
-        # rank arithmetic of a lazy step: stay when r < 0, else neighbor
-        # int(r * deg), where r = (u - 0.5) * 2.0
+        # the rank arithmetic of _lazy_moves, one walk at a time
         residual = (uniforms - 0.5) * 2.0
         still = []
         for trial, row_x, row_y in zip(live, residual[:, :, 0].tolist(),
@@ -182,8 +200,7 @@ def _coalesce(g: Graph, starts: list[int], immortal: frozenset, target_k: int,
     steps draws one Philox block for the live ids only, so the long tail
     with a few walks left costs a few counters per step, not n.
     """
-    if cap is None:
-        cap = default_cap(g)
+    cap = _step_cap(g, cap)
     adj = _adjacency_lists(g)
     ids, pos = list(range(len(starts))), list(starts)
     # (t, walks alive) at t = 0 and at every power of two
@@ -246,38 +263,47 @@ def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
                      record_trajectory)
 
 
-def simulate_voter(g: Graph, seed: int, cap: int | None = None,
-                   lazy: bool = True) -> SimSample:
-    """Synchronous voter dynamics from all-distinct opinions.
-
-    Lazy variant (default): each node keeps its opinion w.p. 1/2, else
-    adopts a uniform neighbor's previous-round opinion; this is the exact
-    dual of the lazy coalescing walks. ``lazy=False`` adopts every round.
-    """
-    if cap is None:
-        cap = default_cap(g)
-    opinions = np.arange(g.n)
+def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
+    """Voter consensus times of many trials; as in ``_meeting_batch``, the
+    sample of the trial keyed by ``seeds[i]`` does not depend on the rest."""
+    cap = _step_cap(g, cap)
     if g.n == 1:
-        return SimSample(0, False, seed)
-    stream = StepStream(seed)
-    for t in range(1, cap + 1):
-        uniforms = stream.uniforms(t, g.n)
-        if lazy:
-            adopting = np.flatnonzero(uniforms >= 0.5)
-            residual = (uniforms[adopting] - 0.5) * 2.0
-        else:
-            adopting = np.arange(g.n)
-            residual = uniforms
-        ranks = (residual * g.degrees[adopting]).astype(np.int64)
-        np.minimum(ranks, g.degrees[adopting] - 1, out=ranks)
-        sources = g.indices[g.indptr[adopting] + ranks]
-        new_opinions = opinions.copy()
-        new_opinions[adopting] = opinions[sources]
-        opinions = new_opinions
-        first = opinions[0]
-        if np.all(opinions == first):
-            return SimSample(t, False, seed)
-    return SimSample(cap, True, seed)
+        return [SimSample(0, False, s) for s in seeds]
+    samples: list[SimSample | None] = [None] * len(seeds)
+    keys = philox_keys(seeds)
+    blocks = (g.n + 3) // 4  # Philox counters per (trial, step)
+    for lo in range(0, len(seeds), _TRIAL_CHUNK):
+        live = np.arange(lo, min(lo + _TRIAL_CHUNK, len(seeds)))
+        opinions = np.tile(np.arange(g.n), (live.size, 1))  # row per trial
+        done, width = 0, _FIRST_WIDTH
+        while live.size and done < cap:
+            width = min(width, cap - done,
+                        max(1, _PHILOX_COUNTERS // (live.size * blocks)))
+            uniforms = philox_uniforms(keys[live],
+                                       range(done + 1, done + width + 1), g.n)
+            # node v adopts the previous-round opinion of sources[:, j, v]
+            sources = _lazy_moves(g, np.arange(g.n), uniforms)
+            for j in range(width):
+                opinions = np.take_along_axis(opinions, sources[:, j], 1)
+                agreed = (opinions == opinions[:, :1]).all(axis=1)
+                if agreed.any():
+                    for i in live[agreed].tolist():
+                        samples[i] = SimSample(done + j + 1, False, seeds[i])
+                    live, opinions = live[~agreed], opinions[~agreed]
+                    sources = sources[~agreed]
+            done += width
+            width *= 2
+        for i in live.tolist():
+            samples[i] = SimSample(cap, True, seeds[i])
+    return samples
+
+
+def simulate_voter(g: Graph, seed: int, cap: int | None = None) -> SimSample:
+    """First consensus round of synchronous lazy voter dynamics from
+    all-distinct opinions: each round every node keeps its opinion w.p. 1/2,
+    else adopts a uniform neighbor's previous-round opinion. This is the
+    exact dual of the lazy coalescing walks."""
+    return _voter_batch(g, [seed], cap)[0]
 
 
 def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
@@ -307,6 +333,24 @@ def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
                      cap, record_trajectory)
 
 
+def _walk_sums(g: Graph, starts, seeds, steps: int, walks: int,
+               values: np.ndarray) -> np.ndarray:
+    """sum_{t < steps} values[t, X_t] over ``walks`` lazy walks per start:
+    row i holds the walks from ``starts[i]``, and its walk j reads id j of
+    the stream keyed by ``seeds[i]``."""
+    pos = np.repeat(np.asarray(starts, dtype=np.int64)[:, None], walks, 1)
+    sums = values[0, pos]
+    keys = philox_keys(seeds)
+    width = max(1, _PHILOX_COUNTERS // (len(keys) * ((walks + 3) // 4)))
+    for lo in range(1, steps, width):
+        uniforms = philox_uniforms(keys, range(lo, min(lo + width, steps)),
+                                   walks)
+        for t in range(lo, lo + uniforms.shape[1]):
+            pos = _lazy_moves(g, pos, uniforms[:, t - lo])
+            sums += values[t, pos]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Ensemble estimation
 # ---------------------------------------------------------------------------
@@ -322,25 +366,20 @@ def _meeting_starts(g: Graph, params: dict, seeds) -> list:
     return [(params["u"], params["v"])] * len(seeds)
 
 
-def _run_trial(kind: str, g: Graph, params: dict, seed: int,
-               cap: int | None) -> SimSample:
-    if kind == "coalescence":
-        return simulate_coalescence(g, params.get("start_vertices"), seed, cap,
-                                    params.get("record_trajectory", False))
-    if kind == "voter":
-        return simulate_voter(g, seed, cap, params.get("lazy", True))
-    if kind == "immortal":
-        return simulate_immortal(
-            g, params["start_vertices"], params["immortal_ids"],
-            params["target_k"], seed, cap, params.get("mode", "total"))
-    raise InvalidSpec(f"unknown simulation kind {kind!r}")
-
-
 def _trial_batch_samples(args):
     kind, g, params, seeds, cap = args
     if kind == "meeting":
         return _meeting_batch(g, _meeting_starts(g, params, seeds), seeds, cap)
-    return [_run_trial(kind, g, params, s, cap) for s in seeds]
+    if kind == "voter":
+        return _voter_batch(g, seeds, cap)
+    if kind == "coalescence":
+        return [simulate_coalescence(g, params.get("start_vertices"), s, cap,
+                                     params.get("record_trajectory", False))
+                for s in seeds]
+    return [simulate_immortal(g, params["start_vertices"],
+                              params["immortal_ids"], params["target_k"], s,
+                              cap, params.get("mode", "total"))
+            for s in seeds]
 
 
 def estimate(kind: str, g: Graph, params: dict | None, trials: int,
@@ -359,6 +398,8 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     params = dict(params or {})
     if kind == "meeting" and not params.get("stationary"):
         g.check_vertices((params["u"], params["v"]))
+    if kind == "voter" and not params.get("lazy", True):
+        raise InvalidSpec("the voter model is lazy only")
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
@@ -395,6 +436,8 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     diagnostic: the distributional ordering guaranteed by theory does not
     force pathwise domination under this identity coupling.
     """
+    if batch_trials < 1:
+        raise InvalidSpec("batch_trials must be >= 1")
     std_vals, imm_vals = [], []
     pathwise_excess = 0
     min_id = [0]

@@ -202,6 +202,23 @@ class TestConcentration:
                 g, start, targets, steps=10, trials=8, seed=1,
                 t_hit_value=10.0)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_steps_below_one(self, steps):
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(InvalidSpec):
+            bounds.check_concentration(g, [0], steps=steps, trials=8, seed=1,
+                                       t_hit_value=10.0)
+
+    @pytest.mark.parametrize("targets, steps, trials", [
+        ([], 10, 8), ([0], 0, 8), ([0], 10, 0)],
+        ids=["empty-targets", "steps-0", "trials-0"])
+    def test_collision_rejects_bad_spec(self, targets, steps, trials):
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(InvalidSpec):
+            bounds.check_collision_concentration(
+                g, 0, targets, steps=steps, trials=trials, seed=1,
+                t_hit_value=10.0)
+
     def test_collision_variant(self):
         g = generate(FamilySpec("cycle", n=32))
         t_hit_value = chain.t_hit(g)

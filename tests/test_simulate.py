@@ -3,11 +3,13 @@ import pytest
 
 from coalwalk import chain, simulate
 from coalwalk.errors import AllCensored, InvalidIds, InvalidSpec
-from coalwalk.graphs import FamilySpec, generate
+from coalwalk.graphs import FamilySpec, Graph, generate
 from coalwalk.seeding import generator, mix64, step_uniforms
 from coalwalk.simulate import (
     Estimate,
     _meeting_batch,
+    _voter_batch,
+    _walk_sums,
     default_cap,
     estimate,
     paired_batch_means,
@@ -95,7 +97,6 @@ class TestCoalescence:
 
 class TestVoter:
     def test_single_vertex(self):
-        from coalwalk.graphs import Graph
         one = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
         assert simulate_voter(one, seed=1).value == 0
 
@@ -109,13 +110,11 @@ class TestVoter:
         coal = estimate("coalescence", g, {}, 800, master_seed=6)
         assert voter.overlaps(coal)
 
-    def test_non_lazy_flag(self):
-        # non-bipartite graph: the eager voter can actually reach consensus
-        g = generate(FamilySpec("clique", n=8))
-        lazy = simulate_voter(g, seed=2)
-        eager = simulate_voter(g, seed=2, lazy=False)
-        assert not eager.censored and eager.value >= 1
-        assert eager.value != lazy.value
+    def test_eager_voter_rejected(self, k2):
+        with pytest.raises(InvalidSpec):
+            estimate("voter", k2, {"lazy": False}, 10, master_seed=1)
+        assert estimate("voter", k2, {"lazy": True}, 10, master_seed=1) == (
+            estimate("voter", k2, {}, 10, master_seed=1))
 
 
 class TestImmortal:
@@ -143,6 +142,12 @@ class TestImmortal:
         std_mean, imm_mean, _ = paired_batch_means(
             cycle16, range(16), [0, 1, 2, 3], 4, 120, master_seed=31)
         assert std_mean <= imm_mean
+
+    @pytest.mark.parametrize("batch_trials", [0, -1])
+    def test_paired_rejects_empty_batch(self, cycle16, batch_trials):
+        with pytest.raises(InvalidSpec):
+            paired_batch_means(cycle16, range(16), [0, 1], 2, batch_trials,
+                               master_seed=31)
 
 
 class TestEstimate:
@@ -172,11 +177,12 @@ class TestEstimate:
 
     @pytest.mark.parametrize("kind,params", [
         ("coalescence", {}),
+        ("voter", {}),
         ("immortal", {"start_vertices": range(16), "immortal_ids": [1, 2],
                       "target_k": 3, "mode": "total"}),
         ("immortal", {"start_vertices": range(16), "immortal_ids": [1, 2],
                       "target_k": 2, "mode": "mortal"}),
-    ], ids=["coalescence", "immortal-total", "immortal-mortal"])
+    ], ids=["coalescence", "voter", "immortal-total", "immortal-mortal"])
     def test_worker_count_invariant(self, cycle16, kind, params):
         one = estimate(kind, cycle16, params, 120, master_seed=7, workers=1)
         two = estimate(kind, cycle16, params, 120, master_seed=7, workers=2)
@@ -201,6 +207,18 @@ class TestEstimate:
 
     def test_default_cap_is_50_n_cubed(self, cycle16):
         assert default_cap(cycle16) == 50 * 16 ** 3
+
+    @pytest.mark.parametrize("kind,params", [
+        ("meeting", {"u": 0, "v": 8}),
+        ("coalescence", {}),
+        ("voter", {}),
+        ("immortal", {"start_vertices": range(16), "immortal_ids": [1, 2],
+                      "target_k": 3}),
+    ], ids=["meeting", "coalescence", "voter", "immortal"])
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cycle16, kind, params, cap):
+        with pytest.raises(InvalidSpec):
+            estimate(kind, cycle16, params, 10, master_seed=1, cap=cap)
 
 
 def test_stationary_meeting_start_draw():
@@ -348,6 +366,80 @@ def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
                 got = simulate_immortal(g, vertices, immortal, target_k, seed,
                                         cap, mode, record_trajectory=True)
             assert (got.value, got.censored, list(got.trajectory)) == want
+
+
+def _reference_voter(g, seed, cap):
+    """The per-step voter loop on the ``step_uniforms`` oracle."""
+    opinions = np.arange(g.n)
+    if g.n == 1:
+        return 0, False
+    for t in range(1, cap + 1):
+        uniforms = step_uniforms(seed, t, g.n)
+        adopting = np.flatnonzero(uniforms >= 0.5)
+        residual = (uniforms[adopting] - 0.5) * 2.0
+        ranks = (residual * g.degrees[adopting]).astype(np.int64)
+        np.minimum(ranks, g.degrees[adopting] - 1, out=ranks)
+        sources = g.indices[g.indptr[adopting] + ranks]
+        new_opinions = opinions.copy()
+        new_opinions[adopting] = opinions[sources]
+        opinions = new_opinions
+        if np.all(opinions == opinions[0]):
+            return t, False
+    return cap, True
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("cycle", n=32),
+    FamilySpec("star", n=32),
+    FamilySpec("clique", n=8),
+    FamilySpec("lower_bound", n=16, alpha=1.0),
+    None,
+], ids=["cycle-32", "star-32", "clique-8", "lower_bound-16", "single-vertex"])
+def test_voter_batch_matches_reference_loop(spec):
+    # 300 capped trials span two trial chunks; trials leave the batch at
+    # consensus, mid-row, while the rest run on to the cap
+    if spec is None:
+        g = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
+    else:
+        g = generate(spec, seed=11)
+    for cap, count in ((7, 300), (None, 12)):
+        seeds = [mix64(23, i) for i in range(count)]
+        limit = default_cap(g) if cap is None else cap
+        samples = _voter_batch(g, seeds, cap)
+        assert [(s.value, s.censored) for s in samples] == [
+            _reference_voter(g, s, limit) for s in seeds]
+        assert [s.seed for s in samples] == seeds
+
+
+def _reference_walk_sums(g, start, steps, walks, seed, values):
+    """The per-start walker loop on the ``step_uniforms`` oracle."""
+    static = values.ndim == 1
+    pos = np.full(walks, start, dtype=np.int64)
+    sums = np.full(walks, values[start] if static else values[0, start])
+    for t in range(1, steps):
+        uniforms = step_uniforms(seed, t, walks)
+        moving = uniforms >= 0.5
+        residual = (uniforms[moving] - 0.5) * 2.0
+        at = pos[moving]
+        ranks = (residual * g.degrees[at]).astype(np.int64)
+        np.minimum(ranks, g.degrees[at] - 1, out=ranks)
+        pos[moving] = g.indices[g.indptr[at] + ranks]
+        sums += values[pos] if static else values[t, pos]
+    return sums
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "timed"])
+@pytest.mark.parametrize("steps,walks", [(1, 3), (40, 5), (300, 2000)])
+def test_walk_sums_match_reference_loop(static, steps, walks):
+    g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=11)
+    f = generator(3, 4).random(g.n if static else (steps, g.n))
+    starts = [0, 5, 5, g.n - 1]
+    seeds = [mix64(29, s) for s in range(len(starts))]
+    got = _walk_sums(g, starts, seeds, steps, walks,
+                     np.broadcast_to(f, (steps, g.n)))
+    want = [_reference_walk_sums(g, start, steps, walks, seed, f)
+            for start, seed in zip(starts, seeds)]
+    assert np.array_equal(got, np.stack(want))
 
 
 class TestGoldenSamples:
