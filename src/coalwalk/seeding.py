@@ -10,10 +10,13 @@ processes sharing a trial seed see identical per-(step, id) moves.
 
 Every simulation reads those uniforms through ``philox_uniforms``, a
 pure-numpy Philox4x64-10 that evaluates a whole (trial, step) block in one
-call, either for ids 0..count-1 or for chosen ids only. ``step_uniforms``
-is the reference it is tested against.
+call, either for ids 0..count-1 or for chosen ids only, or through
+``philox_uniforms_ragged``, the same rounds with an id list of its own per
+trial. ``step_uniforms`` is the reference both are tested against.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -76,6 +79,22 @@ def philox_keys(seeds) -> np.ndarray:
     return np.array([mix64(s) for s in seeds], dtype=np.uint64)
 
 
+def _philox_words(key0: np.ndarray, c0: np.ndarray,
+                  c3: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 with key ``[key0, 0]`` on counters ``[c0, 0, 0, c3]``
+    (broadcast uint64), its four output words on a last axis."""
+    key1 = 0
+    c1 = c2 = np.zeros(1, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0 = key0 + np.uint64(_PHILOX_W[0])
+            key1 = (key1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+
+
 def philox_uniforms(keys: np.ndarray, steps, count: int | None = None,
                     ids=None) -> np.ndarray:
     """``step_uniforms`` for every (trial, step) pair in one call.
@@ -92,23 +111,31 @@ def philox_uniforms(keys: np.ndarray, steps, count: int | None = None,
     evaluated rather than every block below the largest id.
     """
     key0 = np.asarray(keys, dtype=np.uint64)[:, None, None]
-    key1 = 0
     steps = np.asarray(steps, dtype=np.uint64)
     ids = np.arange(count) if ids is None else np.asarray(ids, dtype=np.int64)
     blocks, inverse = np.unique(ids >> 2, return_inverse=True)
-    c0 = blocks.astype(np.uint64) + np.uint64(1)
-    c1 = c2 = np.zeros(1, dtype=np.uint64)
-    c3 = steps[None, :, None]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = key0 + np.uint64(_PHILOX_W[0])
-            key1 = (key1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    words = _philox_words(key0, blocks.astype(np.uint64) + np.uint64(1),
+                          steps[None, :, None])
     words = words.reshape(key0.shape[0], steps.size, 4 * blocks.size)
     return (words[..., 4 * inverse + (ids & 3)] >> np.uint64(11)) * 2.0 ** -53
+
+
+def philox_uniforms_ragged(keys: np.ndarray, steps, ids) -> np.ndarray:
+    """``philox_uniforms`` with a list of walk ids of its own per key.
+
+    Row j holds, at ``steps[j]``, the uniforms of the ids ``ids[0]`` under
+    ``keys[0]``, then of ``ids[1]`` under ``keys[1]``, and so on. Only the
+    distinct (key, ``id >> 2``) blocks are evaluated, on one flat axis.
+    """
+    flat = np.fromiter(chain.from_iterable(ids), np.int64)
+    owner = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    span = int(flat.max(initial=0) >> 2) + 1
+    pairs, inverse = np.unique(owner * span + (flat >> 2), return_inverse=True)
+    steps = np.asarray(steps, dtype=np.uint64)
+    words = _philox_words(np.asarray(keys, dtype=np.uint64)[pairs // span],
+                          (pairs % span).astype(np.uint64) + np.uint64(1),
+                          steps[:, None]).reshape(steps.size, -1)
+    return (words[:, 4 * inverse + (flat & 3)] >> np.uint64(11)) * 2.0 ** -53
 
 
 class StepStream:

@@ -8,10 +8,11 @@ Every step consumes one uniform per walk id from a counter-based stream
 keyed by (trial seed, step), so runs are bitwise reproducible, trials can
 execute on any number of workers, and two processes sharing a trial seed
 see identical per-(step, id) moves (the paired-seed coupling harness).
-Every kind reads ``philox_uniforms`` a row of steps per call. Meeting and
-voter trials run as batches that drop each trial as it stops; coalescence
-and immortal trials share one per-trial kernel that draws only the blocks
-of the ids still alive. Either way a sample does not depend on its batch.
+Meeting, voter, coalescence and immortal trials run in batches that make
+one Philox call per row of steps and drop each trial as it stops. The one
+coalescence and immortal kernel draws only the blocks of the ids still
+alive in each live trial, and a paired run is two such batches over the
+same seeds. A sample does not depend on its batch.
 The scalar kernels and the numpy ``_lazy_moves`` share one rank arithmetic.
 """
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCensored, InvalidIds, InvalidSpec
+from .errors import AllCensored, BudgetExceeded, InvalidIds, InvalidSpec
 from .graphs import Graph
-from .seeding import generator, philox_keys, philox_uniforms, trial_seed
+from .seeding import (generator, philox_keys, philox_uniforms,
+                      philox_uniforms_ragged, trial_seed)
 
 WORKERS_ENV = "COALWALK_WORKERS"
 
@@ -93,11 +95,12 @@ def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
     return np.where(residual >= 0.0, g.indices[g.indptr[pos] + ranks], pos)
 
 
-# Meeting and voter trials run in chunks of _TRIAL_CHUNK; each Philox call
-# covers at most _PHILOX_COUNTERS counters, one per trial, step and block of
-# four ids, so a block's memory stays flat whatever the trial count. Row
-# widths start at _FIRST_WIDTH steps and double, so short trials draw little
-# past their end.
+# Trials run in chunks of _TRIAL_CHUNK, or fewer when their coalescing walks
+# would fill more than one step of a Philox call. A call covers one row of
+# steps, as many as fit in _PHILOX_COUNTERS counters (one per trial, step and
+# block of four ids) but at least one, so its memory stays flat whatever the
+# trial count. Row widths start at _FIRST_WIDTH steps and double, so short
+# trials draw little past their end.
 _TRIAL_CHUNK = 256
 _PHILOX_COUNTERS = 8192
 _FIRST_WIDTH = 32
@@ -190,60 +193,82 @@ def _survivors(ids, pos, immortal) -> list[int]:
     return keep
 
 
-def _coalesce(g: Graph, starts: list[int], immortal: frozenset, target_k: int,
-              mortal: bool, seed: int, cap: int | None,
-              record_trajectory: bool) -> SimSample:
-    """One trial of coalescing walks; walk i starts at ``starts[i]``.
+def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
+                    target_k: int, mortal: bool, seeds, cap: int | None,
+                    record_trajectory: bool) -> list[SimSample]:
+    """Coalescing walks of many trials; walk i starts at ``starts[i]``.
 
     Coalescence is the case ``immortal = {0}``, ``target_k = 1``: the
     immortal rule then keeps the smallest id at every vertex. Each row of
-    steps draws one Philox block for the live ids only, so the long tail
-    with a few walks left costs a few counters per step, not n.
+    steps makes one Philox call for the live ids of every live trial, so
+    the long tail with a few walks left costs a few counters per step, not
+    n. As in ``_meeting_batch``, trial i's sample depends on ``seeds[i]``
+    only.
     """
     cap = _step_cap(g, cap)
     adj = _adjacency_lists(g)
-    ids, pos = list(range(len(starts))), list(starts)
-    # (t, walks alive) at t = 0 and at every power of two
-    trajectory = [(0, len(ids))] if record_trajectory else None
 
-    def stopped():
+    def stopped(ids):
         alive = [i for i in ids if i not in immortal] if mortal else ids
         return len(alive) <= target_k
 
-    def sample(t, censored):
-        return SimSample(t, censored, seed,
-                         None if trajectory is None else tuple(trajectory))
+    def sample(i, t, censored, trajectory):
+        return SimSample(t, censored, seeds[i],
+                         tuple(trajectory) if record_trajectory else None)
 
-    if stopped():
-        return sample(0, False)
-    key = philox_keys([seed])
-    done, width = 0, _FIRST_WIDTH
-    while done < cap:
-        blocks = len({i >> 2 for i in ids})
-        width = min(width, cap - done, max(1, _PHILOX_COUNTERS // blocks))
-        uniforms = philox_uniforms(key, range(done + 1, done + width + 1),
-                                   ids=ids)[0]
-        cols = range(len(ids))  # column of each live walk in the row
-        for t, row in enumerate(((uniforms - 0.5) * 2.0).tolist(), done + 1):
-            for j, c in enumerate(cols):
-                a = row[c]
-                if a >= 0.0:
-                    nbrs = adj[pos[j]]
-                    rank = int(a * len(nbrs))
-                    pos[j] = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
-            merged = len(set(pos)) < len(pos)
-            if merged:
-                keep = _survivors(ids, pos, immortal)
-                ids = [ids[j] for j in keep]
-                pos = [pos[j] for j in keep]
-                cols = [cols[j] for j in keep]
-            if trajectory is not None and t & (t - 1) == 0:
-                trajectory.append((t, len(ids)))
-            if merged and stopped():
-                return sample(t, False)
-        done += width
-        width *= 2
-    return sample(cap, True)
+    # a start set that already meets the stopping rule takes no step
+    end = 0 if stopped(range(len(starts))) else cap
+    keys = philox_keys(seeds)
+    samples: list[SimSample | None] = [None] * len(seeds)
+    # no more trials than fill the first step's Philox call
+    chunk = min(_TRIAL_CHUNK,
+                max(1, _PHILOX_COUNTERS // ((len(starts) + 3) // 4)))
+    for lo in range(0, len(seeds), chunk):
+        # (trial, live ids, their vertices, (t, walks alive) at t = 0 and
+        # at every power of two) of each trial still running
+        live = [(i, list(range(len(starts))), list(starts), [(0, len(starts))])
+                for i in range(lo, min(lo + chunk, len(seeds)))]
+        done, width = 0, _FIRST_WIDTH
+        while live and done < end:
+            blocks = sum(len({i >> 2 for i in ids}) for _, ids, _, _ in live)
+            width = min(width, end - done, max(1, _PHILOX_COUNTERS // blocks))
+            uniforms = philox_uniforms_ragged(
+                keys[[i for i, _, _, _ in live]],
+                range(done + 1, done + width + 1),
+                [ids for _, ids, _, _ in live])
+            rows = ((uniforms - 0.5) * 2.0).tolist()
+            still, offset = [], 0
+            for i, ids, pos, trajectory in live:
+                # column of each live walk in the rows
+                cols = range(offset, offset + len(ids))
+                offset += len(ids)
+                for t, row in enumerate(rows, done + 1):
+                    for j, c in enumerate(cols):
+                        a = row[c]
+                        if a >= 0.0:
+                            nbrs = adj[pos[j]]
+                            rank = int(a * len(nbrs))
+                            pos[j] = (nbrs[rank] if rank < len(nbrs)
+                                      else nbrs[-1])
+                    merged = len(set(pos)) < len(pos)
+                    if merged:
+                        keep = _survivors(ids, pos, immortal)
+                        ids = [ids[j] for j in keep]
+                        pos = [pos[j] for j in keep]
+                        cols = [cols[j] for j in keep]
+                    if t & (t - 1) == 0:
+                        trajectory.append((t, len(ids)))
+                    if merged and stopped(ids):
+                        samples[i] = sample(i, t, False, trajectory)
+                        break
+                else:
+                    still.append((i, ids, pos, trajectory))
+            live = still
+            done += width
+            width *= 2
+        for i, _, _, trajectory in live:
+            samples[i] = sample(i, end, end > 0, trajectory)
+    return samples
 
 
 def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
@@ -255,12 +280,9 @@ def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
     vertex merge with the smallest id surviving. Returns the first time a
     single walk remains.
     """
-    starts = _start_list(g, range(g.n) if start_vertices is None
-                         else start_vertices)
-    if not starts:
-        raise InvalidSpec("start set must be non-empty")
-    return _coalesce(g, starts, frozenset([0]), 1, False, seed, cap,
-                     record_trajectory)
+    params = {"start_vertices": start_vertices,
+              "record_trajectory": record_trajectory}
+    return _trial_batch_samples(("coalescence", g, params, [seed], cap))[0]
 
 
 def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
@@ -321,16 +343,10 @@ def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
     semantics make target_k = |S0| stop at time 0 and keep the immortal
     variant reachable when target_k = |G1|.)
     """
-    if mode not in ("total", "mortal"):
-        raise InvalidSpec(f"unknown stopping mode {mode!r}")
-    if target_k < 1:
-        raise InvalidSpec("target_k must be >= 1")
-    starts = _start_list(g, start_vertices)
-    immortal = frozenset(int(i) for i in immortal_ids)
-    if not immortal or min(immortal) < 0 or max(immortal) >= len(starts):
-        raise InvalidIds("immortal ids must be ids of the start ensemble")
-    return _coalesce(g, starts, immortal, target_k, mode == "mortal", seed,
-                     cap, record_trajectory)
+    params = {"start_vertices": start_vertices, "immortal_ids": immortal_ids,
+              "target_k": target_k, "mode": mode,
+              "record_trajectory": record_trajectory}
+    return _trial_batch_samples(("immortal", g, params, [seed], cap))[0]
 
 
 def _walk_sums(g: Graph, starts, seeds, steps: int, walks: int,
@@ -372,14 +388,25 @@ def _trial_batch_samples(args):
         return _meeting_batch(g, _meeting_starts(g, params, seeds), seeds, cap)
     if kind == "voter":
         return _voter_batch(g, seeds, cap)
+    record = params.get("record_trajectory", False)
     if kind == "coalescence":
-        return [simulate_coalescence(g, params.get("start_vertices"), s, cap,
-                                     params.get("record_trajectory", False))
-                for s in seeds]
-    return [simulate_immortal(g, params["start_vertices"],
-                              params["immortal_ids"], params["target_k"], s,
-                              cap, params.get("mode", "total"))
-            for s in seeds]
+        vertices = params.get("start_vertices")
+        starts = _start_list(g, range(g.n) if vertices is None else vertices)
+        if not starts:
+            raise InvalidSpec("start set must be non-empty")
+        return _coalesce_batch(g, starts, frozenset([0]), 1, False, seeds, cap,
+                               record)
+    mode, target_k = params.get("mode", "total"), params["target_k"]
+    if mode not in ("total", "mortal"):
+        raise InvalidSpec(f"unknown stopping mode {mode!r}")
+    if target_k < 1:
+        raise InvalidSpec("target_k must be >= 1")
+    starts = _start_list(g, params["start_vertices"])
+    immortal = frozenset(int(i) for i in params["immortal_ids"])
+    if not immortal or min(immortal) < 0 or max(immortal) >= len(starts):
+        raise InvalidIds("immortal ids must be ids of the start ensemble")
+    return _coalesce_batch(g, starts, immortal, target_k, mode == "mortal",
+                           seeds, cap, record)
 
 
 def estimate(kind: str, g: Graph, params: dict | None, trials: int,
@@ -430,28 +457,27 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     """Paired comparison of the standard and immortal processes.
 
     Runs ``batch_trials`` trials where both processes share each trial
-    seed (identical per-(step, id) moves) and returns (mean standard T^k,
-    mean immortal T^k, count of steps where the standard process had
-    strictly more walks alive than the immortal one). The last value is
-    diagnostic: the distributional ordering guaranteed by theory does not
-    force pathwise domination under this identity coupling.
+    seed (identical per-(step, id) moves), as two trial batches over the
+    same seeds, and returns (mean standard T^k, mean immortal T^k, count of
+    steps where the standard process had strictly more walks alive than the
+    immortal one). The last value is diagnostic: the distributional
+    ordering guaranteed by theory does not force pathwise domination under
+    this identity coupling. A trial of either process that hits ``cap``
+    raises ``BudgetExceeded``: its capped time is no sample of T^k.
     """
     if batch_trials < 1:
         raise InvalidSpec("batch_trials must be >= 1")
-    std_vals, imm_vals = [], []
+    seeds = [trial_seed(master_seed, i) for i in range(batch_trials)]
+    std, imm = (_trial_batch_samples(("immortal", g, {
+        "start_vertices": start_vertices, "immortal_ids": group,
+        "target_k": target_k, "record_trajectory": True}, seeds, cap))
+        for group in ([0], immortal_ids))
+    if any(s.censored for s in std + imm):
+        raise BudgetExceeded("a paired trial hit the step cap")
     pathwise_excess = 0
-    min_id = [0]
-    for i in range(batch_trials):
-        seed_i = trial_seed(master_seed, i)
-        std = simulate_immortal(g, start_vertices, min_id, target_k, seed_i,
-                                cap, mode="total", record_trajectory=True)
-        imm = simulate_immortal(g, start_vertices, immortal_ids, target_k,
-                                seed_i, cap, mode="total",
-                                record_trajectory=True)
-        std_vals.append(std.value)
-        imm_vals.append(imm.value)
-        imm_counts = dict(imm.trajectory)
-        for t, count in std.trajectory:
-            if t in imm_counts and count > imm_counts[t]:
-                pathwise_excess += 1
-    return float(np.mean(std_vals)), float(np.mean(imm_vals)), pathwise_excess
+    for a, b in zip(std, imm):
+        imm_counts = dict(b.trajectory)
+        pathwise_excess += sum(1 for t, count in a.trajectory
+                               if t in imm_counts and count > imm_counts[t])
+    return (float(np.mean([s.value for s in std])),
+            float(np.mean([s.value for s in imm])), pathwise_excess)

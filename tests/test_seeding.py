@@ -6,6 +6,7 @@ from coalwalk.seeding import (
     mix64,
     philox_keys,
     philox_uniforms,
+    philox_uniforms_ragged,
     step_uniforms,
 )
 
@@ -44,6 +45,22 @@ def test_philox_selected_ids(ids):
         for j, step in enumerate(steps):
             full = step_uniforms(seed, step, max(ids) + 1)
             assert np.array_equal(out[i, j], full[list(ids)])
+
+
+@pytest.mark.parametrize("seeds,ids", [
+    ([0, 2**64 - 1], [(0, 5, 6, 1023), (7,)]),
+    # a repeated key with its own ids; unsorted and repeated ids
+    ([2**64 - 1, 0, 2**64 - 1], [(1023, 6, 0, 5), (4, 4, 9, 4), (3, 2, 8)]),
+    ([0], [(12,)]),
+])
+def test_philox_ragged_matches_step_uniforms(seeds, ids):
+    steps = [1, 2**63]
+    out = philox_uniforms_ragged(philox_keys(seeds), steps, ids)
+    assert out.shape == (len(steps), sum(len(i) for i in ids))
+    for j, step in enumerate(steps):
+        want = [step_uniforms(s, step, max(i) + 1)[list(i)]
+                for s, i in zip(seeds, ids)]
+        assert np.array_equal(out[j], np.concatenate(want))
 
 
 def test_philox_keys_are_mix64():

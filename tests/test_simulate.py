@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from coalwalk import chain, simulate
-from coalwalk.errors import AllCensored, InvalidIds, InvalidSpec
+from coalwalk.errors import (AllCensored, BudgetExceeded, InvalidIds,
+                             InvalidSpec)
 from coalwalk.graphs import FamilySpec, Graph, generate
-from coalwalk.seeding import generator, mix64, step_uniforms
+from coalwalk.seeding import generator, mix64, step_uniforms, trial_seed
 from coalwalk.simulate import (
     Estimate,
+    _coalesce_batch,
     _meeting_batch,
     _voter_batch,
     _walk_sums,
@@ -142,6 +144,28 @@ class TestImmortal:
         std_mean, imm_mean, _ = paired_batch_means(
             cycle16, range(16), [0, 1, 2, 3], 4, 120, master_seed=31)
         assert std_mean <= imm_mean
+
+    def test_paired_matches_per_trial_runs(self):
+        g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=3)
+        got = paired_batch_means(g, range(g.n), [0, 5], 2, 40, master_seed=9)
+        std, imm, excess = [], [], 0
+        for i in range(40):
+            seed = trial_seed(9, i)
+            a, b = (simulate_immortal(g, range(g.n), group, 2, seed,
+                                      record_trajectory=True)
+                    for group in ([0], [0, 5]))
+            std.append(a.value)
+            imm.append(b.value)
+            counts = dict(b.trajectory)
+            excess += sum(1 for t, c in a.trajectory
+                          if t in counts and c > counts[t])
+        assert got == (float(np.mean(std)), float(np.mean(imm)), excess)
+
+    def test_paired_censored_trial_raises(self):
+        # a capped time is no sample: it must not be averaged in
+        g = generate(FamilySpec("cycle", n=64))
+        with pytest.raises(BudgetExceeded):
+            paired_batch_means(g, range(64), [0, 1], 2, 4, 3, cap=5)
 
     @pytest.mark.parametrize("batch_trials", [0, -1])
     def test_paired_rejects_empty_batch(self, cycle16, batch_trials):
@@ -329,43 +353,58 @@ def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
     return cap, True, trajectory
 
 
-@pytest.mark.parametrize("label,spec,starts,immortal,target_k,mode,caps", [
+# (cap, trials) runs per case: each is one batch call, and 300 trials at a
+# small cap cross a trial-chunk boundary with trials stopping at mixed times
+@pytest.mark.parametrize("label,spec,starts,immortal,target_k,mode,runs", [
     # 512 ids over 128 Philox blocks
     ("torus3-8", FamilySpec("torus", dim=3, side=8), None, None, 1, None,
-     (None, 37, 700)),
+     ((None, 3), (37, 300), (700, 3))),
     # sparse subsets whose ids cross block boundaries
     ("torus3-8", FamilySpec("torus", dim=3, side=8),
-     [3, 40, 41, 100, 257, 300, 301, 420, 511], None, 1, None, (None, 37)),
+     [3, 40, 41, 100, 257, 300, 301, 420, 511], None, 1, None,
+     ((None, 3), (300, 300))),
     ("lower_bound-64", FamilySpec("lower_bound", n=64, alpha=1.0), None,
-     None, 1, None, (None, 37, 700)),
+     None, 1, None, ((None, 3), (37, 300), (700, 3))),
     ("lower_bound-64", FamilySpec("lower_bound", n=64, alpha=1.0),
-     range(0, 64, 5), (2, 7), 3, "total", (None, 37)),
+     range(0, 64, 5), (2, 7), 3, "total", ((None, 3), (150, 300))),
     ("lower_bound-64", FamilySpec("lower_bound", n=64, alpha=1.0),
-     range(0, 64, 5), (2, 7), 2, "mortal", (None, 37)),
-    ("star-32", FamilySpec("star", n=32), None, None, 1, None, (None, 5)),
+     range(0, 64, 5), (2, 7), 2, "mortal", ((None, 3), (100, 300))),
+    ("star-32", FamilySpec("star", n=32), None, None, 1, None,
+     ((None, 20), (8, 300))),
     ("star-32", FamilySpec("star", n=32), range(1, 32, 3), (1, 9), 2,
-     "mortal", (None, 5)),
+     "mortal", ((None, 20), (3, 300))),
     ("star-32", FamilySpec("star", n=32), None, (5, 6, 30), 4, "total",
-     (None, 5)),
+     ((None, 20), (5, 300))),
 ], ids=["torus-all", "torus-sparse", "lb-all", "lb-immortal-total",
         "lb-immortal-mortal", "star-all", "star-immortal-mortal",
         "star-immortal-total"])
 def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
-                                         target_k, mode, caps):
+                                         target_k, mode, runs):
     g = generate(spec, seed=11)
     vertices = range(g.n) if starts is None else starts
-    for seed in (mix64(19, i) for i in range(3)):
-        for cap in caps:
-            limit = default_cap(g) if cap is None else cap
-            want = _reference_coalescence(g, vertices, immortal, target_k,
-                                          mode == "mortal", seed, limit)
-            if immortal is None:
-                got = simulate_coalescence(g, starts, seed, cap,
-                                           record_trajectory=True)
-            else:
-                got = simulate_immortal(g, vertices, immortal, target_k, seed,
-                                        cap, mode, record_trajectory=True)
-            assert (got.value, got.censored, list(got.trajectory)) == want
+    group = frozenset([0] if immortal is None else immortal)
+    for cap, trials in runs:
+        seeds = [mix64(19, i) for i in range(trials)]
+        limit = default_cap(g) if cap is None else cap
+        want = [_reference_coalescence(g, vertices, immortal, target_k,
+                                       mode == "mortal", s, limit)
+                for s in seeds]
+        got = _coalesce_batch(g, sorted(set(vertices)), group, target_k,
+                              mode == "mortal", seeds, cap, True)
+        assert [(s.value, s.censored, list(s.trajectory))
+                for s in got] == want
+        assert [s.seed for s in got] == seeds
+        if trials == 300 and cap != 37:  # 37 censors every all-vertex run
+            assert 0 < sum(c for _, c, _ in want) < trials
+        # the public entry points are batches of one
+        if immortal is None:
+            one = simulate_coalescence(g, starts, seeds[0], cap,
+                                       record_trajectory=True)
+        else:
+            one = simulate_immortal(g, vertices, immortal, target_k,
+                                    seeds[0], cap, mode,
+                                    record_trajectory=True)
+        assert one == got[0]
 
 
 def _reference_voter(g, seed, cap):
