@@ -6,6 +6,11 @@ total-variation mixing and separation times, the spectral gap, hitting
 times, exact meeting times via the synchronous product chain, and the
 collision statistics (expected co-location and return counts over a
 mixing-time window) that drive the explicit meeting-time sandwich.
+
+Mixing and separation times are first threshold crossings of P^t. They
+share one ladder of squarings [P, P^2, P^4, ...] cached on the graph and
+find t by doubling along it, then binary lifting: about 2 log2 t dense
+n x n products per search, and the squarings are paid once per graph.
 """
 from __future__ import annotations
 
@@ -92,41 +97,6 @@ def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
 # Mixing and separation times
 # ---------------------------------------------------------------------------
 
-def _rows_at(g: Graph, t: int) -> np.ndarray:
-    """Dense P^t (row u = t-step distribution from u), via binary powers.
-
-    Squarings are cached for n <= 512; larger graphs recompute per query.
-    """
-    if t == 0:
-        return np.eye(g.n)
-    if g.n <= 512:
-        powers = g._cache.setdefault("pow2", {})
-        if 0 not in powers:
-            powers[0] = _dense_transition(g)
-        result = None
-        bit = 0
-        rem = t
-        while rem:
-            if bit not in powers:
-                powers[bit] = powers[bit - 1] @ powers[bit - 1]
-            if rem & 1:
-                mat = powers[bit]
-                result = mat if result is None else result @ mat
-            rem >>= 1
-            bit += 1
-        return result
-    base = _dense_transition(g)
-    result = None
-    rem = t
-    while rem:
-        if rem & 1:
-            result = base if result is None else result @ base
-        rem >>= 1
-        if rem:
-            base = base @ base
-    return result
-
-
 def _dbar(rows: np.ndarray) -> float:
     """Worst pairwise total-variation distance between rows."""
     if rows.shape[0] < 2:
@@ -140,22 +110,36 @@ def _dmax(rows: np.ndarray, pi: np.ndarray) -> float:
 
 
 def _first_time(g: Graph, predicate, max_steps: int, what: str) -> int:
-    """Smallest t >= 0 with predicate(P^t) true; predicate monotone in t."""
-    if predicate(_rows_at(g, 0)):
+    """Smallest t >= 0 with predicate(P^t) true; predicate monotone in t.
+
+    Walks the ladder [P, P^2, P^4, ...] cached on the graph, one squaring
+    per new rung, up to the first rung where the predicate holds, then
+    binary-lifts from the rung below: rows @ ladder[j] for j from high to
+    low, kept while the predicate stays false. P^1 is always probed, no
+    probe passes ``max_steps``, and BudgetExceeded is raised when the
+    predicate is still false at t = max_steps.
+    """
+    if predicate(np.eye(g.n)):
         return 0
-    t = 1
-    while not predicate(_rows_at(g, t)):
-        if t >= max_steps:
-            raise BudgetExceeded(f"{what}: predicate still false at t={t}")
-        t = min(2 * t, max_steps)
-    lo, hi = t // 2, t  # predicate false at lo, true at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if predicate(_rows_at(g, mid)):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    ladder = g._cache.setdefault("pow2", [_dense_transition(g)])
+    if predicate(ladder[0]):
+        return 1
+    top = 0  # predicate false at t = 2**top
+    while 2 ** (top + 1) <= max_steps:
+        if len(ladder) == top + 1:
+            ladder.append(ladder[top] @ ladder[top])
+        if predicate(ladder[top + 1]):
+            break
+        top += 1
+    t, rows = 2 ** top, ladder[top]
+    for j in range(top - 1, -1, -1):
+        if t + 2 ** j <= max_steps:
+            probe = rows @ ladder[j]
+            if not predicate(probe):
+                t, rows = t + 2 ** j, probe
+    if t >= max_steps:
+        raise BudgetExceeded(f"{what}: predicate still false at t={t}")
+    return t + 1
 
 
 @dataclass(frozen=True)
@@ -187,7 +171,9 @@ def mixing_time(g: Graph, eps: float = INV_E, dense_pairwise_limit: int = 256,
     Exact for n <= dense_pairwise_limit. Above that, evolving all rows is
     still exact but the pairwise maximum is replaced by the distance to
     stationarity, which sandwiches the pairwise value within the reported
-    bracket; the returned value is the bracket's upper end.
+    bracket; the returned value is the bracket's upper end. Both bracket
+    searches walk the graph's cached ladder of squarings of P, which holds
+    ceil(log2 t) + 1 dense n x n matrices once the search reaches t.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -366,9 +352,11 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     density = (n + 2.0 * g.m) ** 2 / (float(N) * N)
     if density > 0.02:
         method = "dense"
-        Kd = np.kron(_dense_transition(g), _dense_transition(g))
-        K = Kd[np.ix_(offdiag, offdiag)]
-        m_vec = np.linalg.solve(np.eye(N) - K, rhs)
+        P = _dense_transition(g)
+        K = np.kron(P, P)[np.ix_(offdiag, offdiag)]  # the full kron is freed
+        A = np.eye(N)
+        A -= K
+        m_vec = np.linalg.solve(A, rhs)
     else:
         method = "sparse"
         P = transition_matrix(g)

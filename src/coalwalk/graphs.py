@@ -69,25 +69,11 @@ class Graph:
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  meta: dict | None = None):
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        n = indptr.shape[0] - 1
-        if n < 1:
+        if len(indptr) < 2:
             raise InvalidSpec("graph needs at least one vertex")
-        self.n = n
-        self.m = indices.shape[0] // 2
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = np.diff(indptr)
-        self.deg_min = int(self.degrees.min()) if n else 0
-        self.deg_max = int(self.degrees.max()) if n else 0
-        self.deg_avg = 2.0 * self.m / n
-        self.meta = dict(meta or {})
-        self._cache = {}
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        self.degrees.setflags(write=False)
-        if n > 1:
+        self.__setstate__({"indptr": indptr, "indices": indices,
+                           "meta": meta})
+        if self.n > 1:
             if self.deg_min < 1:
                 raise DisconnectedGraph("graph has an isolated vertex")
             if not _is_connected(self):
@@ -159,7 +145,23 @@ class Graph:
                 "meta": self.meta}
 
     def __setstate__(self, state):
-        self.__init__(state["indptr"], state["indices"], state["meta"])
+        """Set the fields from compressed rows; no validation runs, so an
+        unpickled graph is trusted as the validated graph it was."""
+        indptr = np.ascontiguousarray(state["indptr"], dtype=np.int64)
+        indices = np.ascontiguousarray(state["indices"], dtype=np.int64)
+        self.n = indptr.shape[0] - 1
+        self.m = indices.shape[0] // 2
+        self.indptr = indptr
+        self.indices = indices
+        self.degrees = np.diff(indptr)
+        self.deg_min = int(self.degrees.min())
+        self.deg_max = int(self.degrees.max())
+        self.deg_avg = 2.0 * self.m / self.n
+        self.meta = dict(state["meta"] or {})
+        self._cache = {}
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self.degrees.setflags(write=False)
 
 
 def _is_connected(g: Graph) -> bool:

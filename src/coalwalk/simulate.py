@@ -96,7 +96,7 @@ def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
 
 
 # Trials run in chunks of _TRIAL_CHUNK, or fewer when their coalescing walks
-# would fill more than one step of a Philox call. A call covers one row of
+# or voters would fill more than one step of a Philox call. A call covers one row of
 # steps, as many as fit in _PHILOX_COUNTERS counters (one per trial, step and
 # block of four ids) but at least one, so its memory stays flat whatever the
 # trial count. Row widths start at _FIRST_WIDTH steps and double, so short
@@ -104,6 +104,11 @@ def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
 _TRIAL_CHUNK = 256
 _PHILOX_COUNTERS = 8192
 _FIRST_WIDTH = 32
+
+
+def _trial_chunk(blocks: int) -> int:
+    """Trials per chunk when each trial's step takes ``blocks`` counters."""
+    return min(_TRIAL_CHUNK, max(1, _PHILOX_COUNTERS // blocks))
 
 
 def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
@@ -221,8 +226,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
     keys = philox_keys(seeds)
     samples: list[SimSample | None] = [None] * len(seeds)
     # no more trials than fill the first step's Philox call
-    chunk = min(_TRIAL_CHUNK,
-                max(1, _PHILOX_COUNTERS // ((len(starts) + 3) // 4)))
+    chunk = _trial_chunk((len(starts) + 3) // 4)
     for lo in range(0, len(seeds), chunk):
         # (trial, live ids, their vertices, (t, walks alive) at t = 0 and
         # at every power of two) of each trial still running
@@ -294,8 +298,9 @@ def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
     samples: list[SimSample | None] = [None] * len(seeds)
     keys = philox_keys(seeds)
     blocks = (g.n + 3) // 4  # Philox counters per (trial, step)
-    for lo in range(0, len(seeds), _TRIAL_CHUNK):
-        live = np.arange(lo, min(lo + _TRIAL_CHUNK, len(seeds)))
+    chunk = _trial_chunk(blocks)
+    for lo in range(0, len(seeds), chunk):
+        live = np.arange(lo, min(lo + chunk, len(seeds)))
         opinions = np.tile(np.arange(g.n), (live.size, 1))  # row per trial
         done, width = 0, _FIRST_WIDTH
         while live.size and done < cap:

@@ -184,6 +184,82 @@ class TestMixingSeparation:
             prev = diag.copy()
 
 
+def scan_first_time(g, predicate, max_steps):
+    """Oracle for the ladder search: P^t = P^(t-1) @ P, one step at a time.
+
+    P^0 and P^1 are always probed, later t only up to max_steps.
+    """
+    P = chain.transition_matrix(g).toarray()
+    rows = np.eye(g.n)
+    for t in range(max(max_steps, 1) + 1):
+        if predicate(rows):
+            return t
+        rows = rows @ P
+    raise BudgetExceeded("oracle: predicate still false at max_steps")
+
+
+def scan_or_budget(g, predicate, max_steps):
+    try:
+        return scan_first_time(g, predicate, max_steps)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+def call_or_budget(fn):
+    try:
+        return fn()
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("cycle", n=9),
+    FamilySpec("path", n=12),
+    FamilySpec("star", n=7),
+    FamilySpec("barbell", n=16),
+    FamilySpec("binary_tree", levels=4),
+    FamilySpec("lower_bound", n=16, alpha=1.0),
+], ids=lambda s: s.label())
+def test_ladder_search_matches_step_scan(spec):
+    g = generate(spec, seed=11)
+    pi = chain.stationary(g)
+    for eps in (0.5, INV_E, 0.1):
+        floor = (1.0 - eps) * pi
+        searches = {
+            "pairwise": (lambda rows: chain._dbar(rows) <= eps,
+                         lambda m: chain.mixing_time(g, eps, max_steps=m)),
+            "d": (lambda rows: chain._dmax(rows, pi) <= eps,
+                  lambda m: chain.mixing_time_d(g, eps, max_steps=m)),
+            "separation": (lambda rows: bool(np.all(rows >= floor - 1e-15)),
+                           lambda m: chain.separation_time(g, eps,
+                                                           max_steps=m)),
+        }
+        for name, (predicate, search) in searches.items():
+            t_star = scan_first_time(g, predicate, 10 ** 6)
+            budgets = sorted({0, 1, 2, t_star - 1, t_star, t_star + 1,
+                              2 * t_star + 1})
+            for m in budgets:
+                expected = scan_or_budget(g, predicate, m)
+                got = call_or_budget(lambda: int(search(m)))
+                assert got == expected, (name, eps, m)
+        # bracket branch: d <= eps/2 under the budget, then d <= eps under it
+        hi_star = scan_first_time(
+            g, lambda rows: chain._dmax(rows, pi) <= eps / 2, 10 ** 6)
+        for m in sorted({0, 1, 2, hi_star - 1, hi_star, hi_star + 1,
+                         2 * hi_star + 1}):
+            hi = scan_or_budget(
+                g, lambda rows: chain._dmax(rows, pi) <= eps / 2, m)
+            got = call_or_budget(lambda: chain.mixing_time(
+                g, eps, dense_pairwise_limit=4, max_steps=m))
+            if hi is BudgetExceeded:
+                assert got is BudgetExceeded, (eps, m)
+                continue
+            lo = scan_first_time(
+                g, lambda rows: chain._dmax(rows, pi) <= eps, hi)
+            assert (got.value, got.method, got.bracket) == (
+                hi, "bracket", (lo, hi)), (eps, m)
+
+
 class TestSpectral:
     def test_k2_zero(self, k2):
         summary = chain.spectral(k2)

@@ -221,3 +221,26 @@ def test_family_spec_dict_roundtrip():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         Graph.from_edges(3, [(0, 5)])
+
+
+def test_pickle_round_trip_skips_validation(monkeypatch):
+    import pickle
+
+    from coalwalk import graphs
+
+    g = generate(FamilySpec("lower_bound", n=64, alpha=1.0), seed=3)
+    g.adjacency()  # fill the cache; it must not travel
+    data = pickle.dumps(g)
+
+    def fail(_):
+        raise AssertionError("_is_connected ran on an unpickled graph")
+
+    monkeypatch.setattr(graphs, "_is_connected", fail)
+    again = pickle.loads(data)
+    assert np.array_equal(again.indptr, g.indptr)
+    assert np.array_equal(again.indices, g.indices)
+    assert again.meta == g.meta
+    assert again._cache == {}
+    assert (again.n, again.m, again.deg_min, again.deg_max, again.deg_avg) == (
+        g.n, g.m, g.deg_min, g.deg_max, g.deg_avg)
+    assert not again.indices.flags.writeable

@@ -450,6 +450,23 @@ def test_voter_batch_matches_reference_loop(spec):
         assert [s.seed for s in samples] == seeds
 
 
+def test_voter_chunk_bounded_by_counter_budget():
+    # star-1024 takes 256 counters per trial and step, so 32 trials share a
+    # chunk; 256 trials in one chunk held about 14 MB of opinions and draws
+    import tracemalloc
+
+    g = generate(FamilySpec("star", n=1024))
+    seeds = [mix64(29, i) for i in range(256)]
+    tracemalloc.start()
+    try:
+        samples = _voter_batch(g, seeds, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples == [simulate_voter(g, s, cap=40) for s in seeds]
+    assert peak < 6 * 2 ** 20
+
+
 def _reference_walk_sums(g, start, steps, walks, seed, values):
     """The per-start walker loop on the ``step_uniforms`` oracle."""
     static = values.ndim == 1
