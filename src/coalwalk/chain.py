@@ -11,10 +11,18 @@ Mixing and separation times are first threshold crossings of P^t. They
 share one ladder of squarings [P, P^2, P^4, ...] cached on the graph and
 find t by doubling along it, then binary lifting: about 2 log2 t dense
 n x n products per search, and the squarings are paid once per graph.
+
+Collision statistics step the rows of P^t transposed, X <- P^T X with a
+sparse P^T, in contiguous blocks of start vertices that run in threads,
+at most one per usable CPU. Each start's sums take the same float
+operations in the same order in any block, so the values do not depend on
+the CPU count.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,9 @@ from .graphs import Graph
 
 INV_E = 1.0 / math.e
 _REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
+# Fewest start vertices in a collision_stats block. Blocks of one column
+# would let einsum reduce in another order, so this stays at 2 or more.
+_COLLISION_GRAIN = 128
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +344,9 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     """Expected meeting times of two independent lazy walks.
 
     Solves the absorption time of the synchronous product chain over
-    ordered off-diagonal pairs in one direct solve: dense (``method``
-    "dense") when P (x) P has more than 2% nonzeros, else sparse LU
-    ("sparse"). ``residual`` is the max residual of m = 1 + K m.
+    ordered off-diagonal pairs in one direct solve of A m = 1 with
+    A = I - K: dense (``method`` "dense") when P (x) P has more than 2%
+    nonzeros, else sparse LU ("sparse"). ``residual`` is max |A m - 1|.
 
     Returns the worst-case value, the stationary-start average, the argmax
     pair, and the full matrix of pair values.
@@ -353,9 +364,10 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     if density > 0.02:
         method = "dense"
         P = _dense_transition(g)
-        K = np.kron(P, P)[np.ix_(offdiag, offdiag)]  # the full kron is freed
-        A = np.eye(N)
-        A -= K
+        # A = I - K built in the gathered block of K; the full kron is freed
+        A = np.kron(P, P)[np.ix_(offdiag, offdiag)]
+        np.subtract(0.0, A, out=A)
+        A.reshape(-1)[::N + 1] += 1.0
         m_vec = np.linalg.solve(A, rhs)
     else:
         method = "sparse"
@@ -363,7 +375,7 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
         K = sp.kron(P, P, format="csr")[offdiag][:, offdiag].tocsr()
         A = (sp.identity(N, format="csr") - K).tocsc()
         m_vec = spla.spsolve(A, rhs)
-    resid = float(np.abs(m_vec - (rhs + K @ m_vec)).max())
+    resid = float(np.abs(A @ m_vec - rhs).max())
     full = np.zeros(n * n)
     full[offdiag] = m_vec
     M = full.reshape(n, n)
@@ -398,20 +410,57 @@ class CollisionStats:
             raise ValueError("c_min exceeds c_max")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _collision_block(Pt: sp.csr_matrix, lo: int, hi: int,
+                     window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window sums of sum_v p^t(u,v)^2 and p^t(u,u) for lo <= u < hi.
+
+    Column j of X is the row p^t(lo + j, .), stepped as X <- P^T X.
+    """
+    X = np.eye(Pt.shape[0], hi - lo, -lo)
+    sq_sums = np.zeros(hi - lo)
+    returns = np.zeros(hi - lo)
+    for t in range(window):
+        if t:
+            X = Pt @ X
+        sq_sums += np.einsum("ij,ij->j", X, X)
+        returns += X[lo:hi].diagonal()
+    return sq_sums, returns
+
+
 def collision_stats(g: Graph, eps: float = INV_E,
                     t_mix_value: int | None = None) -> CollisionStats:
-    """Accumulate sum_t sum_v p^t(u,v)^2 and sum_t p^t(u,u) for t < t_mix."""
+    """Accumulate sum_t sum_v p^t(u,v)^2 and sum_t p^t(u,u) for t < t_mix.
+
+    The rows p^t(u, .) are kept transposed, as the columns of X, and
+    stepped as X <- P^T X with P^T in CSR form. The start vertices are
+    split into contiguous blocks of at least _COLLISION_GRAIN, one per
+    usable CPU at most, and each block runs its whole window in a thread
+    of its own. Every start sees the same float operations in the same
+    order whatever its block, so the result does not depend on the CPU
+    count.
+    """
     if t_mix_value is None:
         t_mix_value = mixing_time(g, eps=eps).value
     window = max(int(t_mix_value), 1)
-    P = transition_matrix(g)
-    rows = np.eye(g.n)
-    sq_sums = np.zeros(g.n)
-    returns = np.zeros(g.n)
-    for _ in range(window):
-        sq_sums += np.einsum("ij,ij->i", rows, rows)
-        returns += rows.diagonal()
-        rows = rows @ P
+    Pt = transition_matrix(g).T.tocsr()
+    count = max(1, min(_usable_cpus(), g.n // _COLLISION_GRAIN))
+    if count == 1:
+        parts = [_collision_block(Pt, 0, g.n, window)]
+    else:
+        edges = [g.n * k // count for k in range(count + 1)]
+        with ThreadPoolExecutor(count) as pool:
+            parts = list(pool.map(
+                lambda lo, hi: _collision_block(Pt, lo, hi, window),
+                edges[:-1], edges[1:]))
+    sq_sums, returns = map(np.concatenate, zip(*parts))
     pi = stationary(g)
     return CollisionStats(
         c_max=float(sq_sums.max()), c_min=float(sq_sums.min()),

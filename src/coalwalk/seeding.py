@@ -10,9 +10,9 @@ processes sharing a trial seed see identical per-(step, id) moves.
 
 Every simulation reads those uniforms through ``philox_uniforms``, a
 pure-numpy Philox4x64-10 that evaluates a whole (trial, step) block in one
-call, either for ids 0..count-1 or for chosen ids only, or through
-``philox_uniforms_ragged``, the same rounds with an id list of its own per
-trial. ``step_uniforms`` is the reference both are tested against.
+call for ids 0..count-1, or through ``philox_uniforms_ragged``, the same
+rounds with an id list of its own per trial. ``step_uniforms`` is the
+reference both are tested against.
 """
 from __future__ import annotations
 
@@ -95,8 +95,7 @@ def _philox_words(key0: np.ndarray, c0: np.ndarray,
     return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
 
 
-def philox_uniforms(keys: np.ndarray, steps, count: int | None = None,
-                    ids=None) -> np.ndarray:
+def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
     """``step_uniforms`` for every (trial, step) pair in one call.
 
     With ``keys = philox_keys(seeds)``, ``out[i, j]`` equals
@@ -105,19 +104,14 @@ def philox_uniforms(keys: np.ndarray, steps, count: int | None = None,
     four 64-bit words per block, each word ``w`` giving the double
     ``(w >> 11) * 2**-53``. The rounds run on broadcast uint64 arrays of
     shape (len(keys), len(steps), blocks).
-
-    Given walk ``ids`` instead of ``count``, ``out[i, j, k]`` is the uniform
-    of walk id ``ids[k]``, and only the blocks ``id >> 2`` of those ids are
-    evaluated rather than every block below the largest id.
     """
     key0 = np.asarray(keys, dtype=np.uint64)[:, None, None]
     steps = np.asarray(steps, dtype=np.uint64)
-    ids = np.arange(count) if ids is None else np.asarray(ids, dtype=np.int64)
-    blocks, inverse = np.unique(ids >> 2, return_inverse=True)
-    words = _philox_words(key0, blocks.astype(np.uint64) + np.uint64(1),
+    blocks = (count + 3) // 4
+    words = _philox_words(key0, np.arange(1, blocks + 1, dtype=np.uint64),
                           steps[None, :, None])
-    words = words.reshape(key0.shape[0], steps.size, 4 * blocks.size)
-    return (words[..., 4 * inverse + (ids & 3)] >> np.uint64(11)) * 2.0 ** -53
+    words = words.reshape(key0.shape[0], steps.size, 4 * blocks)
+    return (words[..., :count] >> np.uint64(11)) * 2.0 ** -53
 
 
 def philox_uniforms_ragged(keys: np.ndarray, steps, ids) -> np.ndarray:

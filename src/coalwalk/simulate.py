@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -187,15 +188,11 @@ def _start_list(g: Graph, vertices) -> list[int]:
 def _survivors(ids, pos, immortal) -> list[int]:
     """Indices of the walks a merge keeps: every immortal walk, and at each
     vertex holding none the smallest id (``ids`` ascend, so the first)."""
-    taken = {x for i, x in zip(ids, pos) if i in immortal}
-    keep = []
-    for j, (i, x) in enumerate(zip(ids, pos)):
-        if i in immortal:
-            keep.append(j)
-        elif x not in taken:
-            taken.add(x)
-            keep.append(j)
-    return keep
+    first = dict(zip(reversed(pos), reversed(range(len(pos)))))
+    held = list(compress(range(len(ids)), map(immortal.__contains__, ids)))
+    for x in {pos[j] for j in held}:
+        del first[x]
+    return sorted([*first.values(), *held])
 
 
 def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,

@@ -8,6 +8,7 @@ from coalwalk import chain
 from coalwalk.errors import (BudgetExceeded, InvalidSpec, LengthMismatch,
                              TooLarge)
 from coalwalk.graphs import FamilySpec, generate
+from conftest import small_family_specs
 
 INV_E = 1.0 / math.e
 
@@ -424,3 +425,47 @@ class TestCollisionStats:
         # log-like growth: increasing, and clearly sublinear in n
         assert values[64] > values[16] and values[144] > values[64]
         assert values[144] / values[16] < (144 / 16) ** 0.5
+
+
+def step_loop_collision(g, window):
+    """Oracle for collision_stats: the rows of P^t stepped as rows @ P."""
+    P = chain.transition_matrix(g)
+    rows = np.eye(g.n)
+    sq_sums = np.zeros(g.n)
+    returns = np.zeros(g.n)
+    for _ in range(window):
+        sq_sums += np.einsum("ij,ij->i", rows, rows)
+        returns += rows.diagonal()
+        rows = rows @ P
+    return sq_sums.max(), sq_sums.min(), returns.max()
+
+
+@pytest.mark.parametrize("spec", small_family_specs() + [
+    FamilySpec("barbell", n=64),
+    FamilySpec("binary_tree", levels=9),
+], ids=lambda s: s.label())
+def test_collision_stats_matches_step_loop(spec, monkeypatch):
+    g = generate(spec, seed=11)
+    t_mix = chain.mixing_time(g).value
+    spans = []
+    chain_block = chain._collision_block
+
+    def block(Pt, lo, hi, window):
+        spans.append((lo, hi))
+        return chain_block(Pt, lo, hi, window)
+
+    monkeypatch.setattr(chain, "_collision_block", block)
+    monkeypatch.setattr(chain, "_COLLISION_GRAIN", 2)
+    counts = (1, 2, 3, 5)
+    assert any(g.n % min(k, g.n // 2) for k in counts)  # an uneven split
+    for window in sorted({1, 2, t_mix}):
+        want = [x.hex() for x in step_loop_collision(g, window)]
+        for k in counts:
+            monkeypatch.setattr(chain, "_usable_cpus", lambda: k)
+            spans.clear()
+            stats = chain.collision_stats(g, t_mix_value=window)
+            got = [stats.c_max.hex(), stats.c_min.hex(), stats.r_max.hex()]
+            assert got == want, (window, k)
+            edges = [lo for lo, _ in sorted(spans)] + [g.n]
+            assert len(spans) == min(k, g.n // 2)
+            assert sorted(spans) == list(zip(edges, edges[1:]))

@@ -35,18 +35,6 @@ def test_philox_block_shapes(n_seeds, first_step, n_steps):
     assert np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("ids", [(0, 5, 6, 1023), (1023, 6, 0, 5), (7,),
-                                 (4, 4, 9)])
-def test_philox_selected_ids(ids):
-    seeds, steps = [0, 2**64 - 1], [1, 2**63]
-    out = philox_uniforms(philox_keys(seeds), steps, ids=ids)
-    assert out.shape == (len(seeds), len(steps), len(ids))
-    for i, seed in enumerate(seeds):
-        for j, step in enumerate(steps):
-            full = step_uniforms(seed, step, max(ids) + 1)
-            assert np.array_equal(out[i, j], full[list(ids)])
-
-
 @pytest.mark.parametrize("seeds,ids", [
     ([0, 2**64 - 1], [(0, 5, 6, 1023), (7,)]),
     # a repeated key with its own ids; unsorted and repeated ids
