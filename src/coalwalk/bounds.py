@@ -146,10 +146,14 @@ def measure(g: Graph, meeting_limit: int = 100,
     """Compute every exact quantity the relation checks need.
 
     Meeting times are skipped (left None) when the product-chain solve
-    would exceed ``meeting_limit`` vertices.
+    would exceed ``meeting_limit`` vertices. The graph's ladder of
+    squarings is released once mixing and separation are found: no later
+    solver reads it.
     """
     pi = chain.stationary(g)
     mix = chain.mixing_time(g)
+    t_sep = chain.separation_time(g)
+    g._cache.pop("pow2", None)
     cs = chain.collision_stats(g, t_mix_value=mix.value)
     t_meet = t_meet_pi = None
     if g.n <= meeting_limit:
@@ -159,7 +163,7 @@ def measure(g: Graph, meeting_limit: int = 100,
         n=g.n, family=g.family,
         t_hit=chain.t_hit(g),
         t_mix=mix.value, t_mix_method=mix.method, t_mix_bracket=mix.bracket,
-        t_sep=chain.separation_time(g),
+        t_sep=t_sep,
         lambda2=chain.spectral(g).lambda2,
         pi_norm_sq=float(pi @ pi), pi_min=float(pi.min()),
         collision=cs, degree_ratio=g.deg_max / g.deg_min,

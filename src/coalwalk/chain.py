@@ -346,7 +346,12 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     Solves the absorption time of the synchronous product chain over
     ordered off-diagonal pairs in one direct solve of A m = 1 with
     A = I - K: dense (``method`` "dense") when P (x) P has more than 2%
-    nonzeros, else sparse LU ("sparse"). ``residual`` is max |A m - 1|.
+    nonzeros, else sparse LU ("sparse"). The dense branch never forms
+    P (x) P: it fills A^T in C order, one row block per first coordinate
+    from products of the columns of P, so the A it hands to LAPACK is
+    already in column order and numpy's copy of it is not a transpose.
+    ``residual`` is max |A m - 1|, with A @ m taken by BLAS on that same
+    matrix.
 
     Returns the worst-case value, the stationary-start average, the argmax
     pair, and the full matrix of pair values.
@@ -363,11 +368,20 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     density = (n + 2.0 * g.m) ** 2 / (float(N) * N)
     if density > 0.02:
         method = "dense"
-        P = _dense_transition(g)
-        # A = I - K built in the gathered block of K; the full kron is freed
-        A = np.kron(P, P)[np.ix_(offdiag, offdiag)]
-        np.subtract(0.0, A, out=A)
-        A.reshape(-1)[::N + 1] += 1.0
+        Pt = _dense_transition(g).T
+        # A^T in C order, one row block (i, v != i) per i: entry
+        # ((i, v), (x, y)) is 0 - P[x, i] P[y, v], the x == y columns dropped
+        At = np.empty((N, N))
+        prod = np.empty((n - 1, n * n))
+        for i in range(n):
+            np.multiply(Pt[i][None, :, None],
+                        np.delete(Pt, i, axis=0)[:, None, :],
+                        out=prod.reshape(n - 1, n, n))
+            offdiag_cols = prod[:, 1:].reshape(n - 1, n - 1, n + 1)[:, :, :n]
+            block = At[i * (n - 1):(i + 1) * (n - 1)].reshape(n - 1, n - 1, n)
+            np.subtract(0.0, offdiag_cols, out=block)
+        At.reshape(-1)[::N + 1] += 1.0
+        A = At.T  # column order: numpy hands it to LAPACK without a transpose
         m_vec = np.linalg.solve(A, rhs)
     else:
         method = "sparse"

@@ -150,6 +150,29 @@ class TestMeasure:
         assert not bounds.measure(generate(FamilySpec("path", n=8))
                                   ).vertex_transitive
 
+    @pytest.mark.parametrize("spec", [FamilySpec("cycle", n=16),
+                                      FamilySpec("barbell", n=16)],
+                             ids=lambda s: s.label())
+    def test_releases_ladder_and_matches_direct_calls(self, spec):
+        g = generate(spec)
+        mq = bounds.measure(g)
+        assert "pow2" not in g._cache
+        fresh = generate(spec)
+        mix = chain.mixing_time(fresh)
+        pi = chain.stationary(fresh)
+        meet = chain.meeting_exact(fresh)
+        assert mq == bounds.MeasuredQuantities(
+            n=fresh.n, family=fresh.family, t_hit=chain.t_hit(fresh),
+            t_mix=mix.value, t_mix_method=mix.method,
+            t_sep=chain.separation_time(fresh),
+            lambda2=chain.spectral(fresh).lambda2,
+            pi_norm_sq=float(pi @ pi), pi_min=float(pi.min()),
+            collision=chain.collision_stats(fresh, t_mix_value=mix.value),
+            degree_ratio=fresh.deg_max / fresh.deg_min,
+            t_meet=meet.t_meet, t_meet_pi=meet.t_meet_pi,
+            t_mix_bracket=mix.bracket,
+            vertex_transitive=spec.family == "cycle")
+
     def test_to_dict_roundtrips_to_json(self, k8_measured):
         import json
         _, mq = k8_measured

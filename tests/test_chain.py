@@ -469,3 +469,52 @@ def test_collision_stats_matches_step_loop(spec, monkeypatch):
             edges = [lo for lo, _ in sorted(spans)] + [g.n]
             assert len(spans) == min(k, g.n // 2)
             assert sorted(spans) == list(zip(edges, edges[1:]))
+
+
+def kron_meeting_solve(g, solve):
+    """Oracle for the dense meeting build: the gathered block of P (x) P,
+    negated, +1 on the diagonal, solved as a C-ordered matrix."""
+    n = g.n
+    P = chain._dense_transition(g)
+    states = np.arange(n * n)
+    offdiag = np.flatnonzero(states // n != states % n)
+    A = np.kron(P, P)[np.ix_(offdiag, offdiag)]
+    np.subtract(0.0, A, out=A)
+    A.reshape(-1)[::offdiag.size + 1] += 1.0
+    full = np.zeros(n * n)
+    full[offdiag] = solve(A, np.ones(offdiag.size))
+    M = full.reshape(n, n)
+    pi = chain.stationary(g)
+    pair = np.unravel_index(int(np.argmax(M)), (n, n))
+    return (float(M.max()), float((np.outer(pi, pi) * M).sum()),
+            (int(pair[0]), int(pair[1])), M)
+
+
+@pytest.mark.parametrize("spec", [
+    s for s in small_family_specs() if s.family != "lower_bound"] + [
+    FamilySpec("barbell", n=64),
+    # the dense meeting systems of the benchmark sweep
+    FamilySpec("cycle", n=16),
+    FamilySpec("torus", dim=2, side=5),
+    FamilySpec("star", n=16),
+    FamilySpec("hypercube", dim=5),
+    FamilySpec("lower_bound", n=16, alpha=4.0),
+], ids=lambda s: s.label())
+def test_dense_meeting_matches_kron_build(spec, monkeypatch):
+    g = generate(spec, seed=11)
+    solve = np.linalg.solve
+    t_meet, t_meet_pi, pair, M = kron_meeting_solve(g, solve)
+    f_order = []
+
+    def recording_solve(a, b):
+        f_order.append(a.flags.f_contiguous)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    result = chain.meeting_exact(g)
+    assert result.method == "dense"
+    assert f_order == [True]  # LAPACK's column order, no copy to make it
+    assert result.t_meet.hex() == t_meet.hex()
+    assert result.t_meet_pi.hex() == t_meet_pi.hex()
+    assert result.pair == pair
+    assert result.pairwise.tobytes() == M.tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from coalwalk import chain, simulate
 from coalwalk.errors import (AllCensored, BudgetExceeded, InvalidIds,
@@ -117,6 +119,77 @@ class TestVoter:
             estimate("voter", k2, {"lazy": False}, 10, master_seed=1)
         assert estimate("voter", k2, {"lazy": True}, 10, master_seed=1) == (
             estimate("voter", k2, {}, 10, master_seed=1))
+
+
+def exact_coalescence_time(g):
+    """Oracle: E[T_coal] from every vertex, on the chain of occupied sets.
+
+    A state is the bitmask of the occupied vertices. One step folds in the
+    walks one at a time: each stays w.p. 1/2 or moves to each neighbour
+    w.p. 1/(2 deg), and the next state is the union of the new positions,
+    so walks that swap along an edge do not merge. (I - Q) x = 1 over the
+    states reachable from V with two or more walks is one sparse LU.
+    """
+    size = 1 << g.n
+    walks = []  # (bits of the next positions, their probabilities) per vertex
+    for u in range(g.n):
+        nbrs = g.indices[g.indptr[u]:g.indptr[u + 1]]
+        walks.append((np.concatenate([[1 << u], np.left_shift(1, nbrs)]),
+                      np.concatenate([[0.5], np.full(nbrs.size,
+                                                     0.5 / nbrs.size)])))
+    popcount = np.array([bin(s).count("1") for s in range(size)])
+    index, states, rows, cols, vals = {size - 1: 0}, [size - 1], [], [], []
+    for k, state in enumerate(states):  # breadth first; states grows
+        dist = np.zeros(size)
+        dist[0] = 1.0
+        for u in range(g.n):
+            if state >> u & 1:
+                bits, probs = walks[u]
+                held = np.flatnonzero(dist)
+                dist = np.bincount(
+                    (held[:, None] | bits[None, :]).ravel(),
+                    weights=(dist[held][:, None] * probs[None, :]).ravel(),
+                    minlength=size)
+        for nxt in np.flatnonzero((dist > 0) & (popcount >= 2)).tolist():
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            rows.append(k)
+            cols.append(index[nxt])
+            vals.append(dist[nxt])
+    count = len(states)
+    A = (sp.identity(count, format="csr") - sp.csr_matrix(
+        (vals, (rows, cols)), shape=(count, count))).tocsc()
+    x = spla.spsolve(A, np.ones(count))
+    assert np.abs(A @ x - 1.0).max() < 1e-10
+    return float(x[0])
+
+
+def test_exact_coalescence_oracle_k2(k2):
+    # two walks meet at a step iff exactly one of them moves: mean 2
+    assert exact_coalescence_time(k2) == pytest.approx(2.0, rel=1e-12)
+
+
+# Fixed before the first run: 4000 trials each, master seed 77 for
+# coalescence and 78 for the voter, accepted within 4 standard errors.
+@pytest.mark.parametrize("spec", [
+    FamilySpec("cycle", n=8),
+    FamilySpec("path", n=8),
+    FamilySpec("star", n=8),
+    FamilySpec("hypercube", dim=3),
+    FamilySpec("clique", n=6),
+    FamilySpec("torus", dim=2, side=3),
+    FamilySpec("binary_tree", levels=3),
+], ids=lambda s: s.label())
+def test_coalescence_and_voter_match_exact_oracle(spec):
+    g = generate(spec)
+    exact = exact_coalescence_time(g)
+    assert exact >= chain.meeting_exact(g).t_meet
+    for kind, seed in (("coalescence", 77), ("voter", 78)):
+        est = estimate(kind, g, {}, 4000, master_seed=seed, workers=1)
+        assert est.censored_count == 0
+        assert abs(est.mean - exact) <= 4.0 * est.stderr, (
+            kind, est.mean, est.stderr, exact)
 
 
 class TestImmortal:
