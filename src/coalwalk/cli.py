@@ -25,20 +25,16 @@ import numpy as np
 
 from . import bounds
 from .errors import CoalwalkError, ConfigError, InsufficientPoints
-from .graphs import FamilySpec, generate, load_edge_list, validate
+from .graphs import (FAMILIES, SPEC_PARAMS, FamilySpec, generate,
+                     load_edge_list, validate)
 from .seeding import mix64
 from .simulate import estimate
 
 CSV_COLUMNS = ("family", "n", "m", "quantity", "value", "stderr",
                "trials", "censored", "seed")
 
-# Which FamilySpec field a sweep's size list feeds, per family.
-SIZE_PARAM = {
-    "path": "n", "cycle": "n", "clique": "n", "star": "n", "barbell": "n",
-    "random_regular": "n", "lower_bound": "n",
-    "binary_tree": "levels", "hypercube": "dim", "torus": "side",
-    "grid": "side",
-}
+# The Monte Carlo kinds that ``run`` and ``coalwalk simulate`` serve.
+SIM_KINDS = ("coalescence", "meeting", "voter")
 
 
 @dataclass(frozen=True)
@@ -50,14 +46,18 @@ class SweepSpec:
     alpha: float | None = None
 
     def spec_for(self, size: int) -> FamilySpec:
-        kwargs = {SIZE_PARAM[self.family]: size}
-        if self.family in ("torus", "grid"):
-            kwargs["dim"] = self.dim if self.dim is not None else 2
-        if self.family == "random_regular":
-            kwargs["degree"] = self.degree if self.degree is not None else 3
-        if self.family == "lower_bound":
-            kwargs["alpha"] = self.alpha if self.alpha is not None else 1.0
-        return FamilySpec(self.family, **kwargs)
+        row = FAMILIES[self.family]
+        given = {key: getattr(self, key) for key in row.defaults}
+        return _family_spec(self.family, {**given, row.size: size})
+
+
+def _family_spec(family: str, given: dict) -> FamilySpec:
+    """The spec of ``family`` with the given parameters that are not None;
+    the family's ``FAMILIES`` defaults fill in the missing ones."""
+    row = FAMILIES.get(family)
+    kwargs = dict(row.defaults) if row else {}
+    kwargs.update((key, val) for key, val in given.items() if val is not None)
+    return FamilySpec(family, **kwargs)
 
 
 @dataclass
@@ -80,30 +80,49 @@ class ExperimentConfig:
         if not self.sweeps:
             raise ConfigError("config defines no sweeps")
         for sweep in self.sweeps:
-            if sweep.family not in SIZE_PARAM:
+            if sweep.family not in FAMILIES:
                 raise ConfigError(f"unknown family {sweep.family!r}")
             if list(sweep.sizes) != sorted(set(sweep.sizes)):
                 raise ConfigError("sweep sizes must be strictly increasing")
         for q in self.quantities:
             if q not in ("exact", "simulate", "verify"):
                 raise ConfigError(f"unknown quantity group {q!r}")
+        for kind in self.sim_kinds:
+            if kind not in SIM_KINDS:
+                raise ConfigError(f"unknown sim kind {kind!r}; "
+                                  f"expected one of {', '.join(SIM_KINDS)}")
         if "simulate" in self.quantities:
             if self.trials < 2:
                 raise ConfigError("Monte Carlo quantities need trials >= 2")
             self.require_seed()
 
 
+def _number(body, section: str, key: str, kind=int, fallback=None):
+    """``kind(body[key])``, or ``fallback`` when the key is absent; a value
+    that does not parse raises ConfigError naming the section and key."""
+    if key not in body:
+        return fallback
+    try:
+        return kind(body[key])
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {body[key]!r} is not "
+                          "a valid number") from None
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read an experiment config.
 
     Format: an ``[experiment]`` section with keys master_seed, trials,
-    cap, quantities (comma list of exact/simulate/verify), sim_kinds,
-    outdir, meeting_limit; plus one ``[sweep:NAME]`` section per family
-    sweep with keys family, sizes (whitespace list), and optional degree,
-    dim, alpha.
+    cap, quantities (comma list of exact/simulate/verify), sim_kinds
+    (comma list of ``SIM_KINDS``), outdir, meeting_limit; plus one
+    ``[sweep:NAME]`` section per family sweep with keys family, sizes
+    (whitespace list), and optional degree, dim, alpha.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     exp = parser["experiment"] if parser.has_section("experiment") else {}
@@ -116,21 +135,23 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"[{section}] needs 'family' and 'sizes'")
         sweeps.append(SweepSpec(
             family=body["family"].strip(),
-            sizes=tuple(int(tok) for tok in body["sizes"].split()),
-            degree=body.getint("degree", fallback=None),
-            dim=body.getint("dim", fallback=None),
-            alpha=body.getfloat("alpha", fallback=None)))
+            sizes=_number(body, section, "sizes",
+                          lambda text: tuple(map(int, text.split()))),
+            degree=_number(body, section, "degree"),
+            dim=_number(body, section, "dim"),
+            alpha=_number(body, section, "alpha", float)))
     config = ExperimentConfig(
         sweeps=sweeps,
-        master_seed=(int(exp["master_seed"]) if "master_seed" in exp else None),
-        trials=int(exp.get("trials", 0)),
-        cap=(int(exp["cap"]) if "cap" in exp else None),
+        master_seed=_number(exp, "experiment", "master_seed"),
+        trials=_number(exp, "experiment", "trials", fallback=0),
+        cap=_number(exp, "experiment", "cap"),
         quantities=tuple(
             tok.strip() for tok in exp.get("quantities", "exact").split(",")),
         sim_kinds=tuple(
             tok.strip() for tok in exp.get("sim_kinds", "coalescence").split(",")),
         outdir=exp.get("outdir", "out"),
-        meeting_limit=int(exp.get("meeting_limit", 100)))
+        meeting_limit=_number(exp, "experiment", "meeting_limit",
+                              fallback=100))
     config.validate()
     return config
 
@@ -314,24 +335,14 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 def _spec_from_args(args) -> FamilySpec:
-    kwargs = {}
-    for key in ("n", "levels", "dim", "side", "degree"):
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
-    if getattr(args, "alpha", None) is not None:
-        kwargs["alpha"] = args.alpha
-    return FamilySpec(args.family, **kwargs)
+    return _family_spec(args.family,
+                        {key: getattr(args, key) for key in SPEC_PARAMS})
 
 
 def _add_spec_args(sub):
     sub.add_argument("--family", required=True)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--levels", type=int)
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--side", type=int)
-    sub.add_argument("--degree", type=int)
-    sub.add_argument("--alpha", type=float)
+    for key in SPEC_PARAMS:
+        sub.add_argument(f"--{key}", type=float if key == "alpha" else int)
     sub.add_argument("--seed", type=int, default=None)
 
 
@@ -421,8 +432,6 @@ def _cmd_all(args) -> int:
         config.trials = args.trials
     if args.outdir is not None:
         config.outdir = args.outdir
-    if "simulate" in config.quantities:
-        config.require_seed()
     result = run(config)
     print(json.dumps({"csv": result["csv"],
                       "records": result["records"],
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(sim)
     sim.add_argument("--edge-list")
     sim.add_argument("--kind", default="coalescence",
-                     choices=["meeting", "coalescence", "voter"])
+                     choices=SIM_KINDS)
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--cap", type=int)
     sim.add_argument("--u", type=int)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,20 +26,6 @@ from .errors import (
     SelfLoop,
 )
 from .seeding import mix64
-
-FAMILIES = (
-    "path",
-    "cycle",
-    "clique",
-    "star",
-    "binary_tree",
-    "hypercube",
-    "torus",
-    "grid",
-    "barbell",
-    "random_regular",
-    "lower_bound",
-)
 
 # Families whose automorphism group acts transitively on vertices.
 VERTEX_TRANSITIVE = frozenset({"cycle", "clique", "hypercube", "torus"})
@@ -257,15 +243,16 @@ def load_edge_list(text: str) -> Graph:
 # Family specs and generators
 # ---------------------------------------------------------------------------
 
+# The FamilySpec fields that name an instance, in label order.
+SPEC_PARAMS = ("n", "levels", "dim", "side", "degree", "alpha")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters of one graph family instance.
 
-    The size parameter depends on the family: ``n`` for path, cycle,
-    clique, star, barbell, random_regular and lower_bound; ``levels`` for
-    binary_tree (2**levels - 1 vertices); ``dim`` for hypercube; ``dim``
-    plus ``side`` for torus and grid; random_regular also takes ``degree``
-    and lower_bound takes ``alpha`` (and an ``alpha_floor`` default 4).
+    ``FAMILIES`` gives each family's size parameter and the other fields
+    it needs; lower_bound also reads ``alpha_floor`` (default 4).
     """
     family: str
     n: int | None = None
@@ -278,7 +265,7 @@ class FamilySpec:
 
     def to_dict(self) -> dict:
         out = {"family": self.family}
-        for key in ("n", "levels", "dim", "side", "degree", "alpha"):
+        for key in SPEC_PARAMS:
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -292,17 +279,11 @@ class FamilySpec:
 
     def label(self) -> str:
         parts = [self.family]
-        for key in ("n", "levels", "dim", "side", "degree", "alpha"):
+        for key in SPEC_PARAMS:
             val = getattr(self, key)
             if val is not None:
                 parts.append(f"{key}{val}")
         return "-".join(parts)
-
-
-def _need(spec: FamilySpec, **conditions) -> None:
-    for name, ok in conditions.items():
-        if not ok:
-            raise InvalidSpec(f"{spec.family}: bad parameter {name}")
 
 
 def _path_edges(n):
@@ -513,65 +494,66 @@ def lower_bound_report(g: Graph) -> dict:
     return report
 
 
+class Family(NamedTuple):
+    """One row of ``FAMILIES``."""
+    size: str        # the FamilySpec field a sweep's size list feeds
+    least: int       # the least admitted value of that field
+    defaults: dict   # the other fields it needs, as a CLI sweep fills them
+    # (spec, seed) -> (vertex count, edges); None for lower_bound, which
+    # lower_bound_graph builds with its own layout meta.
+    build: Callable | None
+
+
+def _random_regular(spec, seed):
+    rng = np.random.default_rng(mix64(seed, spec.n, spec.degree))
+    return spec.n, _random_regular_edges(spec.n, spec.degree, rng)
+
+
+FAMILIES = {
+    "path": Family("n", 2, {}, lambda s, _: (s.n, _path_edges(s.n))),
+    "cycle": Family("n", 3, {}, lambda s, _: (s.n, _cycle_edges(s.n))),
+    "clique": Family("n", 2, {}, lambda s, _: (s.n, _clique_edges(s.n))),
+    "star": Family("n", 2, {}, lambda s, _: (s.n, _star_edges(s.n))),
+    "binary_tree": Family("levels", 2, {}, lambda s, _: (
+        2 ** s.levels - 1, _binary_tree_edges(s.levels))),
+    "hypercube": Family("dim", 1, {}, lambda s, _: (
+        2 ** s.dim, _hypercube_edges(s.dim))),
+    "torus": Family("side", 3, {"dim": 2}, lambda s, _: (
+        s.side ** s.dim, _lattice_edges(s.dim, s.side, wrap=True))),
+    "grid": Family("side", 2, {"dim": 2}, lambda s, _: (
+        s.side ** s.dim, _lattice_edges(s.dim, s.side, wrap=False))),
+    "barbell": Family("n", 8, {}, lambda s, _: (s.n, _barbell_edges(s.n))),
+    "random_regular": Family("n", 4, {"degree": 3}, _random_regular),
+    "lower_bound": Family("n", 16, {"alpha": 1.0}, None),
+}
+
+
 def generate(spec: FamilySpec, seed: int = 0) -> Graph:
     """Build the graph described by ``spec``.
 
     ``seed`` only matters for the random families (random_regular and
     lower_bound); deterministic families ignore it.
     """
-    fam = spec.family
-    if fam not in FAMILIES:
-        raise InvalidSpec(f"unknown family {fam!r}")
-    meta = spec.to_dict()
-    if fam == "path":
-        _need(spec, n=spec.n is not None and spec.n >= 2)
-        edges = _path_edges(spec.n)
-    elif fam == "cycle":
-        _need(spec, n=spec.n is not None and spec.n >= 3)
-        edges = _cycle_edges(spec.n)
-    elif fam == "clique":
-        _need(spec, n=spec.n is not None and spec.n >= 2)
-        edges = _clique_edges(spec.n)
-    elif fam == "star":
-        _need(spec, n=spec.n is not None and spec.n >= 2)
-        edges = _star_edges(spec.n)
-    elif fam == "binary_tree":
-        _need(spec, levels=spec.levels is not None and spec.levels >= 2)
-        edges = _binary_tree_edges(spec.levels)
-    elif fam == "hypercube":
-        _need(spec, dim=spec.dim is not None and spec.dim >= 1)
-        edges = _hypercube_edges(spec.dim)
-    elif fam == "torus":
-        _need(spec, dim=spec.dim is not None and spec.dim >= 1,
-              side=spec.side is not None and spec.side >= 3)
-        edges = _lattice_edges(spec.dim, spec.side, wrap=True)
-    elif fam == "grid":
-        _need(spec, dim=spec.dim is not None and spec.dim >= 1,
-              side=spec.side is not None and spec.side >= 2)
-        edges = _lattice_edges(spec.dim, spec.side, wrap=False)
-    elif fam == "barbell":
-        _need(spec, n=spec.n is not None and spec.n >= 8 and spec.n % 4 == 0)
-        edges = _barbell_edges(spec.n)
-    elif fam == "random_regular":
-        _need(spec,
-              n=spec.n is not None and spec.n >= 4,
-              degree=spec.degree is not None and spec.degree >= 3
-              and spec.degree < (spec.n or 0))
+    row = FAMILIES.get(spec.family)
+    if row is None:
+        raise InvalidSpec(f"unknown family {spec.family!r}")
+
+    def need(name, ok):
+        if not ok:
+            raise InvalidSpec(f"{spec.family}: bad parameter {name}")
+
+    if "dim" in row.defaults:
+        need("dim", spec.dim is not None and spec.dim >= 1)
+    size = getattr(spec, row.size)
+    need(row.size, size is not None and size >= row.least
+         and (spec.family != "barbell" or size % 4 == 0))
+    if spec.family == "random_regular":
+        need("degree", spec.degree is not None and 3 <= spec.degree < spec.n)
         if (spec.n * spec.degree) % 2 != 0:
             raise InvalidSpec("random_regular: n*degree must be even")
-        rng = np.random.default_rng(mix64(seed, spec.n, spec.degree))
-        edges = _random_regular_edges(spec.n, spec.degree, rng)
-    else:  # lower_bound
-        _need(spec, n=spec.n is not None and spec.n >= 16,
-              alpha=spec.alpha is not None and spec.alpha >= 1)
+    if spec.family == "lower_bound":
+        need("alpha", spec.alpha is not None and spec.alpha >= 1)
         return lower_bound_graph(spec.n, spec.alpha, seed,
                                  alpha_floor=spec.alpha_floor)
-    size = {
-        "path": spec.n, "cycle": spec.n, "clique": spec.n, "star": spec.n,
-        "binary_tree": 2 ** spec.levels - 1 if spec.levels else None,
-        "hypercube": 2 ** spec.dim if spec.dim else None,
-        "torus": (spec.side or 0) ** (spec.dim or 0),
-        "grid": (spec.side or 0) ** (spec.dim or 0),
-        "barbell": spec.n, "random_regular": spec.n,
-    }[fam]
-    return Graph.from_edges(size, edges, meta=meta)
+    n, edges = row.build(spec, seed)
+    return Graph.from_edges(n, edges, meta=spec.to_dict())

@@ -55,10 +55,6 @@ class Estimate:
     trials: int
     censored_count: int
 
-    @property
-    def has_censoring(self) -> bool:
-        return self.censored_count > 0
-
     def overlaps(self, other: "Estimate") -> bool:
         return self.ci95_lo <= other.ci95_hi and other.ci95_lo <= self.ci95_hi
 

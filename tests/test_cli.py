@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import os
@@ -12,8 +13,8 @@ from coalwalk.cli import (
     parse_config,
     run,
 )
-from coalwalk.errors import ConfigError, InsufficientPoints
-from coalwalk.graphs import load_edge_list
+from coalwalk.errors import ConfigError, InsufficientPoints, InvalidSpec
+from coalwalk.graphs import FamilySpec, generate, load_edge_list
 
 
 CONFIG_TEMPLATE = """
@@ -84,6 +85,76 @@ class TestConfig:
         config = ExperimentConfig(sweeps=[SweepSpec("mystery", (8,))])
         with pytest.raises(ConfigError):
             config.validate()
+
+    @pytest.mark.parametrize("kind", ["immortal", "coalesce", ""])
+    def test_unknown_sim_kind(self, kind):
+        config = ExperimentConfig(sweeps=[SweepSpec("cycle", (8,))],
+                                  sim_kinds=("coalescence", kind))
+        with pytest.raises(ConfigError):
+            config.validate()
+
+    def test_sim_kind_in_config_fails_before_run(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        .replace("outdir", "sim_kinds = immortal\noutdir"))
+        assert main(["all", "--config", str(path)]) == 1
+        assert "immortal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_kinds_are_the_config_kinds(self, capsys):
+        from coalwalk.cli import SIM_KINDS
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "{" + ",".join(SIM_KINDS) + "}" in capsys.readouterr().out
+        ExperimentConfig(sweeps=[SweepSpec("cycle", (8,))],
+                         sim_kinds=SIM_KINDS).validate()
+
+    @pytest.mark.parametrize("text", [
+        "trials = 3\n",
+        "[experiment]\ntrials = 3\ntrials = 4\n",
+        "[sweep:a]\nfamily = cycle\n[sweep:a]\nsizes = 8\n"])
+    def test_malformed_ini(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse")
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        text = open(readme).read()
+        start = text.index("```ini\n") + len("```ini\n")
+        path = tmp_path / "readme.ini"
+        path.write_text(text[start:text.index("```", start)])
+        config = parse_config(str(path))
+        assert config.master_seed == 7 and config.meeting_limit == 100
+        assert [s.spec_for(s.sizes[-1]).label() for s in config.sweeps] == [
+            "cycle-n64", "torus-dim3-side6"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("sweep:tori", "dim", "2.5"),
+        ("sweep:tori", "alpha", "one"),
+        ("sweep:tori", "sizes", "3 x"),
+        ("experiment", "trials", "many"),
+        ("experiment", "master_seed", "0x10"),
+        ("experiment", "cap", "1e6"),
+        ("experiment", "meeting_limit", "big"),
+    ])
+    def test_malformed_number(self, tmp_path, capsys, section, key, value):
+        sections = {
+            "experiment": {"quantities": "exact",
+                           "outdir": str(tmp_path / "out")},
+            "sweep:tori": {"family": "torus", "sizes": "3 4"}}
+        sections[section][key] = value
+        parser = configparser.ConfigParser()
+        parser.read_dict(sections)
+        path = tmp_path / "exp.ini"
+        with open(path, "w") as handle:
+            parser.write(handle)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            parse_config(str(path))
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRun:
@@ -184,6 +255,19 @@ class TestCommands:
         monkeypatch.setattr(cli_mod.bounds, "verify_relations", poisoned)
         code = main(["verify", "--family", "clique", "--n", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("family,key,size", [
+        ("torus", "side", 3), ("grid", "side", 4),
+        ("random_regular", "n", 10), ("lower_bound", "n", 16)])
+    def test_gen_flags_take_sweep_defaults(self, capsys, family, key, size):
+        # The flags leave out dim, degree or alpha: gen fills it in as a
+        # config sweep does, while generate itself still rejects the spec.
+        with pytest.raises(InvalidSpec):
+            generate(FamilySpec(family, **{key: size}))
+        assert main(["gen", "--family", family, f"--{key}", str(size),
+                     "--seed", "4"]) == 0
+        expected = generate(SweepSpec(family, (size,)).spec_for(size), seed=4)
+        assert capsys.readouterr().out == expected.to_edge_list()
 
     def test_all_flag_overrides(self, config_file, tmp_path, capsys):
         override = str(tmp_path / "elsewhere")

@@ -11,6 +11,7 @@ from coalwalk.errors import (
     SelfLoop,
 )
 from coalwalk.graphs import (
+    FAMILIES,
     FamilySpec,
     Graph,
     generate,
@@ -118,6 +119,16 @@ class TestGenerators:
     def test_invalid_specs(self, spec):
         with pytest.raises(InvalidSpec):
             generate(spec, seed=0)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_table_least_size(self, family):
+        row = FAMILIES[family]
+        g = generate(FamilySpec(family, **row.defaults, **{row.size: row.least}),
+                     seed=1)
+        assert validate(g).ok
+        with pytest.raises(InvalidSpec):
+            generate(FamilySpec(family, **row.defaults,
+                                **{row.size: row.least - 1}), seed=1)
 
 
 class TestLowerBoundFamily:
