@@ -118,7 +118,7 @@ def parse_config(path: str) -> ExperimentConfig:
     ``[sweep:NAME]`` section per family sweep with keys family, sizes
     (whitespace list), and optional degree, dim, alpha.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # '%' is literal
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -383,7 +383,9 @@ def _cmd_simulate(args) -> int:
     g = _load_graph(args)
     params = {}
     if args.kind == "meeting":
-        if args.u is None or args.v is None:
+        if (args.u is None) != (args.v is None):
+            raise ConfigError("--u and --v must be given together")
+        if args.u is None:
             params = {"stationary": True}
         else:
             params = {"u": args.u, "v": args.v}

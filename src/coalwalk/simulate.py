@@ -12,7 +12,9 @@ Meeting, voter, coalescence and immortal trials run in batches that make
 one Philox call per row of steps and drop each trial as it stops. The one
 coalescence and immortal kernel draws only the blocks of the ids still
 alive in each live trial, and a paired run is two such batches over the
-same seeds. A sample does not depend on its batch.
+same seeds. A sample does not depend on its batch. The voter checks
+consensus once per row of steps, which is exact because consensus is
+absorbing.
 The scalar kernels and the numpy ``_lazy_moves`` share one rank arithmetic.
 """
 from __future__ import annotations
@@ -284,7 +286,13 @@ def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
 
 def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
     """Voter consensus times of many trials; as in ``_meeting_batch``, the
-    sample of the trial keyed by ``seeds[i]`` does not depend on the rest."""
+    sample of the trial keyed by ``seeds[i]`` does not depend on the rest.
+
+    Each step is one flat gather of the live opinions into a buffer of the
+    row's steps; consensus is checked once, on the whole buffer, at the row's
+    end. Equal opinions stay equal, so the first step of the row at which
+    a trial's opinions are all equal is its consensus time.
+    """
     cap = _step_cap(g, cap)
     if g.n == 1:
         return [SimSample(0, False, s) for s in seeds]
@@ -301,16 +309,22 @@ def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
                         max(1, _PHILOX_COUNTERS // (live.size * blocks)))
             uniforms = philox_uniforms(keys[live],
                                        range(done + 1, done + width + 1), g.n)
-            # node v adopts the previous-round opinion of sources[:, j, v]
-            sources = _lazy_moves(g, np.arange(g.n), uniforms)
+            # at step j, node v of trial k adopts the previous-round opinion
+            # at flat[k, j, v], an index into the flattened (live, n) opinions
+            flat = _lazy_moves(g, np.arange(g.n), uniforms)
+            flat += (np.arange(live.size) * g.n)[:, None, None]
+            rounds = np.empty((width, live.size, g.n), dtype=opinions.dtype)
             for j in range(width):
-                opinions = np.take_along_axis(opinions, sources[:, j], 1)
-                agreed = (opinions == opinions[:, :1]).all(axis=1)
-                if agreed.any():
-                    for i in live[agreed].tolist():
-                        samples[i] = SimSample(done + j + 1, False, seeds[i])
-                    live, opinions = live[~agreed], opinions[~agreed]
-                    sources = sources[~agreed]
+                # every index is in range; "clip" skips the copy "raise" makes
+                opinions = opinions.take(flat[:, j], out=rounds[j],
+                                         mode="clip")
+            agreed = (rounds == rounds[:, :, :1]).all(axis=2)
+            ended = agreed[-1]
+            first = agreed.argmax(axis=0)
+            for i, j in zip(live[ended].tolist(), first[ended].tolist()):
+                samples[i] = SimSample(done + j + 1, False, seeds[i])
+            live, opinions = live[~ended], opinions[~ended]
+            del rounds  # free the row before the next row draws its uniforms
             done += width
             width *= 2
         for i in live.tolist():

@@ -119,6 +119,12 @@ class TestConfig:
         assert main(["all", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot parse")
 
+    @pytest.mark.parametrize("outdir", ["out%1", "out%(trials)s", "100%"])
+    def test_percent_in_value_is_literal(self, tmp_path, outdir):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=outdir))
+        assert parse_config(str(path)).outdir == outdir
+
     def test_readme_example_parses(self, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), os.pardir,
                               "README.md")
@@ -211,6 +217,16 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert 1.5 <= payload["mean"] <= 2.5
+
+    @pytest.mark.parametrize("vertex", [["--u", "0"], ["--v", "3"]])
+    def test_simulate_meeting_needs_both_vertices(self, capsys, vertex):
+        code = main(["simulate", "--family", "cycle", "--n", "8",
+                     "--kind", "meeting", *vertex, "--trials", "20",
+                     "--seed", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --u and --v must be given together\n"
+        assert captured.out == ""
 
     def test_verify_exit_zero_on_pass(self, capsys, tmp_path):
         csv_path = str(tmp_path / "report.csv")

@@ -540,6 +540,32 @@ def test_voter_chunk_bounded_by_counter_budget():
     assert peak < 6 * 2 ** 20
 
 
+# Trials i of mix64(31, i) whose path-8 consensus falls on a row edge: rows
+# of 32, 64, 128 and 256 steps end at t = 32, 96, 224 and 480, and trials
+# 88 and 210 agree at 32, 21 and 89 at 33, 409 and 3098 at 96, 986 and 1540
+# at 97, 2880 at 229. Trials 0-11 agree at scattered steps of rows 1 and 2.
+_ROW_EDGE_TRIALS = (*range(12), 21, 88, 89, 210, 409, 986, 1540, 2880, 3098)
+
+
+@pytest.mark.parametrize("cap", [1, 32, 33, 96, 97, None])
+@pytest.mark.parametrize("spec,salt,trials", [
+    (FamilySpec("path", n=2), 37, range(64)),
+    (FamilySpec("path", n=8), 31, _ROW_EDGE_TRIALS),
+], ids=["path-2", "path-8"])
+def test_voter_batch_row_edges(spec, salt, trials, cap):
+    # path-2 agrees at t = 1 with probability 1/2, so many trials agree at
+    # different steps of the first row; caps sit on and one past row ends
+    g = generate(spec)
+    seeds = [mix64(salt, i) for i in trials]
+    limit = default_cap(g) if cap is None else cap
+    want = [_reference_voter(g, s, limit) for s in seeds]
+    samples = _voter_batch(g, seeds, cap)
+    assert [(s.value, s.censored) for s in samples] == want
+    if cap is None:  # the trials reach the edges they stand for
+        ended = {value for value, _ in want}
+        assert ({1, 2, 3} if g.n == 2 else {32, 33, 96, 97, 229}) <= ended
+
+
 def _reference_walk_sums(g, start, steps, walks, seed, values):
     """The per-start walker loop on the ``step_uniforms`` oracle."""
     static = values.ndim == 1
