@@ -19,13 +19,14 @@ import numpy as np
 
 from . import chain
 from .chain import CollisionStats
-from .errors import InvalidSpec, MissingQuantity
+from .errors import InvalidSpec, LengthMismatch, MissingQuantity
 from .graphs import Graph, VERTEX_TRANSITIVE
 from .seeding import mix64
 from .simulate import Estimate, _walk_sums
 
 _E = math.e
 _REL_TOL = 1e-9  # float slack on exact theorem comparisons
+_LAMBDAS = (1, 2, 3)  # tail levels of the concentration checks
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +310,11 @@ class ConcentrationReport:
         return self.mean_ok and all(t.ok for t in self.tails)
 
 
-def _tails(sums: np.ndarray, scale: float, lambdas) -> tuple[TailCheck, ...]:
-    """Tail frequencies of ``sums`` at lambda * (scale + 1), each required
-    to stay below 2^-lambda plus three binomial standard errors."""
+def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
+    """Tail frequencies of ``sums`` at lambda * (scale + 1), lambda in
+    _LAMBDAS, each required below 2^-lambda plus three binomial stderrs."""
     tails = []
-    for lam in lambdas:
+    for lam in _LAMBDAS:
         threshold = lam * (scale + 1.0)
         freq = float((sums >= threshold).mean())
         stderr = math.sqrt(max(freq * (1 - freq), 0.0) / sums.size)
@@ -324,16 +325,15 @@ def _tails(sums: np.ndarray, scale: float, lambdas) -> tuple[TailCheck, ...]:
 
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
                         seed: int, f_values: np.ndarray | None = None,
-                        t_hit_value: float | None = None,
-                        lambdas=(1, 2, 3)) -> ConcentrationReport:
+                        t_hit_value: float | None = None) -> ConcentrationReport:
     """Empirical check of the visit-count concentration inequality.
 
     For f the indicator of ``target_set`` (or any supplied f in [0, 1]),
     walks of length ``steps`` are launched from every start vertex and the
     per-start empirical means of sum_t f(X_t) are all required to stay
     below 8 * max(t_hit, steps) * mean_pi(f). Pooled tail frequencies at
-    lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1) must stay below
-    2^-lambda plus three binomial standard errors.
+    lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1), lambda = 1, 2, 3,
+    must stay below 2^-lambda plus three binomial standard errors.
     """
     if steps < 1:
         raise InvalidSpec("steps must be >= 1")
@@ -344,6 +344,8 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
         f_values[targets] = 1.0
     else:
         f_values = np.asarray(f_values, dtype=float)
+        if f_values.shape != (g.n,):
+            raise LengthMismatch("f_values length != vertex count")
         if f_values.min() < 0 or f_values.max() > 1:
             raise ValueError("f must map into [0, 1]")
     if t_hit_value is None:
@@ -358,16 +360,15 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     worst_mean = float(sums.mean(axis=1).max())
     return ConcentrationReport(mean_bound=mean_bound, worst_mean=worst_mean,
                                mean_ok=worst_mean <= mean_bound,
-                               tails=_tails(sums, 16.0 * t_plus * f_bar,
-                                            lambdas),
+                               tails=_tails(sums, 16.0 * t_plus * f_bar),
                                walks=sums.size)
 
 
 def check_collision_concentration(g: Graph, start: int, target_set,
                                   steps: int, trials: int,
                                   seed: int,
-                                  t_hit_value: float | None = None,
-                                  lambdas=(1, 2, 3)) -> ConcentrationReport:
+                                  t_hit_value: float | None = None
+                                  ) -> ConcentrationReport:
     """Time-dependent variant: f_t(v) = 1[v in S] * p^t(start, v).
 
     The statistic is the expected collision count of an unexposed second
@@ -403,5 +404,5 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     return ConcentrationReport(mean_bound=upsilon,
                                worst_mean=float(sums.mean()),
                                mean_ok=float(sums.mean()) <= upsilon,
-                               tails=_tails(sums, 2.0 * upsilon, lambdas),
+                               tails=_tails(sums, 2.0 * upsilon),
                                walks=sums.size)

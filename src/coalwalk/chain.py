@@ -35,6 +35,8 @@ from .graphs import Graph
 
 INV_E = 1.0 / math.e
 _REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
+_PAIRWISE_LIMIT = 256  # mixing_time: largest n with the exact pairwise value
+_PER_TARGET_LIMIT = 128  # hitting_matrix: largest n solved target by target
 # Fewest start vertices in a collision_stats block. Blocks of one column
 # would let einsum reduce in another order, so this stays at 2 or more.
 _COLLISION_GRAIN = 128
@@ -175,11 +177,11 @@ class MixingResult:
         return self.value
 
 
-def mixing_time(g: Graph, eps: float = INV_E, dense_pairwise_limit: int = 256,
+def mixing_time(g: Graph, eps: float = INV_E,
                 max_steps: int = 10 ** 8) -> MixingResult:
     """First t at which the worst pairwise TV distance drops to eps.
 
-    Exact for n <= dense_pairwise_limit. Above that, evolving all rows is
+    Exact for n <= _PAIRWISE_LIMIT (256). Above that, evolving all rows is
     still exact but the pairwise maximum is replaced by the distance to
     stationarity, which sandwiches the pairwise value within the reported
     bracket; the returned value is the bracket's upper end. Both bracket
@@ -190,7 +192,7 @@ def mixing_time(g: Graph, eps: float = INV_E, dense_pairwise_limit: int = 256,
         raise ValueError("eps must be in (0, 1)")
     if g.n == 1:
         return MixingResult(0, "pairwise", eps)
-    if g.n <= dense_pairwise_limit:
+    if g.n <= _PAIRWISE_LIMIT:
         t = _first_time(g, lambda rows: _dbar(rows) <= eps, max_steps,
                         "mixing_time")
         return MixingResult(t, "pairwise", eps)
@@ -295,29 +297,24 @@ def hitting_to(g: Graph, target: int) -> HittingProfile:
     return HittingProfile(target, full, float(resid), "dense")
 
 
-def hitting_matrix(g: Graph, per_target_limit: int = 128) -> np.ndarray:
+def hitting_matrix(g: Graph) -> np.ndarray:
     """All-pairs expected hitting times H[u, v] = E[time to v from u].
 
-    Small graphs run one restricted solve per target; larger ones use the
-    fundamental-matrix identity H[u, v] = (Z[v, v] - Z[u, v]) / pi(v) with
-    Z = (I - P + 1 pi^T)^{-1}, one dense solve total. The two routes agree
-    to solver precision and the tests hold them to that.
+    Graphs with n <= _PER_TARGET_LIMIT (128) run one restricted solve per
+    target; larger ones use the fundamental-matrix identity
+    H[u, v] = (Z[v, v] - Z[u, v]) / pi(v) with Z = (I - P + 1 pi^T)^{-1},
+    one dense solve total. The two routes agree to solver precision and the
+    tests hold them to that. Nothing is cached: each call solves afresh.
     """
-    cached = g._cache.get("hitmat")
-    if cached is not None:
-        return cached
     if g.n == 1:
-        H = np.zeros((1, 1))
-    elif g.n <= per_target_limit:
-        H = np.column_stack(
-            [hitting_to(g, v).times for v in range(g.n)])
-    else:
-        pi = stationary(g)
-        P = _dense_transition(g)
-        Z = np.linalg.solve(np.eye(g.n) - P + pi[None, :], np.eye(g.n))
-        H = (np.diag(Z)[None, :] - Z) / pi[None, :]
-        np.fill_diagonal(H, 0.0)
-    g._cache["hitmat"] = H
+        return np.zeros((1, 1))
+    if g.n <= _PER_TARGET_LIMIT:
+        return np.column_stack([hitting_to(g, v).times for v in range(g.n)])
+    pi = stationary(g)
+    P = _dense_transition(g)
+    Z = np.linalg.solve(np.eye(g.n) - P + pi[None, :], np.eye(g.n))
+    H = (np.diag(Z)[None, :] - Z) / pi[None, :]
+    np.fill_diagonal(H, 0.0)
     return H
 
 
@@ -449,10 +446,11 @@ def _collision_block(Pt: sp.csr_matrix, lo: int, hi: int,
     return sq_sums, returns
 
 
-def collision_stats(g: Graph, eps: float = INV_E,
-                    t_mix_value: int | None = None) -> CollisionStats:
+def collision_stats(g: Graph, t_mix_value: int | None = None) -> CollisionStats:
     """Accumulate sum_t sum_v p^t(u,v)^2 and sum_t p^t(u,u) for t < t_mix.
 
+    The window is ``t_mix_value`` steps, by default ``mixing_time(g)`` at
+    eps = 1/e, and at least one.
     The rows p^t(u, .) are kept transposed, as the columns of X, and
     stepped as X <- P^T X with P^T in CSR form. The start vertices are
     split into contiguous blocks of at least _COLLISION_GRAIN, one per
@@ -462,7 +460,7 @@ def collision_stats(g: Graph, eps: float = INV_E,
     count.
     """
     if t_mix_value is None:
-        t_mix_value = mixing_time(g, eps=eps).value
+        t_mix_value = mixing_time(g).value
     window = max(int(t_mix_value), 1)
     Pt = transition_matrix(g).T.tocsr()
     count = max(1, min(_usable_cpus(), g.n // _COLLISION_GRAIN))

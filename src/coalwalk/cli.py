@@ -228,13 +228,6 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _record_rows(family, n, m, quantity, value, stderr=None, trials=None,
-                 censored=None, seed=None):
-    return {"family": family, "n": n, "m": m, "quantity": quantity,
-            "value": value, "stderr": stderr, "trials": trials,
-            "censored": censored, "seed": seed}
-
-
 def run(config: ExperimentConfig) -> dict:
     """Execute every sweep point; write JSON records and one flat CSV.
 
@@ -245,7 +238,7 @@ def run(config: ExperimentConfig) -> dict:
     """
     config.validate()
     os.makedirs(config.outdir, exist_ok=True)
-    rows = []
+    rows = []  # CSV rows, one tuple in CSV_COLUMNS order each
     record_paths = []
     explicit_ok = True
     for sweep in config.sweeps:
@@ -267,9 +260,9 @@ def run(config: ExperimentConfig) -> dict:
                                          hash_label(kind)),
                                    cap=config.cap)
                     estimates[kind] = est
-                    rows.append(_record_rows(
-                        spec.family, g.n, g.m, f"t_{kind}_sim", est.mean,
-                        est.stderr, est.trials, est.censored_count, master))
+                    rows.append((spec.family, g.n, g.m, f"t_{kind}_sim",
+                                 est.mean, est.stderr, est.trials,
+                                 est.censored_count, master))
             if "exact" in config.quantities or "verify" in config.quantities:
                 mq = bounds.measure(
                     g, meeting_limit=config.meeting_limit,
@@ -285,8 +278,8 @@ def run(config: ExperimentConfig) -> dict:
                         ("pi_min", mq.pi_min),
                         ("pi_norm_sq", mq.pi_norm_sq)):
                     if value is not None:
-                        rows.append(_record_rows(spec.family, g.n, g.m,
-                                                 name, float(value)))
+                        rows.append((spec.family, g.n, g.m, name,
+                                     float(value), None, None, None, None))
             if "verify" in config.quantities:
                 report = bounds.verify_relations(g, mq)
                 record["bound_report"] = report.to_rows()
@@ -307,8 +300,7 @@ def run(config: ExperimentConfig) -> dict:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+    writer.writerows(map(_fmt, row) for row in rows)
     csv_path = os.path.join(config.outdir, "results.csv")
     _atomic_write(csv_path, buf.getvalue())
     return {"csv": csv_path, "records": record_paths,
@@ -354,8 +346,7 @@ def _load_graph(args):
 
 
 def _cmd_gen(args) -> int:
-    g = generate(_spec_from_args(args), seed=args.seed or 0)
-    text = g.to_edge_list()
+    text = _load_graph(args).to_edge_list()
     if args.output:
         _atomic_write(args.output, text)
     else:

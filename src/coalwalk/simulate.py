@@ -9,12 +9,14 @@ keyed by (trial seed, step), so runs are bitwise reproducible, trials can
 execute on any number of workers, and two processes sharing a trial seed
 see identical per-(step, id) moves (the paired-seed coupling harness).
 Meeting, voter, coalescence and immortal trials run in batches that make
-one Philox call per row of steps and drop each trial as it stops. The one
-coalescence and immortal kernel draws only the blocks of the ids still
-alive in each live trial, and a paired run is two such batches over the
-same seeds. A sample does not depend on its batch. The voter checks
-consensus once per row of steps, which is exact because consensus is
-absorbing.
+one Philox call per row of steps and drop each trial as it stops; the
+concentration walkers run as one batch. One row policy, ``_rows``, serves
+every kernel: rows of 32 steps that double, capped by a counter budget.
+The one coalescence and immortal kernel draws only the blocks of the ids
+still alive in each live trial, and a paired run is two such batches over
+the same seeds. A sample does not depend on its batch or its rows. The
+voter checks consensus once per row of steps, which is exact because
+consensus is absorbing.
 The scalar kernels and the numpy ``_lazy_moves`` share one rank arithmetic.
 """
 from __future__ import annotations
@@ -94,12 +96,9 @@ def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
     return np.where(residual >= 0.0, g.indices[g.indptr[pos] + ranks], pos)
 
 
-# Trials run in chunks of _TRIAL_CHUNK, or fewer when their coalescing walks
-# or voters would fill more than one step of a Philox call. A call covers one row of
-# steps, as many as fit in _PHILOX_COUNTERS counters (one per trial, step and
-# block of four ids) but at least one, so its memory stays flat whatever the
-# trial count. Row widths start at _FIRST_WIDTH steps and double, so short
-# trials draw little past their end.
+# Trials run in chunks of _TRIAL_CHUNK, or fewer when their walks would
+# fill more than one step of a Philox call. A call covers one row of steps
+# (``_rows``), so its memory stays flat whatever the trial count.
 _TRIAL_CHUNK = 256
 _PHILOX_COUNTERS = 8192
 _FIRST_WIDTH = 32
@@ -110,6 +109,22 @@ def _trial_chunk(blocks: int) -> int:
     return min(_TRIAL_CHUNK, max(1, _PHILOX_COUNTERS // blocks))
 
 
+def _rows(end: int, blocks):
+    """The steps of each Philox call, in order, up to step ``end``.
+
+    Rows start at _FIRST_WIDTH steps and double, so short trials draw little
+    past their end, but hold no more steps than fit in _PHILOX_COUNTERS
+    counters (at least one) when a step takes ``blocks()`` of them. That is
+    read before each row; at 0, nothing is live and the rows stop.
+    """
+    done, width = 0, _FIRST_WIDTH
+    while done < end and (count := blocks()):
+        width = min(width, end - done, max(1, _PHILOX_COUNTERS // count))
+        yield range(done + 1, done + width + 1)
+        done += width
+        width *= 2
+
+
 def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
     """Meeting samples of many trials; trial i starts at ``starts[i]``.
 
@@ -118,54 +133,41 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
     """
     cap = _step_cap(g, cap)
     adj = _adjacency_lists(g)
-    samples = []
-    for lo in range(0, len(seeds), _TRIAL_CHUNK):
-        samples += _meeting_chunk(adj, starts[lo:lo + _TRIAL_CHUNK],
-                                  seeds[lo:lo + _TRIAL_CHUNK], cap)
-    return samples
-
-
-def _meeting_chunk(adj, starts, seeds, cap: int) -> list[SimSample]:
-    samples: list[SimSample | None] = [None] * len(seeds)
-    live = []  # [trial, x, y] of each trial that has not met yet
-    for i, (u, v) in enumerate(starts):
-        if u == v:
-            samples[i] = SimSample(0, False, seeds[i])
-        else:
-            live.append([i, int(u), int(v)])
     keys = philox_keys(seeds)
-    done, width = 0, _FIRST_WIDTH
-    while live and done < cap:
-        width = min(width, cap - done, max(1, _PHILOX_COUNTERS // len(live)))
-        uniforms = philox_uniforms(keys[[i for i, _, _ in live]],
-                                   range(done + 1, done + width + 1), 2)
-        # the rank arithmetic of _lazy_moves, one walk at a time
-        residual = (uniforms - 0.5) * 2.0
-        still = []
-        for trial, row_x, row_y in zip(live, residual[:, :, 0].tolist(),
-                                       residual[:, :, 1].tolist()):
-            i, x, y = trial
-            t = done
-            for a, b in zip(row_x, row_y):
-                t += 1
-                if a >= 0.0:
-                    nbrs = adj[x]
-                    rank = int(a * len(nbrs))
-                    x = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
-                if b >= 0.0:
-                    nbrs = adj[y]
-                    rank = int(b * len(nbrs))
-                    y = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
-                if x == y:
-                    samples[i] = SimSample(t, False, seeds[i])
-                    break
+    samples: list[SimSample | None] = [None] * len(seeds)
+    chunk = _trial_chunk(1)  # two walks: one block of four ids per step
+    for lo in range(0, len(seeds), chunk):
+        live = []  # (trial, x, y) of each trial that has not met yet
+        for i in range(lo, min(lo + chunk, len(seeds))):
+            u, v = starts[i]
+            if u == v:
+                samples[i] = SimSample(0, False, seeds[i])
             else:
-                still.append([i, x, y])
-        live = still
-        done += width
-        width *= 2
-    for i, _, _ in live:
-        samples[i] = SimSample(cap, True, seeds[i])
+                live.append((i, int(u), int(v)))
+        for steps in _rows(cap, lambda: len(live)):
+            uniforms = philox_uniforms(keys[[i for i, _, _ in live]], steps, 2)
+            # the rank arithmetic of _lazy_moves, one walk at a time
+            residual = (uniforms - 0.5) * 2.0
+            still = []
+            for (i, x, y), row_x, row_y in zip(live, residual[:, :, 0].tolist(),
+                                               residual[:, :, 1].tolist()):
+                for t, a, b in zip(steps, row_x, row_y):
+                    if a >= 0.0:
+                        nbrs = adj[x]
+                        rank = int(a * len(nbrs))
+                        x = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+                    if b >= 0.0:
+                        nbrs = adj[y]
+                        rank = int(b * len(nbrs))
+                        y = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+                    if x == y:
+                        samples[i] = SimSample(t, False, seeds[i])
+                        break
+                else:
+                    still.append((i, x, y))
+            live = still
+        for i, _, _ in live:
+            samples[i] = SimSample(cap, True, seeds[i])
     return samples
 
 
@@ -227,13 +229,10 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
         # at every power of two) of each trial still running
         live = [(i, list(range(len(starts))), list(starts), [(0, len(starts))])
                 for i in range(lo, min(lo + chunk, len(seeds)))]
-        done, width = 0, _FIRST_WIDTH
-        while live and done < end:
-            blocks = sum(len({i >> 2 for i in ids}) for _, ids, _, _ in live)
-            width = min(width, end - done, max(1, _PHILOX_COUNTERS // blocks))
+        for steps in _rows(end, lambda: sum(
+                len({i >> 2 for i in ids}) for _, ids, _, _ in live)):
             uniforms = philox_uniforms_ragged(
-                keys[[i for i, _, _, _ in live]],
-                range(done + 1, done + width + 1),
+                keys[[i for i, _, _, _ in live]], steps,
                 [ids for _, ids, _, _ in live])
             rows = ((uniforms - 0.5) * 2.0).tolist()
             still, offset = [], 0
@@ -241,7 +240,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                 # column of each live walk in the rows
                 cols = range(offset, offset + len(ids))
                 offset += len(ids)
-                for t, row in enumerate(rows, done + 1):
+                for t, row in zip(steps, rows):
                     for j, c in enumerate(cols):
                         a = row[c]
                         if a >= 0.0:
@@ -263,8 +262,6 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                 else:
                     still.append((i, ids, pos, trajectory))
             live = still
-            done += width
-            width *= 2
         for i, _, _, trajectory in live:
             samples[i] = sample(i, end, end > 0, trajectory)
     return samples
@@ -303,18 +300,14 @@ def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
     for lo in range(0, len(seeds), chunk):
         live = np.arange(lo, min(lo + chunk, len(seeds)))
         opinions = np.tile(np.arange(g.n), (live.size, 1))  # row per trial
-        done, width = 0, _FIRST_WIDTH
-        while live.size and done < cap:
-            width = min(width, cap - done,
-                        max(1, _PHILOX_COUNTERS // (live.size * blocks)))
-            uniforms = philox_uniforms(keys[live],
-                                       range(done + 1, done + width + 1), g.n)
+        for steps in _rows(cap, lambda: live.size * blocks):
+            uniforms = philox_uniforms(keys[live], steps, g.n)
             # at step j, node v of trial k adopts the previous-round opinion
             # at flat[k, j, v], an index into the flattened (live, n) opinions
             flat = _lazy_moves(g, np.arange(g.n), uniforms)
             flat += (np.arange(live.size) * g.n)[:, None, None]
-            rounds = np.empty((width, live.size, g.n), dtype=opinions.dtype)
-            for j in range(width):
+            rounds = np.empty((len(steps), live.size, g.n), opinions.dtype)
+            for j in range(len(steps)):
                 # every index is in range; "clip" skips the copy "raise" makes
                 opinions = opinions.take(flat[:, j], out=rounds[j],
                                          mode="clip")
@@ -322,11 +315,9 @@ def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
             ended = agreed[-1]
             first = agreed.argmax(axis=0)
             for i, j in zip(live[ended].tolist(), first[ended].tolist()):
-                samples[i] = SimSample(done + j + 1, False, seeds[i])
+                samples[i] = SimSample(steps[j], False, seeds[i])
             live, opinions = live[~ended], opinions[~ended]
             del rounds  # free the row before the next row draws its uniforms
-            done += width
-            width *= 2
         for i in live.tolist():
             samples[i] = SimSample(cap, True, seeds[i])
     return samples
@@ -369,12 +360,10 @@ def _walk_sums(g: Graph, starts, seeds, steps: int, walks: int,
     pos = np.repeat(np.asarray(starts, dtype=np.int64)[:, None], walks, 1)
     sums = values[0, pos]
     keys = philox_keys(seeds)
-    width = max(1, _PHILOX_COUNTERS // (len(keys) * ((walks + 3) // 4)))
-    for lo in range(1, steps, width):
-        uniforms = philox_uniforms(keys, range(lo, min(lo + width, steps)),
-                                   walks)
-        for t in range(lo, lo + uniforms.shape[1]):
-            pos = _lazy_moves(g, pos, uniforms[:, t - lo])
+    for row in _rows(steps - 1, lambda: len(keys) * ((walks + 3) // 4)):
+        uniforms = philox_uniforms(keys, row, walks)
+        for j, t in enumerate(row):
+            pos = _lazy_moves(g, pos, uniforms[:, j])
             sums += values[t, pos]
     return sums
 
@@ -435,6 +424,11 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     if trials < 2:
         raise InvalidSpec("trials must be >= 2")
     params = dict(params or {})
+    needs = {"meeting": () if params.get("stationary") else ("u", "v"),
+             "immortal": ("start_vertices", "target_k", "immortal_ids")}
+    for key in needs.get(kind, ()):
+        if key not in params:
+            raise InvalidSpec(f"{kind} estimate needs params[{key!r}]")
     if kind == "meeting" and not params.get("stationary"):
         g.check_vertices((params["u"], params["v"]))
     if kind == "voter" and not params.get("lazy", True):

@@ -6,7 +6,7 @@ import pytest
 
 from coalwalk import bounds, chain
 from coalwalk.chain import CollisionStats
-from coalwalk.errors import InvalidSpec, MissingQuantity
+from coalwalk.errors import InvalidSpec, LengthMismatch, MissingQuantity
 from coalwalk.graphs import FamilySpec, generate
 
 
@@ -208,6 +208,12 @@ class TestConcentration:
         with pytest.raises(ValueError):
             bounds.check_concentration(g, [], steps=10, trials=8, seed=1,
                                        f_values=np.full(8, 1.5))
+
+    def test_rejects_f_of_wrong_length(self):
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(LengthMismatch):
+            bounds.check_concentration(g, [], steps=10, trials=8, seed=1,
+                                       f_values=np.ones(5))
 
     @pytest.mark.parametrize("targets", [[-1], [0, 8]])
     def test_rejects_target_outside(self, targets):

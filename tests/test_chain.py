@@ -127,10 +127,11 @@ class TestMixingSeparation:
         vals = [brute_dbar(cycle8, t) for t in range(0, 12)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_bracket_mode_contains_pairwise_value(self):
+    def test_bracket_mode_contains_pairwise_value(self, monkeypatch):
         c16 = generate(FamilySpec("cycle", n=16))
         exact = chain.mixing_time(c16).value
-        bracketed = chain.mixing_time(c16, dense_pairwise_limit=4)
+        monkeypatch.setattr(chain, "_PAIRWISE_LIMIT", 4)
+        bracketed = chain.mixing_time(c16)
         assert bracketed.method == "bracket"
         lo, hi = bracketed.bracket
         assert lo <= exact <= hi
@@ -221,7 +222,7 @@ def call_or_budget(fn):
     FamilySpec("binary_tree", levels=4),
     FamilySpec("lower_bound", n=16, alpha=1.0),
 ], ids=lambda s: s.label())
-def test_ladder_search_matches_step_scan(spec):
+def test_ladder_search_matches_step_scan(spec, monkeypatch):
     g = generate(spec, seed=11)
     pi = chain.stationary(g)
     for eps in (0.5, INV_E, 0.1):
@@ -250,8 +251,10 @@ def test_ladder_search_matches_step_scan(spec):
                          2 * hi_star + 1}):
             hi = scan_or_budget(
                 g, lambda rows: chain._dmax(rows, pi) <= eps / 2, m)
-            got = call_or_budget(lambda: chain.mixing_time(
-                g, eps, dense_pairwise_limit=4, max_steps=m))
+            with monkeypatch.context() as forced:
+                forced.setattr(chain, "_PAIRWISE_LIMIT", 4)
+                got = call_or_budget(lambda: chain.mixing_time(
+                    g, eps, max_steps=m))
             if hi is BudgetExceeded:
                 assert got is BudgetExceeded, (eps, m)
                 continue
@@ -326,14 +329,14 @@ class TestHitting:
         with pytest.raises(InvalidSpec):
             chain.hitting_to(cycle8, target)
 
-    def test_fundamental_matrix_matches_per_target(self):
+    def test_fundamental_matrix_matches_per_target(self, monkeypatch):
         for spec in (FamilySpec("cycle", n=24), FamilySpec("barbell", n=16),
                      FamilySpec("star", n=20)):
             g = generate(spec, seed=1)
             per_target = np.column_stack(
                 [chain.hitting_to(g, v).times for v in range(g.n)])
-            g._cache.pop("hitmat", None)
-            fundamental = chain.hitting_matrix(g, per_target_limit=1)
+            monkeypatch.setattr(chain, "_PER_TARGET_LIMIT", 1)
+            fundamental = chain.hitting_matrix(g)
             assert np.abs(per_target - fundamental).max() < 1e-7
 
 

@@ -2,9 +2,13 @@ import configparser
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coalwalk
 from coalwalk.cli import (
     ExperimentConfig,
     SweepSpec,
@@ -27,6 +31,35 @@ outdir = {outdir}
 [sweep:cycles]
 family = cycle
 sizes = 8 16
+"""
+
+# One small sweep whose meeting rows move in the last digit with the BLAS
+# thread count.
+BLAS_SWEEP = """
+[experiment]
+master_seed = 5
+trials = 8
+cap = 1000000
+quantities = exact,simulate,verify
+sim_kinds = coalescence,meeting,voter
+
+[sweep:cycle]
+family = cycle
+sizes = 16
+
+[sweep:torus2]
+family = torus
+dim = 2
+sizes = 4 5
+
+[sweep:star]
+family = star
+sizes = 16
+
+[sweep:lower_bound]
+family = lower_bound
+alpha = 4
+sizes = 16
 """
 
 
@@ -190,6 +223,36 @@ class TestRun:
                 os.environ.pop("COALWALK_WORKERS", None)
             outs.append(open(result["csv"], "rb").read())
         assert outs[0] == outs[1]
+
+    def test_blas_thread_count_moves_exact_rows_only(self, tmp_path):
+        """Bytes are fixed per BLAS thread count; across 1 and 2 threads
+        Monte Carlo rows stay byte-equal and exact rows within 1e-12."""
+        path = tmp_path / "exp.ini"
+        path.write_text(BLAS_SWEEP)
+        src = str(Path(coalwalk.__file__).resolve().parents[1])
+        rows = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       COALWALK_WORKERS="1",
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            outdir = tmp_path / f"threads{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "coalwalk", "all", "--config",
+                 str(path), "--outdir", str(outdir)],
+                env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            rows.append((outdir / "results.csv").read_text().splitlines())
+        one, two = rows
+        assert len(one) == len(two) > 1 and one[0] == two[0]
+        for a, b in zip(one[1:], two[1:]):
+            a, b = a.split(","), b.split(",")
+            if a[3].endswith("_sim"):
+                assert a == b
+            else:
+                assert a[:4] == b[:4] and a[5:] == b[5:]
+                assert abs(float(a[4]) - float(b[4])) <= 1e-12 * abs(float(a[4]))
+
 
 
 class TestCommands:

@@ -21,6 +21,7 @@ from coalwalk.graphs import (
     subgraph,
     validate,
 )
+from conftest import small_family_specs
 
 
 def bfs_reaches_all(g):
@@ -213,6 +214,39 @@ class TestValidate:
 
     def test_odd_cycle_not_bipartite(self):
         assert not validate(generate(FamilySpec("cycle", n=9))).bipartite
+
+    @pytest.mark.parametrize("rows, flags", [
+        # neighbour rows -> (connected, bipartite, symmetric, simple)
+        ([[1, 1], [0, 0, 2], [1]], (True, True, True, False)),
+        ([[0, 1], [0, 1, 2], [1]], (True, False, True, False)),
+        ([[3, 1], [0, 2], [1, 3], [0, 2]], (True, True, True, False)),
+        ([[1, 3], [0, 2], [1, 3], [2, 4], [3, 5], [2, 4]],
+         (True, True, False, True)),
+        ([[1, 2], [0, 2], [1, 3], [1, 2]], (True, False, False, True)),
+    ], ids=["repeated", "self-loops", "unsorted", "asymmetric",
+            "asymmetric-odd"])
+    def test_flags_of_raw_rows(self, rows, flags):
+        """Rows given straight to Graph(indptr, indices), past from_edges."""
+        g = Graph(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
+        report = validate(g)
+        assert (report.connected, report.bipartite, report.symmetric,
+                report.simple) == flags
+        assert not report.ok
+
+    @pytest.mark.parametrize("spec", small_family_specs() + [
+        FamilySpec("cycle", n=8), FamilySpec("cycle", n=9)],
+        ids=lambda s: s.label())
+    def test_bipartite_matches_two_colouring(self, spec):
+        g = generate(spec, seed=11)
+        colour = {0: 0}
+        queue = [0]
+        for u in queue:  # BFS, colouring each vertex when first reached
+            for v in g.neighbors(u).tolist():
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+        proper = all(colour[u] != colour[v] for u, v in g.edge_array().tolist())
+        assert validate(g).bipartite == proper
 
 
 def test_subgraph_relabels():

@@ -349,6 +349,21 @@ class TestStartRange:
             call(cycle16)
 
 
+@pytest.mark.parametrize("kind, params, key", [
+    ("meeting", {}, "u"),
+    ("immortal", {"start_vertices": [0, 1]}, "target_k"),
+], ids=["meeting-no-u", "immortal-no-target_k"])
+def test_estimate_names_missing_param(monkeypatch, kind, params, key):
+    """A param the kind needs is missing: InvalidSpec names it before any
+    draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew uniforms for an incomplete spec")
+    monkeypatch.setattr(simulate, "philox_uniforms", no_draw)
+    monkeypatch.setattr(simulate, "philox_uniforms_ragged", no_draw)
+    with pytest.raises(InvalidSpec, match=f"'{key}'"):
+        estimate(kind, generate(FamilySpec("cycle", n=8)), params, 10, 1)
+
+
 def _reference_meeting(g, u, v, seed, cap):
     """The per-step meeting loop on the ``step_uniforms`` oracle."""
     if u == v:
