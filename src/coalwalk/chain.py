@@ -17,6 +17,10 @@ sparse P^T, in contiguous blocks of start vertices that run in threads,
 at most one per usable CPU. Each start's sums take the same float
 operations in the same order in any block, so the values do not depend on
 the CPU count.
+
+Only the exact solvers need scipy, so it loads inside them: scipy.sparse
+for the transition matrix, its LU solver for the sparse meeting branch, and
+scipy.spatial for the pairwise mixing distance.
 """
 from __future__ import annotations
 
@@ -24,14 +28,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.spatial.distance import pdist
 
 from .errors import BudgetExceeded, LengthMismatch, TooLarge
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INV_E = 1.0 / math.e
 _REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
@@ -50,6 +55,8 @@ def transition_matrix(g: Graph) -> sp.csr_matrix:
     """Sparse lazy transition matrix P (cached on the graph)."""
     mat = g._cache.get("P")
     if mat is None:
+        import scipy.sparse as sp
+
         weights = 0.5 / np.repeat(g.degrees, g.degrees)
         off = sp.csr_matrix((weights, g.indices, g.indptr), shape=(g.n, g.n))
         mat = (off + sp.identity(g.n, format="csr") * 0.5).tocsr()
@@ -114,6 +121,8 @@ def _dbar(rows: np.ndarray) -> float:
     """Worst pairwise total-variation distance between rows."""
     if rows.shape[0] < 2:
         return 0.0
+    from scipy.spatial.distance import pdist
+
     return 0.5 * float(pdist(rows, metric="cityblock").max())
 
 
@@ -381,11 +390,14 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
         A = At.T  # column order: numpy hands it to LAPACK without a transpose
         m_vec = np.linalg.solve(A, rhs)
     else:
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import spsolve
+
         method = "sparse"
         P = transition_matrix(g)
         K = sp.kron(P, P, format="csr")[offdiag][:, offdiag].tocsr()
         A = (sp.identity(N, format="csr") - K).tocsc()
-        m_vec = spla.spsolve(A, rhs)
+        m_vec = spsolve(A, rhs)
     resid = float(np.abs(A @ m_vec - rhs).max())
     full = np.zeros(n * n)
     full[offdiag] = m_vec

@@ -22,7 +22,6 @@ The scalar kernels and the numpy ``_lazy_moves`` share one rank arithmetic.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 
@@ -437,6 +436,8 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, trials // (workers * 4))
         batches = [(kind, g, params, seeds[i:i + chunk], cap)
                    for i in range(0, trials, chunk)]

@@ -289,3 +289,129 @@ def test_pickle_round_trip_skips_validation(monkeypatch):
     assert (again.n, again.m, again.deg_min, again.deg_max, again.deg_avg) == (
         g.n, g.m, g.deg_min, g.deg_max, g.deg_avg)
     assert not again.indices.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("torus", dim=3, side=4),
+    FamilySpec("random_regular", n=20, degree=3),
+    FamilySpec("lower_bound", n=64, alpha=1.0),
+], ids=lambda s: s.label())
+def test_from_edges_list_and_array_agree(spec):
+    """An (m, 2) array is read as is; a list of pairs, also reversed and
+    repeated, gives the same rows."""
+    g = generate(spec, seed=4)
+    edges = g.edge_array()
+    pairs = [tuple(e) for e in edges.tolist()]
+    pairs += [(v, u) for u, v in pairs[::3]]
+    for given in (edges, edges.astype(np.int32), pairs, iter(pairs)):
+        again = Graph.from_edges(g.n, given)
+        assert again.indptr.tobytes() == g.indptr.tobytes()
+        assert again.indices.tobytes() == g.indices.tobytes()
+
+
+def _raw_rows(n, edges):
+    """Sorted symmetric rows of an undirected edge array, unchecked."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    keys = np.unique(np.concatenate([u * n + v, v * n + u]))
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+
+
+def _two_paths(k):
+    i = np.arange(k - 1)
+    path = np.column_stack([i, i + 1])
+    return 2 * k, np.concatenate([path, path + k])
+
+
+def _two_cliques(k, joined):
+    iu = np.column_stack(np.triu_indices(k, 1))
+    edges = [iu, iu + k] + ([np.array([[k - 1, k]])] if joined else [])
+    return 2 * k, np.concatenate(edges)
+
+
+def _random_sparse(n, m, seed):
+    edges = np.random.default_rng(seed).integers(0, n, size=(m, 2))
+    return n, edges[edges[:, 0] != edges[:, 1]]
+
+
+class TestConnectivity:
+    """graphs._is_connected against scipy's connected_components."""
+
+    @staticmethod
+    def check(indptr, indices):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        from coalwalk import graphs
+
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        n = indptr.size - 1
+        adj = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                            shape=(n, n))
+        expect = connected_components(adj, directed=False)[0] == 1
+        raw = Graph.__new__(Graph)
+        raw.__setstate__({"indptr": indptr, "indices": indices, "meta": None})
+        assert graphs._is_connected(raw) == expect
+        assert validate(raw).connected == expect
+        if n > 1 and (raw.deg_min < 1 or not expect):
+            with pytest.raises(DisconnectedGraph):
+                Graph(indptr, indices)
+        else:
+            Graph(indptr, indices)
+        return expect
+
+    @pytest.mark.parametrize("spec", small_family_specs() + [
+        FamilySpec("path", n=4096), FamilySpec("cycle", n=4097),
+        FamilySpec("binary_tree", levels=12)], ids=lambda s: s.label())
+    def test_families(self, spec):
+        g = generate(spec, seed=11)
+        assert self.check(g.indptr, g.indices)
+
+    def test_family_grid(self):
+        from test_acceptance import family_grid
+
+        for spec in family_grid():
+            g = generate(spec, seed=11)
+            assert self.check(g.indptr, g.indices), spec.label()
+
+    @pytest.mark.parametrize("n, edges, expect", [
+        (*_two_paths(2000), False),
+        (*_two_cliques(40, joined=False), False),
+        (*_two_cliques(40, joined=True), True),
+        *[(*_random_sparse(300, m, seed), None)
+          for m in (150, 300, 600, 1200) for seed in (1, 2)],
+    ], ids=["two-paths-2000", "two-cliques", "joined-cliques",
+            *[f"random-m{m}-s{s}" for m in (150, 300, 600, 1200)
+              for s in (1, 2)]])
+    def test_edge_sets(self, n, edges, expect):
+        got = self.check(*_raw_rows(n, edges))
+        assert expect is None or got == expect
+
+    def test_path_in_random_order(self):
+        order = np.random.default_rng(5).permutation(5000)
+        edges = np.column_stack([order[:-1], order[1:]])
+        assert self.check(*_raw_rows(5000, edges))
+        assert not self.check(*_raw_rows(5000, edges[edges[:, 0] != 7]))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1], [0, 0, 2], [1]],
+        [[0, 1], [0, 1, 2], [1]],
+        [[3, 1], [0, 2], [1, 3], [0, 2]],
+        [[1, 3], [0, 2], [1, 3], [2, 4], [3, 5], [2, 4]],
+        [[1, 2], [0, 2], [1, 3], [1, 2]],
+        [[1], [2], [1]],             # 0 -> 1 only; 1 reaches 0 backwards
+        [[1], [2], [3], [0]],        # a directed cycle
+        [[1], [0], [3], [2]],        # two components
+        [[2], [2], [0]],             # 1 is reached only along its own row
+        [[1], []],                   # degree-0 row reached by a reversed row
+        [[1], [0], []],              # degree-0 row nobody reaches
+        [[], [], []],
+        [[]],                        # one vertex
+    ], ids=["repeated", "self-loops", "unsorted", "asymmetric",
+            "asymmetric-odd", "pull-only-misses", "directed-cycle",
+            "two-pairs", "own-row-only", "empty-row-reached",
+            "empty-row-alone", "all-empty", "single"])
+    def test_raw_rows(self, rows):
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        self.check(indptr, np.concatenate([np.array(r, dtype=np.int64)
+                                           for r in rows]))
