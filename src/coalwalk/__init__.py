@@ -34,13 +34,10 @@ from .chain import (
     lazy_step,
     meeting_exact,
     mixing_time,
-    mixing_time_d,
     separation_time,
     spectral,
     stationary,
     t_hit,
-    tstep_row,
-    tv_distance,
 )
 from .cli import ExperimentConfig, ScalingFit, SweepSpec, fit_scaling, parse_config, run
 from .errors import (

@@ -18,9 +18,11 @@ at most one per usable CPU. Each start's sums take the same float
 operations in the same order in any block, so the values do not depend on
 the CPU count.
 
-Only the exact solvers need scipy, so it loads inside them: scipy.sparse
-for the transition matrix, its LU solver for the sparse meeting branch, and
-scipy.spatial for the pairwise mixing distance.
+Dense matrices are filled from the graph's rows in numpy, so hitting,
+separation, spectral, bracket mixing and the dense meeting solve need no
+scipy. It loads inside the three callers that do: scipy.sparse for the CSR
+transition matrix of collision statistics and the sparse meeting branch
+(with its LU solver), and scipy.spatial for the pairwise mixing distance.
 """
 from __future__ import annotations
 
@@ -52,7 +54,8 @@ _COLLISION_GRAIN = 128
 # ---------------------------------------------------------------------------
 
 def transition_matrix(g: Graph) -> sp.csr_matrix:
-    """Sparse lazy transition matrix P (cached on the graph)."""
+    """Sparse lazy transition matrix P (cached on the graph); built from
+    the rows, not from the dense P, which costs a scan of all n^2 cells."""
     mat = g._cache.get("P")
     if mat is None:
         import scipy.sparse as sp
@@ -64,10 +67,22 @@ def transition_matrix(g: Graph) -> sp.csr_matrix:
     return mat
 
 
+def _dense_rows(g: Graph, weights) -> np.ndarray:
+    """Dense n x n matrix with ``weights`` at the row entries of g; repeats
+    add up, as in ``toarray()`` of the CSR matrix over the same rows."""
+    mat = np.zeros((g.n, g.n))
+    keys = np.repeat(np.arange(g.n) * g.n, g.degrees) + g.indices
+    np.add.at(mat.reshape(-1), keys, weights)
+    return mat
+
+
 def _dense_transition(g: Graph) -> np.ndarray:
+    """Dense lazy transition matrix P (cached on the graph), filled from
+    the rows: equal bit for bit to ``transition_matrix(g).toarray()``."""
     mat = g._cache.get("P_dense")
     if mat is None:
-        mat = transition_matrix(g).toarray()
+        mat = _dense_rows(g, 0.5 / np.repeat(g.degrees, g.degrees))
+        mat.reshape(-1)[::g.n + 1] += 0.5
         g._cache["P_dense"] = mat
     return mat
 
@@ -91,26 +106,6 @@ def lazy_step(g: Graph, dist: np.ndarray) -> np.ndarray:
     else:
         out += 0.5 * dist
     return out
-
-
-def tstep_row(g: Graph, u: int, t: int) -> np.ndarray:
-    """Distribution of the walk after t steps from a point mass at u."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    g.check_vertices((u,), "u")
-    row = np.zeros(g.n)
-    row[u] = 1.0
-    for _ in range(t):
-        row = lazy_step(g, row)
-    return row
-
-
-def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch("distributions have different lengths")
-    return 0.5 * float(np.abs(a - b).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +208,6 @@ def mixing_time(g: Graph, eps: float = INV_E,
     return MixingResult(hi, "bracket", eps, bracket=(lo, hi))
 
 
-def mixing_time_d(g: Graph, eps: float = INV_E,
-                  max_steps: int = 10 ** 8) -> int:
-    """First t with max_u TV(p_u^t, pi) <= eps (the one-sided variant)."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    if g.n == 1:
-        return 0
-    pi = stationary(g)
-    return _first_time(g, lambda rows: _dmax(rows, pi) <= eps, max_steps,
-                       "mixing_time_d")
-
-
 def separation_time(g: Graph, eps: float = INV_E,
                     max_steps: int = 10 ** 8) -> int:
     """First t with p^t(u, v) >= (1 - eps) pi(v) for every pair."""
@@ -263,7 +246,7 @@ def spectral(g: Graph) -> SpectralSummary:
         return SpectralSummary(0.0, 1.0, "dense", 0.0)
     dinv = 1.0 / np.sqrt(g.degrees)
     sym = 0.5 * np.eye(g.n) + 0.5 * (
-        dinv[:, None] * g.adjacency().toarray() * dinv[None, :])
+        dinv[:, None] * _dense_rows(g, 1.0) * dinv[None, :])
     eigs = np.linalg.eigvalsh(sym)
     lam2 = float(eigs[-2])
     lam2 = min(max(lam2, 0.0), 1.0)

@@ -11,8 +11,10 @@ processes sharing a trial seed see identical per-(step, id) moves.
 Every simulation reads those uniforms through ``philox_uniforms``, a
 pure-numpy Philox4x64-10 that evaluates a whole (trial, step) block in one
 call for ids 0..count-1, or through ``philox_uniforms_ragged``, the same
-rounds with an id list of its own per trial. ``step_uniforms`` is the
-reference both are tested against.
+rounds with an id list of its own per trial. The tests hold both, bit for
+bit, to the reference: a fresh ``np.random.Philox`` keyed by
+``mix64(seed)`` at counter ``[0, 0, 0, step]``, whose first ``count``
+doubles are the uniforms of walk ids 0..count-1.
 """
 from __future__ import annotations
 
@@ -38,18 +40,6 @@ def mix64(*parts: int) -> int:
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
     return mix64(master_seed, trial_index)
-
-
-def step_uniforms(seed: int, step: int, count: int) -> np.ndarray:
-    """Uniforms for walk ids 0..count-1 at one step of one trial.
-
-    Reference implementation: a fresh Philox stream keyed by the trial
-    seed, with the step index in the top counter word so each step owns a
-    disjoint 2**192-block range. ``philox_uniforms`` produces identical
-    values without constructing a generator per step.
-    """
-    bg = np.random.Philox(key=mix64(seed), counter=[0, 0, 0, step])
-    return np.random.Generator(bg).random(count)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -96,11 +86,11 @@ def _philox_words(key0: np.ndarray, c0: np.ndarray,
 
 
 def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
-    """``step_uniforms`` for every (trial, step) pair in one call.
+    """Uniforms of ids 0..count-1 at every (trial, step) pair, one call.
 
-    With ``keys = philox_keys(seeds)``, ``out[i, j]`` equals
-    ``step_uniforms(seeds[i], steps[j], count)`` bit for bit: Philox4x64-10
-    with key ``[mix64(seed), 0]`` on counters ``[block + 1, 0, 0, step]``,
+    With ``keys = philox_keys(seeds)``, ``out[i, j]`` holds those of trial
+    seed ``seeds[i]`` at step ``steps[j]``: Philox4x64-10 with key
+    ``[mix64(seed), 0]`` on counters ``[block + 1, 0, 0, step]``,
     four 64-bit words per block, each word ``w`` giving the double
     ``(w >> 11) * 2**-53``. The rounds run on broadcast uint64 arrays of
     shape (len(keys), len(steps), blocks).
@@ -133,7 +123,7 @@ def philox_uniforms_ragged(keys: np.ndarray, steps, ids) -> np.ndarray:
 
 
 class StepStream:
-    """``step_uniforms`` of one trial, one step at a time. No simulation
+    """``philox_uniforms`` of one trial, one step at a time. No simulation
     reads it: it stays only while the benchmark tracer
     (``perfbench/tracing.py``) wraps ``StepStream.uniforms`` by name."""
 

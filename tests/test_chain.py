@@ -8,7 +8,7 @@ from coalwalk import chain
 from coalwalk.errors import (BudgetExceeded, InvalidSpec, LengthMismatch,
                              TooLarge)
 from coalwalk.graphs import FamilySpec, generate
-from conftest import small_family_specs
+from conftest import RAW_ROWS, row_arrays, small_family_specs, unchecked_graph
 
 INV_E = 1.0 / math.e
 
@@ -62,16 +62,12 @@ class TestStationaryAndSteps:
 
     def test_cycle4_one_step(self):
         c4 = generate(FamilySpec("cycle", n=4))
-        assert np.allclose(chain.tstep_row(c4, 0, 1), [0.5, 0.25, 0.0, 0.25])
+        step = chain.lazy_step(c4, [1.0, 0.0, 0.0, 0.0])
+        assert np.allclose(step, [0.5, 0.25, 0.0, 0.25])
 
-    def test_t0_point_mass(self, cycle8):
-        row = chain.tstep_row(cycle8, 3, 0)
-        assert row[3] == 1.0 and row.sum() == 1.0
-
-    @pytest.mark.parametrize("u", [-1, 8])
-    def test_tstep_row_rejects_start_outside(self, cycle8, u):
-        with pytest.raises(InvalidSpec):
-            chain.tstep_row(cycle8, u, 1)
+    def test_lazy_step_rejects_wrong_length(self, cycle8):
+        with pytest.raises(LengthMismatch):
+            chain.lazy_step(cycle8, [0.5, 0.5])
 
     def test_reversibility(self, small_graph):
         g = small_graph
@@ -92,18 +88,16 @@ class TestStationaryAndSteps:
 
 
 class TestTV:
+    """chain._dmax, the worst distance to pi, on single rows."""
+
     def test_identical(self):
-        assert chain.tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert chain._dmax(np.array([[0.5, 0.5]]), np.array([0.5, 0.5])) == 0.0
 
     def test_disjoint_point_masses(self):
-        assert chain.tv_distance([1, 0], [0, 1]) == 1.0
+        assert chain._dmax(np.array([[1.0, 0.0]]), np.array([0.0, 1.0])) == 1.0
 
     def test_half(self):
-        assert chain.tv_distance([1, 0], [0.5, 0.5]) == 0.5
-
-    def test_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            chain.tv_distance([1.0], [0.5, 0.5])
+        assert chain._dmax(np.array([[1.0, 0.0]]), np.array([0.5, 0.5])) == 0.5
 
 
 class TestMixingSeparation:
@@ -155,12 +149,17 @@ class TestMixingSeparation:
         assert chain.separation_time(small_graph) <= 4 * t_mix
 
     def test_mixing_time_d_below_pairwise(self, cycle8):
-        assert chain.mixing_time_d(cycle8) <= chain.mixing_time(cycle8).value
+        pi = chain.stationary(cycle8)
+        t_d = chain._first_time(
+            cycle8, lambda rows: chain._dmax(rows, pi) <= INV_E, 10 ** 8, "d")
+        assert t_d <= chain.mixing_time(cycle8).value
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
-    def test_mixing_time_d_rejects_eps_outside(self, cycle8, eps):
+    def test_rejects_eps_outside(self, cycle8, eps):
         with pytest.raises(ValueError):
-            chain.mixing_time_d(cycle8, eps=eps)
+            chain.mixing_time(cycle8, eps=eps)
+        with pytest.raises(ValueError):
+            chain.separation_time(cycle8, eps=eps)
 
     def test_cycle_mixing_scales_quadratically(self):
         from coalwalk.cli import fit_scaling
@@ -227,11 +226,14 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
     pi = chain.stationary(g)
     for eps in (0.5, INV_E, 0.1):
         floor = (1.0 - eps) * pi
+
+        def d_ok(rows):
+            return chain._dmax(rows, pi) <= eps
+
         searches = {
             "pairwise": (lambda rows: chain._dbar(rows) <= eps,
                          lambda m: chain.mixing_time(g, eps, max_steps=m)),
-            "d": (lambda rows: chain._dmax(rows, pi) <= eps,
-                  lambda m: chain.mixing_time_d(g, eps, max_steps=m)),
+            "d": (d_ok, lambda m: chain._first_time(g, d_ok, m, "d")),
             "separation": (lambda rows: bool(np.all(rows >= floor - 1e-15)),
                            lambda m: chain.separation_time(g, eps,
                                                            max_steps=m)),
@@ -262,6 +264,36 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
                 g, lambda rows: chain._dmax(rows, pi) <= eps, hi)
             assert (got.value, got.method, got.bracket) == (
                 hi, "bracket", (lo, hi)), (eps, m)
+
+
+def oracle_graphs(source):
+    if source == "raw_rows":
+        return {name: unchecked_graph(*row_arrays(rows))
+                for name, rows in RAW_ROWS.items()}
+    from test_acceptance import family_grid
+
+    specs = small_family_specs() if source == "small" else family_grid()
+    return {s.label(): generate(s, seed=11) for s in specs}
+
+
+@pytest.mark.parametrize("source", ["small", "family_grid", "raw_rows"])
+def test_dense_fills_match_csr_route(source):
+    """P and the spectral transform, filled from the rows in numpy, against
+    the CSR matrices they were once read from, bit for bit."""
+    import scipy.sparse as sp
+
+    for name, g in oracle_graphs(source).items():
+        P = chain.transition_matrix(g).toarray()
+        assert chain._dense_transition(g).tobytes() == P.tobytes(), name
+        if g.n == 1 or g.deg_min == 0:
+            continue  # D^{-1/2} needs every degree positive
+        adj = sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
+                            shape=(g.n, g.n))
+        dinv = 1.0 / np.sqrt(g.degrees)
+        sym = 0.5 * np.eye(g.n) + 0.5 * (
+            dinv[:, None] * adj.toarray() * dinv[None, :])
+        lam2 = min(max(float(np.linalg.eigvalsh(sym)[-2]), 0.0), 1.0)
+        assert chain.spectral(g).lambda2 == lam2, name
 
 
 class TestSpectral:

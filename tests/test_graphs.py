@@ -21,7 +21,7 @@ from coalwalk.graphs import (
     subgraph,
     validate,
 )
-from conftest import small_family_specs
+from conftest import RAW_ROWS, row_arrays, small_family_specs, unchecked_graph
 
 
 def bfs_reaches_all(g):
@@ -215,22 +215,21 @@ class TestValidate:
     def test_odd_cycle_not_bipartite(self):
         assert not validate(generate(FamilySpec("cycle", n=9))).bipartite
 
-    @pytest.mark.parametrize("rows, flags", [
-        # neighbour rows -> (connected, bipartite, symmetric, simple)
-        ([[1, 1], [0, 0, 2], [1]], (True, True, True, False)),
-        ([[0, 1], [0, 1, 2], [1]], (True, False, True, False)),
-        ([[3, 1], [0, 2], [1, 3], [0, 2]], (True, True, True, False)),
-        ([[1, 3], [0, 2], [1, 3], [2, 4], [3, 5], [2, 4]],
-         (True, True, False, True)),
-        ([[1, 2], [0, 2], [1, 3], [1, 2]], (True, False, False, True)),
-    ], ids=["repeated", "self-loops", "unsorted", "asymmetric",
-            "asymmetric-odd"])
-    def test_flags_of_raw_rows(self, rows, flags):
+    # RAW_ROWS case -> (connected, bipartite, symmetric, simple)
+    RAW_FLAGS = {
+        "repeated": (True, True, True, False),
+        "self-loops": (True, False, True, False),
+        "unsorted": (True, True, True, False),
+        "asymmetric": (True, True, False, True),
+        "asymmetric-odd": (True, False, False, True),
+    }
+
+    @pytest.mark.parametrize("name", list(RAW_FLAGS))
+    def test_flags_of_raw_rows(self, name):
         """Rows given straight to Graph(indptr, indices), past from_edges."""
-        g = Graph(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
-        report = validate(g)
+        report = validate(Graph(*row_arrays(RAW_ROWS[name])))
         assert (report.connected, report.bipartite, report.symmetric,
-                report.simple) == flags
+                report.simple) == self.RAW_FLAGS[name]
         assert not report.ok
 
     @pytest.mark.parametrize("spec", small_family_specs() + [
@@ -271,10 +270,10 @@ def test_from_edges_rejects_out_of_range():
 def test_pickle_round_trip_skips_validation(monkeypatch):
     import pickle
 
-    from coalwalk import graphs
+    from coalwalk import chain, graphs
 
     g = generate(FamilySpec("lower_bound", n=64, alpha=1.0), seed=3)
-    g.adjacency()  # fill the cache; it must not travel
+    chain.transition_matrix(g)  # fill the cache; it must not travel
     data = pickle.dumps(g)
 
     def fail(_):
@@ -339,20 +338,27 @@ class TestConnectivity:
     @staticmethod
     def check(indptr, indices):
         import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.csgraph import connected_components, shortest_path
 
         from coalwalk import graphs
 
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        n = indptr.size - 1
+        raw = unchecked_graph(indptr, indices)
+        n, indptr, indices = raw.n, raw.indptr, raw.indices
         adj = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                             shape=(n, n))
         expect = connected_components(adj, directed=False)[0] == 1
-        raw = Graph.__new__(Graph)
-        raw.__setstate__({"indptr": indptr, "indices": indices, "meta": None})
         assert graphs._is_connected(raw) == expect
-        assert validate(raw).connected == expect
+        report = validate(raw)
+        assert report.connected == expect
+        assert report.symmetric == ((adj != adj.T).nnz == 0)
+        if expect:  # bipartite iff a BFS two-colouring, both ways, is proper
+            depth = shortest_path(adj, directed=False, unweighted=True,
+                                  indices=0) % 2
+            src = np.repeat(np.arange(n), raw.degrees)
+            assert report.bipartite == bool(
+                np.all(depth[src] != depth[indices]))
+        else:
+            assert not report.bipartite
         if n > 1 and (raw.deg_min < 1 or not expect):
             with pytest.raises(DisconnectedGraph):
                 Graph(indptr, indices)
@@ -393,25 +399,6 @@ class TestConnectivity:
         assert self.check(*_raw_rows(5000, edges))
         assert not self.check(*_raw_rows(5000, edges[edges[:, 0] != 7]))
 
-    @pytest.mark.parametrize("rows", [
-        [[1, 1], [0, 0, 2], [1]],
-        [[0, 1], [0, 1, 2], [1]],
-        [[3, 1], [0, 2], [1, 3], [0, 2]],
-        [[1, 3], [0, 2], [1, 3], [2, 4], [3, 5], [2, 4]],
-        [[1, 2], [0, 2], [1, 3], [1, 2]],
-        [[1], [2], [1]],             # 0 -> 1 only; 1 reaches 0 backwards
-        [[1], [2], [3], [0]],        # a directed cycle
-        [[1], [0], [3], [2]],        # two components
-        [[2], [2], [0]],             # 1 is reached only along its own row
-        [[1], []],                   # degree-0 row reached by a reversed row
-        [[1], [0], []],              # degree-0 row nobody reaches
-        [[], [], []],
-        [[]],                        # one vertex
-    ], ids=["repeated", "self-loops", "unsorted", "asymmetric",
-            "asymmetric-odd", "pull-only-misses", "directed-cycle",
-            "two-pairs", "own-row-only", "empty-row-reached",
-            "empty-row-alone", "all-empty", "single"])
-    def test_raw_rows(self, rows):
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        self.check(indptr, np.concatenate([np.array(r, dtype=np.int64)
-                                           for r in rows]))
+    @pytest.mark.parametrize("name", list(RAW_ROWS))
+    def test_raw_rows(self, name):
+        self.check(*row_arrays(RAW_ROWS[name]))

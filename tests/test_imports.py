@@ -1,5 +1,6 @@
-"""The Monte Carlo path runs on numpy alone; scipy loads at the first
-exact solve."""
+"""The Monte Carlo path, graph validation and the dense exact solvers run
+on numpy alone; scipy loads for pairwise mixing and the sparse meeting
+branch."""
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import coalwalk
 from coalwalk import chain
-from coalwalk.graphs import FamilySpec, generate
+from coalwalk.graphs import (FamilySpec, generate, lower_bound_graph,
+                             lower_bound_report)
 
 CHILD = """
 import contextlib, io, json, runpy, sys
@@ -39,10 +41,20 @@ for argv in (["gen", "--family", "torus", "--dim", "3", "--side", "4"],
         except SystemExit as done:
             assert done.code == 0, done.code
 monte_carlo = loaded()
+lb, tree = gs[2], graphs.generate(graphs.FamilySpec("binary_tree", levels=9))
+numpy_only = {"lambda2": chain.spectral(lb).lambda2.hex(),
+              "ok": graphs.validate(lb).ok,
+              "g2_lambda2": graphs.lower_bound_report(lb)["g2_lambda2"].hex(),
+              "t_hit": chain.t_hit(tree).hex(),
+              "t_sep": chain.separation_time(tree),
+              "bracket": chain.mixing_time(tree).bracket}
+dense = chain.meeting_exact(gs[0])
+numpy_only["dense"] = [dense.method, dense.t_meet.hex()]
+dense_exact = loaded()
 mix = chain.mixing_time(gs[0]).value
-dense, sparse = chain.meeting_exact(gs[0]), chain.meeting_exact(gs[1])
-print(json.dumps({"monte_carlo": monte_carlo, "exact": loaded(), "mix": mix,
-                  "dense": [dense.method, dense.t_meet.hex()],
+sparse = chain.meeting_exact(gs[1])
+print(json.dumps({"monte_carlo": monte_carlo, "dense_exact": dense_exact,
+                  "exact": loaded(), "numpy_only": numpy_only, "mix": mix,
                   "sparse": [sparse.method, sparse.t_meet.hex()]}))
 """
 
@@ -56,10 +68,20 @@ def test_monte_carlo_path_loads_no_scipy():
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["monte_carlo"] == []
+    assert out["dense_exact"] == []
     assert "scipy.sparse" in out["exact"]
     assert not any(m.startswith("multiprocessing") for m in out["exact"])
     cycle = generate(FamilySpec("cycle", n=16))
     torus = generate(FamilySpec("torus", dim=3, side=4))
+    lb = lower_bound_graph(64, 1.0, seed=3)
+    tree = generate(FamilySpec("binary_tree", levels=9))
+    assert out["numpy_only"] == {
+        "lambda2": chain.spectral(lb).lambda2.hex(),
+        "ok": True,
+        "g2_lambda2": lower_bound_report(lb)["g2_lambda2"].hex(),
+        "t_hit": chain.t_hit(tree).hex(),
+        "t_sep": chain.separation_time(tree),
+        "bracket": list(chain.mixing_time(tree).bracket),
+        "dense": ["dense", chain.meeting_exact(cycle).t_meet.hex()]}
     assert out["mix"] == chain.mixing_time(cycle).value
-    assert out["dense"] == ["dense", chain.meeting_exact(cycle).t_meet.hex()]
     assert out["sparse"] == ["sparse", chain.meeting_exact(torus).t_meet.hex()]

@@ -7,8 +7,8 @@ from coalwalk.seeding import (
     philox_keys,
     philox_uniforms,
     philox_uniforms_ragged,
-    step_uniforms,
 )
+from philox_reference import step_uniforms
 
 SEEDS = [0, 1, 2**63 + 17, 2**64 - 1]
 STEPS = [1, 2, 2**32, 2**63]

@@ -7,7 +7,7 @@ from coalwalk import chain, simulate
 from coalwalk.errors import (AllCensored, BudgetExceeded, InvalidIds,
                              InvalidSpec)
 from coalwalk.graphs import FamilySpec, Graph, generate
-from coalwalk.seeding import generator, mix64, step_uniforms, trial_seed
+from coalwalk.seeding import generator, mix64, trial_seed
 from coalwalk.simulate import (
     Estimate,
     _coalesce_batch,
@@ -22,6 +22,7 @@ from coalwalk.simulate import (
     simulate_meeting,
     simulate_voter,
 )
+from philox_reference import step_uniforms
 
 
 @pytest.fixture(scope="module")
