@@ -11,7 +11,8 @@ processes sharing a trial seed see identical per-(step, id) moves.
 Every simulation reads those uniforms through ``philox_uniforms``, a
 pure-numpy Philox4x64-10 that evaluates a whole (trial, step) block in one
 call for ids 0..count-1, or through ``philox_uniforms_ragged``, the same
-rounds with an id list of its own per trial. The tests hold both, bit for
+rounds with an id list of its own per trial. A call for at most two ids
+stops the last round at the two words it reads. The tests hold both, bit for
 bit, to the reference: a fresh ``np.random.Philox`` keyed by
 ``mix64(seed)`` at counter ``[0, 0, 0, step]``, whose first ``count``
 doubles are the uniforms of walk ids 0..count-1.
@@ -69,18 +70,22 @@ def philox_keys(seeds) -> np.ndarray:
     return np.array([mix64(s) for s in seeds], dtype=np.uint64)
 
 
-def _philox_words(key0: np.ndarray, c0: np.ndarray,
-                  c3: np.ndarray) -> np.ndarray:
+def _philox_words(key0: np.ndarray, c0: np.ndarray, c3: np.ndarray,
+                  width: int = 4) -> np.ndarray:
     """Philox4x64-10 with key ``[key0, 0]`` on counters ``[c0, 0, 0, c3]``
-    (broadcast uint64), its four output words on a last axis."""
+    (broadcast uint64), its first ``width`` (2 or 4) output words on a last
+    axis. Words 0 and 1 do not read the last round's c0 product, so at
+    width 2 that round skips it."""
     key1 = 0
     c1 = c2 = np.zeros(1, dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             key0 = key0 + np.uint64(_PHILOX_W[0])
             key1 = (key1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        if width == 2 and r == _PHILOX_ROUNDS - 1:
+            return np.stack(np.broadcast_arrays(hi1 ^ c1 ^ key0, lo1), axis=-1)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
     return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
 
@@ -98,9 +103,10 @@ def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
     key0 = np.asarray(keys, dtype=np.uint64)[:, None, None]
     steps = np.asarray(steps, dtype=np.uint64)
     blocks = (count + 3) // 4
+    width = 2 if count <= 2 else 4  # words read of each block
     words = _philox_words(key0, np.arange(1, blocks + 1, dtype=np.uint64),
-                          steps[None, :, None])
-    words = words.reshape(key0.shape[0], steps.size, 4 * blocks)
+                          steps[None, :, None], width)
+    words = words.reshape(key0.shape[0], steps.size, width * blocks)
     return (words[..., :count] >> np.uint64(11)) * 2.0 ** -53
 
 

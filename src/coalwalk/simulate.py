@@ -17,7 +17,8 @@ still alive in each live trial, and a paired run is two such batches over
 the same seeds. A sample does not depend on its batch or its rows. The
 voter checks consensus once per row of steps, which is exact because
 consensus is absorbing.
-The scalar kernels and the numpy ``_lazy_moves`` share one rank arithmetic.
+The scalar kernels take the lazy step of the numpy ``_lazy_moves`` one walk
+at a time, from one cached (degree, neighbours) tuple per vertex.
 """
 from __future__ import annotations
 
@@ -71,12 +72,12 @@ def _step_cap(g: Graph, cap: int | None) -> int:
     return cap
 
 
-def _adjacency_lists(g: Graph) -> list[list[int]]:
+def _adjacency_lists(g: Graph) -> list[tuple[float, list[int]]]:
+    """``(float(deg), neighbours)`` of every vertex, cached on the graph."""
     lists = g._cache.get("adj_lists")
     if lists is None:
-        idx = g.indices.tolist()
-        ptr = g.indptr.tolist()
-        lists = [idx[ptr[u]:ptr[u + 1]] for u in range(g.n)]
+        idx, ptr = g.indices.tolist(), g.indptr.tolist()
+        lists = [(float(b - a), idx[a:b]) for a, b in zip(ptr, ptr[1:])]
         g._cache["adj_lists"] = lists
     return lists
 
@@ -85,13 +86,12 @@ def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
     """Vertices of walks at ``pos`` after one lazy step on ``uniforms``.
 
     With r = (u - 0.5) * 2.0 a walk stays when r < 0 and else moves to
-    neighbor rank int(r * deg) of its vertex, or the last neighbor should
-    rounding reach deg. ``pos`` broadcasts against ``uniforms``; a staying
-    walk's rank is clipped to 0 only to keep its unused index in range.
+    neighbor rank int(r * deg) of its vertex; r <= 1 - 2**-52, so the rank
+    stays below deg. ``pos`` broadcasts against ``uniforms``; a staying
+    walk's rank is raised to 0 only to keep its unused index in range.
     """
     residual = (uniforms - 0.5) * 2.0
-    degs = g.degrees[pos]
-    ranks = np.clip((residual * degs).astype(np.int64), 0, degs - 1)
+    ranks = np.maximum((residual * g.degrees[pos]).astype(np.int64), 0)
     return np.where(residual >= 0.0, g.indices[g.indptr[pos] + ranks], pos)
 
 
@@ -145,20 +145,18 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
                 live.append((i, int(u), int(v)))
         for steps in _rows(cap, lambda: len(live)):
             uniforms = philox_uniforms(keys[[i for i, _, _ in live]], steps, 2)
-            # the rank arithmetic of _lazy_moves, one walk at a time
+            # the lazy step of _lazy_moves, one walk at a time
             residual = (uniforms - 0.5) * 2.0
             still = []
             for (i, x, y), row_x, row_y in zip(live, residual[:, :, 0].tolist(),
                                                residual[:, :, 1].tolist()):
                 for t, a, b in zip(steps, row_x, row_y):
                     if a >= 0.0:
-                        nbrs = adj[x]
-                        rank = int(a * len(nbrs))
-                        x = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+                        deg, nbrs = adj[x]
+                        x = nbrs[int(a * deg)]
                     if b >= 0.0:
-                        nbrs = adj[y]
-                        rank = int(b * len(nbrs))
-                        y = nbrs[rank] if rank < len(nbrs) else nbrs[-1]
+                        deg, nbrs = adj[y]
+                        y = nbrs[int(b * deg)]
                     if x == y:
                         samples[i] = SimSample(t, False, seeds[i])
                         break
@@ -243,10 +241,8 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                     for j, c in enumerate(cols):
                         a = row[c]
                         if a >= 0.0:
-                            nbrs = adj[pos[j]]
-                            rank = int(a * len(nbrs))
-                            pos[j] = (nbrs[rank] if rank < len(nbrs)
-                                      else nbrs[-1])
+                            deg, nbrs = adj[pos[j]]
+                            pos[j] = nbrs[int(a * deg)]
                     merged = len(set(pos)) < len(pos)
                     if merged:
                         keep = _survivors(ids, pos, immortal)
@@ -376,6 +372,8 @@ _KINDS = ("meeting", "coalescence", "voter", "immortal")
 
 def _meeting_starts(g: Graph, params: dict, seeds) -> list:
     if params.get("stationary"):
+        if g.n == 1:  # pi is the point mass at 0; the weights would be 0/0
+            return [(0, 0)] * len(seeds)
         # starts drawn from pi per trial; independent of the step stream
         weights = g.degrees / (2.0 * g.m)
         return [generator(s, 1).choice(g.n, size=2, p=weights) for s in seeds]

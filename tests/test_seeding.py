@@ -3,6 +3,7 @@ import pytest
 
 from coalwalk.seeding import (
     StepStream,
+    _philox_words,
     mix64,
     philox_keys,
     philox_uniforms,
@@ -49,6 +50,17 @@ def test_philox_ragged_matches_step_uniforms(seeds, ids):
         want = [step_uniforms(s, step, max(i) + 1)[list(i)]
                 for s, i in zip(seeds, ids)]
         assert np.array_equal(out[j], np.concatenate(want))
+
+
+@pytest.mark.parametrize("n_keys,n_steps", [(1, 5), (4, 1), (4, 4)],
+                         ids=["one-key", "one-step", "both"])
+def test_philox_words_width_two_is_first_two_words(n_keys, n_steps):
+    key0 = philox_keys(SEEDS[:n_keys])[:, None, None]
+    c0 = np.arange(1, 4, dtype=np.uint64)
+    c3 = np.array((STEPS + [3])[:n_steps], dtype=np.uint64)[None, :, None]
+    two = _philox_words(key0, c0, c3, 2)
+    assert two.shape == (n_keys, n_steps, 3, 2)
+    assert np.array_equal(two, _philox_words(key0, c0, c3)[..., :2])
 
 
 def test_philox_keys_are_mix64():

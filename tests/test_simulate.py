@@ -10,6 +10,7 @@ from coalwalk.graphs import FamilySpec, Graph, generate
 from coalwalk.seeding import generator, mix64, trial_seed
 from coalwalk.simulate import (
     Estimate,
+    _adjacency_lists,
     _coalesce_batch,
     _meeting_batch,
     _voter_batch,
@@ -22,6 +23,8 @@ from coalwalk.simulate import (
     simulate_meeting,
     simulate_voter,
 )
+from conftest import (RAW_ROWS, row_arrays, small_family_specs,
+                      unchecked_graph)
 from philox_reference import step_uniforms
 
 
@@ -395,6 +398,50 @@ def test_meeting_batch_matches_reference_loop():
     assert [(s.value, s.censored) for s in samples] == want
     assert [s.seed for s in samples] == seeds
     assert any(c for _, c in want) and any(v == 0 for v, _ in want)
+
+
+@pytest.mark.parametrize("spec, trials", [
+    (FamilySpec("star", n=1025), 40),
+    (FamilySpec("clique", n=24), 60),
+], ids=["star-1025", "clique-24"])
+def test_meeting_batch_high_degree_matches_reference_loop(spec, trials):
+    # the star's hub has degree 1024; on a clique every rank leads to a
+    # distinct vertex
+    g = generate(spec, seed=11)
+    seeds = [mix64(31, i) for i in range(trials)]
+    starts = [generator(s, 1).choice(g.n, size=2) for s in seeds]
+    samples = _meeting_batch(g, starts, seeds, cap=200)
+    assert [(s.value, s.censored) for s in samples] == [
+        _reference_meeting(g, u, v, s, 200) for (u, v), s in zip(starts, seeds)]
+
+
+def test_largest_uniform_rank_stays_below_degree():
+    """The largest uniform, ((2**64 - 1) >> 11) * 2**-53, leaves a residual
+    of 1 - 2**-52, and int(r * d) < d for it at every degree d: the lazy
+    step needs no clip at deg - 1."""
+    top = (np.uint64(2**64 - 1) >> np.uint64(11)) * 2.0 ** -53
+    r = float((top - 0.5) * 2.0)
+    assert r == 1.0 - 2.0 ** -52
+    powers = [2**k + e for k in range(53) for e in (-1, 0, 1) if 2**k + e]
+    degs = [*range(1, 2**20 + 1), *powers]
+    assert ((r * np.array(degs)).astype(np.int64) < degs).all()
+    assert all(int(r * d) < d for d in degs)
+
+
+@pytest.mark.parametrize("g", [
+    *(generate(spec, seed=11) for spec in small_family_specs()),
+    *(unchecked_graph(*row_arrays(rows)) for rows in RAW_ROWS.values()),
+], ids=[*(s.label() for s in small_family_specs()), *RAW_ROWS])
+def test_adjacency_lists_hold_degree_and_neighbours(g):
+    assert _adjacency_lists(g) == [
+        (float(g.degrees[u]), g.neighbors(u).tolist()) for u in range(g.n)]
+
+
+def test_stationary_meeting_single_vertex():
+    # pi is the point mass at vertex 0: both walks start there and meet at 0
+    g = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
+    est = estimate("meeting", g, {"stationary": True}, 4, 1)
+    assert (est.mean, est.stderr, est.censored_count) == (0.0, 0.0, 0)
 
 
 def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
