@@ -52,8 +52,8 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product ``m * x``.
+def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
+    """High word of the 128-bit product ``m * x``.
 
     numpy has no 64x64->128 multiply, so the high word is assembled from
     32-bit halves; no partial sum exceeds 64 bits.
@@ -62,7 +62,12 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
     t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
     u = x_lo * m_hi + (t & _LO32)
-    return x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32), x * np.uint64(m)
+    return x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product ``m * x``."""
+    return _mulhi(m, x), x * np.uint64(m)
 
 
 def philox_keys(seeds) -> np.ndarray:
@@ -74,14 +79,19 @@ def _philox_words(key0: np.ndarray, c0: np.ndarray, c3: np.ndarray,
                   width: int = 4) -> np.ndarray:
     """Philox4x64-10 with key ``[key0, 0]`` on counters ``[c0, 0, 0, c3]``
     (broadcast uint64), its first ``width`` (2 or 4) output words on a last
-    axis. Words 0 and 1 do not read the last round's c0 product, so at
-    width 2 that round skips it."""
+    axis. Words 0 and 1 read only c1 and c2 of the round before the last
+    and not the last round's c0 product, so at width 2 those two rounds
+    skip the products they would not use."""
     key1 = 0
     c1 = c2 = np.zeros(1, dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             key0 = key0 + np.uint64(_PHILOX_W[0])
             key1 = (key1 + _PHILOX_W[1]) & _MASK64
+        if width == 2 and r == _PHILOX_ROUNDS - 2:
+            c1, c2 = (c2 * np.uint64(_PHILOX_M[1]),
+                      _mulhi(_PHILOX_M[0], c0) ^ c3 ^ np.uint64(key1))
+            continue
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         if width == 2 and r == _PHILOX_ROUNDS - 1:
             return np.stack(np.broadcast_arrays(hi1 ^ c1 ^ key0, lo1), axis=-1)

@@ -18,7 +18,10 @@ the same seeds. A sample does not depend on its batch or its rows. The
 voter checks consensus once per row of steps, which is exact because
 consensus is absorbing.
 The scalar kernels take the lazy step of the numpy ``_lazy_moves`` one walk
-at a time, from one cached (degree, neighbours) tuple per vertex.
+at a time with no float math: numpy turns each row's uniforms into cells of
+the residual grid, on which every degree's neighbour rank is constant, and a
+walk moves by two list lookups in tables cached on the graph
+(``_move_tables``).
 """
 from __future__ import annotations
 
@@ -72,14 +75,60 @@ def _step_cap(g: Graph, cap: int | None) -> int:
     return cap
 
 
-def _adjacency_lists(g: Graph) -> list[tuple[float, list[int]]]:
-    """``(float(deg), neighbours)`` of every vertex, cached on the graph."""
-    lists = g._cache.get("adj_lists")
-    if lists is None:
+def _cuts_of(d: int) -> np.ndarray:
+    """The residuals a = j * 2**-52 at which int(a * d) steps up to 1..d-1.
+
+    Rank k's cut is j = (k << 52) // d or j + 1: j * d * 2**-52 <= k
+    exactly, but the float product may round up to k; at j - 1 it stays
+    more than d * 2**-52 below k, which is more than half a unit in the
+    last place of k, since k < d.
+    """
+    k = np.arange(1, d)
+    j = np.array([(r << 52) // d for r in range(1, d)], dtype=np.int64)
+    j += (j * 2.0 ** -52 * d).astype(np.int64) < k
+    return j * 2.0 ** -52
+
+
+def _move_tables(g: Graph) -> tuple[np.ndarray, list[list[int]],
+                                    list[list[int]]]:
+    """``(cuts, rank_of, moves)`` of the scalar lazy step, cached on the graph.
+
+    A moving walk's residual a = (u - 0.5) * 2.0 lies on the grid
+    j * 2**-52, 0 <= j < 2**52, and picks neighbour rank int(a * deg).
+    ``cuts`` is the sorted union, over the distinct degrees d, of the grid
+    points at which int(a * d) steps up, so every degree's rank is constant
+    on each cell q = searchsorted(cuts, a, "right"). ``rank_of[x]``, one
+    list shared by all vertices of x's degree, holds that rank at index q,
+    and the degree itself at the last index, the stay cell (a < 0).
+    ``moves[x]`` lists x's neighbours, then x, so a walk at x in cell q
+    steps to ``moves[x][rank_of[x][q]]``.
+
+    The rank lists hold D * (len(cuts) + 2) entries for D distinct degrees,
+    and len(cuts) <= sum(d - 1) over them.
+    """
+    tables = g._cache.get("move_tables")
+    if tables is None:
+        degrees = np.unique(g.degrees).tolist()
+        cuts = np.unique(np.concatenate([_cuts_of(d) for d in degrees]))
+        starts = np.concatenate(([0.0], cuts))  # each cell's first residual
+        ranks = {d: [*(starts * d).astype(np.int64).tolist(), d]
+                 for d in degrees}
         idx, ptr = g.indices.tolist(), g.indptr.tolist()
-        lists = [(float(b - a), idx[a:b]) for a, b in zip(ptr, ptr[1:])]
-        g._cache["adj_lists"] = lists
-    return lists
+        moves = [idx[a:b] + [x] for x, (a, b) in enumerate(zip(ptr, ptr[1:]))]
+        tables = (cuts, [ranks[d] for d in g.degrees.tolist()], moves)
+        g._cache["move_tables"] = tables
+    return tables
+
+
+def _cells(cuts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The move-table cell of each uniform u: -1, the stay cell, at u < 0.5,
+    else searchsorted(cuts, a, "right") of its residual a = (u - 0.5) * 2.0.
+
+    Both u = (1 + a) / 2 and each (1 + c) / 2 of a cut c are exact doubles,
+    so u >= (1 + c) / 2 exactly when a >= c.
+    """
+    bounds = np.concatenate(([0.5], 0.5 + 0.5 * cuts))
+    return np.searchsorted(bounds, uniforms, "right") - 1
 
 
 def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
@@ -131,7 +180,7 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
     ``seeds[i]``, so its sample does not depend on the rest of the batch.
     """
     cap = _step_cap(g, cap)
-    adj = _adjacency_lists(g)
+    cuts, rank_of, moves = _move_tables(g)
     keys = philox_keys(seeds)
     samples: list[SimSample | None] = [None] * len(seeds)
     chunk = _trial_chunk(1)  # two walks: one block of four ids per step
@@ -144,19 +193,14 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
             else:
                 live.append((i, int(u), int(v)))
         for steps in _rows(cap, lambda: len(live)):
-            uniforms = philox_uniforms(keys[[i for i, _, _ in live]], steps, 2)
-            # the lazy step of _lazy_moves, one walk at a time
-            residual = (uniforms - 0.5) * 2.0
+            cells = _cells(cuts, philox_uniforms(
+                keys[[i for i, _, _ in live]], steps, 2))
             still = []
-            for (i, x, y), row_x, row_y in zip(live, residual[:, :, 0].tolist(),
-                                               residual[:, :, 1].tolist()):
-                for t, a, b in zip(steps, row_x, row_y):
-                    if a >= 0.0:
-                        deg, nbrs = adj[x]
-                        x = nbrs[int(a * deg)]
-                    if b >= 0.0:
-                        deg, nbrs = adj[y]
-                        y = nbrs[int(b * deg)]
+            for (i, x, y), row_x, row_y in zip(live, cells[:, :, 0].tolist(),
+                                               cells[:, :, 1].tolist()):
+                for t, cx, cy in zip(steps, row_x, row_y):
+                    x = moves[x][rank_of[x][cx]]
+                    y = moves[y][rank_of[y][cy]]
                     if x == y:
                         samples[i] = SimSample(t, False, seeds[i])
                         break
@@ -205,7 +249,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
     only.
     """
     cap = _step_cap(g, cap)
-    adj = _adjacency_lists(g)
+    cuts, rank_of, moves = _move_tables(g)
 
     def stopped(ids):
         alive = [i for i in ids if i not in immortal] if mortal else ids
@@ -231,7 +275,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
             uniforms = philox_uniforms_ragged(
                 keys[[i for i, _, _, _ in live]], steps,
                 [ids for _, ids, _, _ in live])
-            rows = ((uniforms - 0.5) * 2.0).tolist()
+            rows = _cells(cuts, uniforms).tolist()
             still, offset = [], 0
             for i, ids, pos, trajectory in live:
                 # column of each live walk in the rows
@@ -239,10 +283,8 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                 offset += len(ids)
                 for t, row in zip(steps, rows):
                     for j, c in enumerate(cols):
-                        a = row[c]
-                        if a >= 0.0:
-                            deg, nbrs = adj[pos[j]]
-                            pos[j] = nbrs[int(a * deg)]
+                        x = pos[j]
+                        pos[j] = moves[x][rank_of[x][row[c]]]
                     merged = len(set(pos)) < len(pos)
                     if merged:
                         keep = _survivors(ids, pos, immortal)

@@ -10,9 +10,10 @@ from coalwalk.graphs import FamilySpec, Graph, generate
 from coalwalk.seeding import generator, mix64, trial_seed
 from coalwalk.simulate import (
     Estimate,
-    _adjacency_lists,
+    _cells,
     _coalesce_batch,
     _meeting_batch,
+    _move_tables,
     _voter_batch,
     _walk_sums,
     default_cap,
@@ -400,14 +401,21 @@ def test_meeting_batch_matches_reference_loop():
     assert any(c for _, c in want) and any(v == 0 for v, _ in want)
 
 
-@pytest.mark.parametrize("spec, trials", [
-    (FamilySpec("star", n=1025), 40),
-    (FamilySpec("clique", n=24), 60),
-], ids=["star-1025", "clique-24"])
-def test_meeting_batch_high_degree_matches_reference_loop(spec, trials):
+def _threshold_graph(n):
+    """i < j adjacent when i + j >= n - 1: degrees 1..n-1, all distinct but
+    one, so the rank cuts of many degrees interleave."""
+    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                if i + j >= n - 1])
+
+
+@pytest.mark.parametrize("g, trials", [
+    (generate(FamilySpec("star", n=1025), seed=11), 40),
+    (generate(FamilySpec("clique", n=24), seed=11), 60),
+    (_threshold_graph(41), 60),
+], ids=["star-1025", "clique-24", "threshold-41"])
+def test_meeting_batch_high_degree_matches_reference_loop(g, trials):
     # the star's hub has degree 1024; on a clique every rank leads to a
-    # distinct vertex
-    g = generate(spec, seed=11)
+    # distinct vertex; the threshold graph has 40 distinct degrees
     seeds = [mix64(31, i) for i in range(trials)]
     starts = [generator(s, 1).choice(g.n, size=2) for s in seeds]
     samples = _meeting_batch(g, starts, seeds, cap=200)
@@ -428,13 +436,50 @@ def test_largest_uniform_rank_stays_below_degree():
     assert all(int(r * d) < d for d in degs)
 
 
+def _degree_set_rows(degrees):
+    """Raw rows over max(degrees) vertices whose degrees are ``degrees``:
+    vertex i has neighbours 0..degrees[i]-1, and the padding vertices past
+    them the first degree."""
+    return [list(range(d)) for d in degrees] + (
+        [list(range(degrees[0]))] * (max(degrees) - len(degrees)))
+
+
+DEGREE_SETS = {"degrees-1-64": range(1, 65), "degrees-1-4095": (1, 4095),
+               "degrees-31-48": (31, 32, 33, 48)}
+
+
 @pytest.mark.parametrize("g", [
     *(generate(spec, seed=11) for spec in small_family_specs()),
     *(unchecked_graph(*row_arrays(rows)) for rows in RAW_ROWS.values()),
-], ids=[*(s.label() for s in small_family_specs()), *RAW_ROWS])
+    *(unchecked_graph(*row_arrays(_degree_set_rows(degrees)))
+      for degrees in DEGREE_SETS.values()),
+], ids=[*(s.label() for s in small_family_specs()), *RAW_ROWS, *DEGREE_SETS])
 def test_adjacency_lists_hold_degree_and_neighbours(g):
-    assert _adjacency_lists(g) == [
-        (float(g.degrees[u]), g.neighbors(u).tolist()) for u in range(g.n)]
+    """``_move_tables``: moves[x] is x's adjacency list and then x, and
+    rank_of[x] holds int(a * deg) on every cell and deg in the stay cell."""
+    cuts, rank_of, moves = _move_tables(g)
+    assert moves == [[*g.neighbors(x).tolist(), x] for x in range(g.n)]
+    grid = 2.0 ** -52
+    assert (np.diff(cuts) > 0).all() and (0 < cuts).all() and (cuts < 1).all()
+    assert (cuts / grid == np.floor(cuts / grid)).all()
+    # the first and last grid residual of each cell
+    first = [0.0, *cuts.tolist()]
+    last = [*(cuts - grid).tolist(), 1.0 - grid]
+    by_degree = {}
+    for x, d in enumerate(g.degrees.tolist()):
+        assert rank_of[x] is by_degree.setdefault(d, rank_of[x])
+    assert len(cuts) <= sum(max(d - 1, 0) for d in by_degree)
+    for d, ranks in by_degree.items():
+        # fl(a * d) is monotone in a, so the ends bound the whole cell
+        assert [int(a * d) for a in first] == ranks[:-1]
+        assert [int(a * d) for a in last] == ranks[:-1]
+        assert ranks[-1] == d  # the stay cell: moves[x][d] is x
+        assert all(r < d for r in ranks[:-1]) or set(ranks) == {0}
+    # uniforms u = (1 + a) / 2 land in the cell of their residual a
+    cells = np.arange(len(first))
+    assert (_cells(cuts, 0.5 + 0.5 * np.array(first)) == cells).all()
+    assert (_cells(cuts, 0.5 + 0.5 * np.array(last)) == cells).all()
+    assert (_cells(cuts, np.array([0.0, 0.25, 0.5 - 2.0 ** -53])) == -1).all()
 
 
 def test_stationary_meeting_single_vertex():
@@ -511,12 +556,15 @@ def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
      "mortal", ((None, 20), (3, 300))),
     ("star-32", FamilySpec("star", n=32), None, (5, 6, 30), 4, "total",
      ((None, 20), (5, 300))),
+    # 40 distinct degrees, whose rank cuts interleave
+    ("threshold-41", _threshold_graph(41), None, None, 1, None,
+     ((None, 3), (60, 300))),
 ], ids=["torus-all", "torus-sparse", "lb-all", "lb-immortal-total",
         "lb-immortal-mortal", "star-all", "star-immortal-mortal",
-        "star-immortal-total"])
+        "star-immortal-total", "threshold-all"])
 def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
                                          target_k, mode, runs):
-    g = generate(spec, seed=11)
+    g = spec if isinstance(spec, Graph) else generate(spec, seed=11)
     vertices = range(g.n) if starts is None else starts
     group = frozenset([0] if immortal is None else immortal)
     for cap, trials in runs:
