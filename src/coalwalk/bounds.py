@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chain
 from .chain import CollisionStats
-from .errors import InvalidSpec, LengthMismatch, MissingQuantity
+from .errors import InvalidSpec, LengthMismatch, MissingQuantity, TooLarge
 from .graphs import Graph, VERTEX_TRANSITIVE
 from .seeding import mix64
 from .simulate import Estimate, _walk_sums
@@ -142,24 +142,25 @@ class MeasuredQuantities:
         return out
 
 
-def measure(g: Graph, meeting_limit: int = 100,
+def measure(g: Graph, *,
             t_coal_estimate: Estimate | None = None) -> MeasuredQuantities:
     """Compute every exact quantity the relation checks need.
 
-    Meeting times are skipped (left None) when the product-chain solve
-    would exceed ``meeting_limit`` vertices. The graph's ladder of
-    squarings is released once mixing and separation are found: no later
-    solver reads it.
+    Meeting times are left None on graphs above the product-chain size
+    cap, where ``chain.meeting_exact`` raises TooLarge. The graph's ladder
+    of squarings is released once mixing and separation are found: no
+    later solver reads it.
     """
     pi = chain.stationary(g)
     mix = chain.mixing_time(g)
     t_sep = chain.separation_time(g)
     g._cache.pop("pow2", None)
     cs = chain.collision_stats(g, t_mix_value=mix.value)
-    t_meet = t_meet_pi = None
-    if g.n <= meeting_limit:
-        meet = chain.meeting_exact(g, limit=meeting_limit)
+    try:
+        meet = chain.meeting_exact(g)
         t_meet, t_meet_pi = meet.t_meet, meet.t_meet_pi
+    except TooLarge:
+        t_meet = t_meet_pi = None
     return MeasuredQuantities(
         n=g.n, family=g.family,
         t_hit=chain.t_hit(g),

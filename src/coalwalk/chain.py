@@ -44,6 +44,7 @@ INV_E = 1.0 / math.e
 _REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
 _PAIRWISE_LIMIT = 256  # mixing_time: largest n with the exact pairwise value
 _PER_TARGET_LIMIT = 128  # hitting_matrix: largest n solved target by target
+_MEETING_LIMIT = 100  # meeting_exact: largest n of the product-chain solve
 # Fewest start vertices in a collision_stats block. Blocks of one column
 # would let einsum reduce in another order, so this stays at 2 or more.
 _COLLISION_GRAIN = 128
@@ -329,8 +330,10 @@ class MeetingResult:
     method: str
 
 
-def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
+def meeting_exact(g: Graph) -> MeetingResult:
     """Expected meeting times of two independent lazy walks.
+
+    Graphs with n > _MEETING_LIMIT raise ``TooLarge``.
 
     Solves the absorption time of the synchronous product chain over
     ordered off-diagonal pairs in one direct solve of A m = 1 with
@@ -345,8 +348,9 @@ def meeting_exact(g: Graph, limit: int = 100) -> MeetingResult:
     Returns the worst-case value, the stationary-start average, the argmax
     pair, and the full matrix of pair values.
     """
-    if g.n > limit:
-        raise TooLarge(f"meeting_exact limited to n <= {limit}, got {g.n}")
+    if g.n > _MEETING_LIMIT:
+        raise TooLarge(f"meeting_exact limited to n <= {_MEETING_LIMIT}, "
+                       f"got {g.n}")
     n = g.n
     if n == 1:
         return MeetingResult(0.0, 0.0, (0, 0), np.zeros((1, 1)), 0.0, "direct")

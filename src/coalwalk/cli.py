@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds
+from . import bounds, chain
 from .errors import CoalwalkError, ConfigError, InsufficientPoints
 from .graphs import (FAMILIES, SPEC_PARAMS, FamilySpec, generate,
                      load_edge_list, validate)
@@ -69,7 +69,6 @@ class ExperimentConfig:
     quantities: tuple[str, ...] = ("exact",)
     sim_kinds: tuple[str, ...] = ("coalescence",)
     outdir: str = "out"
-    meeting_limit: int = 100
 
     def require_seed(self) -> int:
         if self.master_seed is None:
@@ -97,26 +96,27 @@ class ExperimentConfig:
             self.require_seed()
 
 
-def _number(body, section: str, key: str, kind=int, fallback=None):
-    """``kind(body[key])``, or ``fallback`` when the key is absent; a value
-    that does not parse raises ConfigError naming the section and key."""
-    if key not in body:
-        return fallback
-    try:
-        return kind(body[key])
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {body[key]!r} is not "
-                          "a valid number") from None
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(","))
+
+
+# Older configs carry meeting_limit; any value but the fixed cap is an error.
+_EXPERIMENT_KEYS = {"master_seed": int, "trials": int, "cap": int,
+                    "quantities": _names, "sim_kinds": _names, "outdir": str,
+                    "meeting_limit": int}
+_SWEEP_KEYS = {"family": str, "degree": int, "dim": int, "alpha": float,
+               "sizes": lambda text: tuple(map(int, text.split()))}
 
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read an experiment config.
 
-    Format: an ``[experiment]`` section with keys master_seed, trials,
-    cap, quantities (comma list of exact/simulate/verify), sim_kinds
-    (comma list of ``SIM_KINDS``), outdir, meeting_limit; plus one
+    Format: an optional ``[experiment]`` section with keys master_seed,
+    trials, cap, quantities (comma list of exact/simulate/verify),
+    sim_kinds (comma list of ``SIM_KINDS``) and outdir; plus one
     ``[sweep:NAME]`` section per family sweep with keys family, sizes
-    (whitespace list), and optional degree, dim, alpha.
+    (whitespace list), and optional degree, dim, alpha. A missing key takes
+    its dataclass default; an unknown section or key is an error.
     """
     parser = configparser.ConfigParser(interpolation=None)  # '%' is literal
     try:
@@ -125,33 +125,32 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    sweeps = []
+    exp, sweeps = {}, []
     for section in parser.sections():
-        if not section.startswith("sweep"):
-            continue
-        body = parser[section]
-        if "family" not in body or "sizes" not in body:
+        keys = (_EXPERIMENT_KEYS if section == "experiment" else
+                _SWEEP_KEYS if section.startswith("sweep:") else {})
+        if not keys:
+            raise ConfigError(f"[{section}] is not a known section")
+        values = {}
+        for key, text in parser[section].items():
+            if key not in keys:
+                raise ConfigError(f"[{section}] {key} is not a known key; "
+                                  f"expected one of {', '.join(keys)}")
+            try:
+                values[key] = keys[key](text)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key} = {text!r} is not "
+                                  "a valid number") from None
+        if keys is _EXPERIMENT_KEYS:
+            exp = values
+        elif "family" not in values or "sizes" not in values:
             raise ConfigError(f"[{section}] needs 'family' and 'sizes'")
-        sweeps.append(SweepSpec(
-            family=body["family"].strip(),
-            sizes=_number(body, section, "sizes",
-                          lambda text: tuple(map(int, text.split()))),
-            degree=_number(body, section, "degree"),
-            dim=_number(body, section, "dim"),
-            alpha=_number(body, section, "alpha", float)))
-    config = ExperimentConfig(
-        sweeps=sweeps,
-        master_seed=_number(exp, "experiment", "master_seed"),
-        trials=_number(exp, "experiment", "trials", fallback=0),
-        cap=_number(exp, "experiment", "cap"),
-        quantities=tuple(
-            tok.strip() for tok in exp.get("quantities", "exact").split(",")),
-        sim_kinds=tuple(
-            tok.strip() for tok in exp.get("sim_kinds", "coalescence").split(",")),
-        outdir=exp.get("outdir", "out"),
-        meeting_limit=_number(exp, "experiment", "meeting_limit",
-                              fallback=100))
+        else:
+            sweeps.append(SweepSpec(**values))
+    if exp.pop("meeting_limit", chain._MEETING_LIMIT) != chain._MEETING_LIMIT:
+        raise ConfigError("[experiment] meeting_limit: the meeting size cap "
+                          f"is fixed at {chain._MEETING_LIMIT}")
+    config = ExperimentConfig(sweeps=sweeps, **exp)
     config.validate()
     return config
 
@@ -265,8 +264,7 @@ def run(config: ExperimentConfig) -> dict:
                                  est.censored_count, master))
             if "exact" in config.quantities or "verify" in config.quantities:
                 mq = bounds.measure(
-                    g, meeting_limit=config.meeting_limit,
-                    t_coal_estimate=estimates.get("coalescence"))
+                    g, t_coal_estimate=estimates.get("coalescence"))
                 record["measured"] = mq.to_dict()
                 for name, value in (
                         ("t_hit", mq.t_hit), ("t_mix", mq.t_mix),
@@ -356,7 +354,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_graph(args)
-    mq = bounds.measure(g, meeting_limit=args.meeting_limit)
+    mq = bounds.measure(g)
     payload = {"n": g.n, "m": g.m, "diagnostics": vars(validate(g)),
                "measured": mq.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True,
@@ -390,7 +388,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args)
-    mq = bounds.measure(g, meeting_limit=args.meeting_limit)
+    mq = bounds.measure(g)
     report = bounds.verify_relations(g, mq)
     if args.csv:
         _atomic_write(args.csv, report.to_csv())
@@ -446,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     exact = subs.add_parser("exact", help="exact chain quantities")
     _add_spec_args(exact)
     exact.add_argument("--edge-list")
-    exact.add_argument("--meeting-limit", type=int, default=100)
     exact.add_argument("--output", "-o")
     exact.set_defaults(func=_cmd_exact)
 
@@ -464,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="explicit-constant checks")
     _add_spec_args(verify)
     verify.add_argument("--edge-list")
-    verify.add_argument("--meeting-limit", type=int, default=100)
     verify.add_argument("--csv")
     verify.set_defaults(func=_cmd_verify)
 

@@ -31,6 +31,7 @@ from itertools import compress
 
 import numpy as np
 
+from .chain import stationary
 from .errors import AllCensored, BudgetExceeded, InvalidIds, InvalidSpec
 from .graphs import Graph
 from .seeding import (generator, philox_keys, philox_uniforms,
@@ -414,11 +415,9 @@ _KINDS = ("meeting", "coalescence", "voter", "immortal")
 
 def _meeting_starts(g: Graph, params: dict, seeds) -> list:
     if params.get("stationary"):
-        if g.n == 1:  # pi is the point mass at 0; the weights would be 0/0
-            return [(0, 0)] * len(seeds)
         # starts drawn from pi per trial; independent of the step stream
-        weights = g.degrees / (2.0 * g.m)
-        return [generator(s, 1).choice(g.n, size=2, p=weights) for s in seeds]
+        pi = stationary(g)
+        return [generator(s, 1).choice(g.n, size=2, p=pi) for s in seeds]
     return [(params["u"], params["v"])] * len(seeds)
 
 
@@ -455,8 +454,9 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     """Monte Carlo estimate over ``trials`` independent runs.
 
     Per-trial seeds are derived from (master_seed, trial index), so the
-    result is identical for any worker count or scheduling. Censored
-    trials are counted and excluded from the mean.
+    result is identical for any worker count or scheduling; ``workers``
+    defaults to the COALWALK_WORKERS variable, or 1 when it is unset.
+    Censored trials are counted and excluded from the mean.
     """
     if kind not in _KINDS:
         raise InvalidSpec(f"unknown simulation kind {kind!r}")
@@ -474,7 +474,13 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
         raise InvalidSpec("the voter model is lazy only")
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        text = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise InvalidSpec(f"{WORKERS_ENV}={text!r} is not an integer >= 1")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -71,7 +71,7 @@ class TestSandwich:
         assert not result.upper_ok and not result.ok
 
     def test_all_small_families(self, small_graph):
-        if small_graph.n > 100:
+        if small_graph.n > chain._MEETING_LIMIT:
             pytest.skip("beyond exact-meeting limit")
         meet = chain.meeting_exact(small_graph)
         t_mix = chain.mixing_time(small_graph).value
@@ -137,9 +137,10 @@ class TestVerifyRelations:
 
 
 class TestMeasure:
-    def test_skips_meeting_above_limit(self):
+    def test_skips_meeting_above_limit(self, monkeypatch):
+        monkeypatch.setattr(chain, "_MEETING_LIMIT", 10)
         g = generate(FamilySpec("cycle", n=40))
-        mq = bounds.measure(g, meeting_limit=10)
+        mq = bounds.measure(g)
         assert mq.t_meet is None and mq.t_meet_pi is None
         report = bounds.verify_relations(g, mq)
         assert report.all_explicit_passed  # meeting rows skipped

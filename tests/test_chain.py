@@ -392,13 +392,13 @@ class TestMeeting:
         assert hit / 2 - 1e-9 <= t_meet <= 2 * hit + 1e-9
 
     def test_meet_at_most_4_hit(self, small_graph):
-        if small_graph.n > 100:
+        if small_graph.n > chain._MEETING_LIMIT:
             pytest.skip("beyond exact-meeting limit")
         t_meet = chain.meeting_exact(small_graph).t_meet
         assert t_meet <= 4.0 * chain.t_hit(small_graph) + 1e-9
 
     def test_too_large(self):
-        g = generate(FamilySpec("cycle", n=128))
+        g = generate(FamilySpec("cycle", n=chain._MEETING_LIMIT + 1))
         with pytest.raises(TooLarge):
             chain.meeting_exact(g)
 

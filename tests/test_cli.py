@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import coalwalk
+from coalwalk import chain
 from coalwalk.cli import (
     ExperimentConfig,
     SweepSpec,
@@ -166,7 +167,7 @@ class TestConfig:
         path = tmp_path / "readme.ini"
         path.write_text(text[start:text.index("```", start)])
         config = parse_config(str(path))
-        assert config.master_seed == 7 and config.meeting_limit == 100
+        assert config.master_seed == 7
         assert [s.spec_for(s.sizes[-1]).label() for s in config.sweeps] == [
             "cycle-n64", "torus-dim3-side6"]
 
@@ -178,6 +179,7 @@ class TestConfig:
         ("experiment", "master_seed", "0x10"),
         ("experiment", "cap", "1e6"),
         ("experiment", "meeting_limit", "big"),
+        ("experiment", "meeting_limit", "500"),
     ])
     def test_malformed_number(self, tmp_path, capsys, section, key, value):
         sections = {
@@ -194,6 +196,27 @@ class TestConfig:
             parse_config(str(path))
         assert main(["all", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text,where", [
+        ("[experiment]\ntrails = 2000\nquantites = exact,simulate\n",
+         r"\[experiment\] trails"),
+        ("[sweep:c]\nfamily = cycle\nsizes = 8\nsides = 4\n",
+         r"\[sweep:c\] sides"),
+        ("[experment]\nmaster_seed = 3\ntrials = 10\n", r"\[experment\]")])
+    def test_unknown_key_or_section(self, tmp_path, capsys, text, where):
+        path = tmp_path / "exp.ini"
+        path.write_text(text + "[sweep:a]\nfamily = cycle\nsizes = 8\n")
+        with pytest.raises(ConfigError, match=where):
+            parse_config(str(path))
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_meeting_limit_accepted_at_the_fixed_cap(self, tmp_path,
+                                                     config_file):
+        path = tmp_path / "limit.ini"
+        path.write_text(open(config_file).read().replace(
+            "outdir", f"meeting_limit = {chain._MEETING_LIMIT}\noutdir"))
+        assert parse_config(str(path)) == parse_config(config_file)
 
 
 class TestRun:
@@ -291,6 +314,23 @@ class TestCommands:
         assert captured.err == "error: --u and --v must be given together\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("workers", ["two", "1.5", "", "0", "-2"])
+    def test_simulate_bad_worker_variable(self, capsys, monkeypatch, workers):
+        monkeypatch.setenv("COALWALK_WORKERS", workers)
+        code = main(["simulate", "--family", "cycle", "--n", "8",
+                     "--trials", "10", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: COALWALK_WORKERS=")
+
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_meeting_limit_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "cycle", "--n", "8",
+                  "--meeting-limit", "200"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --meeting-limit" in (
+            capsys.readouterr().err)
+
     def test_verify_exit_zero_on_pass(self, capsys, tmp_path):
         csv_path = str(tmp_path / "report.csv")
         code = main(["verify", "--family", "clique", "--n", "8",
@@ -306,8 +346,7 @@ class TestCommands:
     def test_scale_command(self, tmp_path, capsys):
         path = tmp_path / "scale.ini"
         path.write_text(
-            "[experiment]\nquantities = exact\noutdir = %s\n"
-            "meeting_limit = 4\n\n"
+            "[experiment]\nquantities = exact\noutdir = %s\n\n"
             "[sweep:c]\nfamily = cycle\nsizes = 8 12 16 24\n"
             % (tmp_path / "out"))
         assert main(["scale", "--config", str(path)]) == 0

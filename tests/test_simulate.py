@@ -80,7 +80,7 @@ class TestCoalescence:
         assert counts[0] == 16
 
     def test_mean_at_least_exact_meeting(self, small_graph):
-        if small_graph.n > 100:
+        if small_graph.n > chain._MEETING_LIMIT:
             pytest.skip("beyond exact-meeting limit")
         t_meet = chain.meeting_exact(small_graph).t_meet
         est = estimate("coalescence", small_graph, {}, 400, master_seed=21)
