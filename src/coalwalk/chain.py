@@ -195,8 +195,6 @@ def mixing_time(g: Graph, eps: float = INV_E,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if g.n == 1:
-        return MixingResult(0, "pairwise", eps)
     if g.n <= _PAIRWISE_LIMIT:
         t = _first_time(g, lambda rows: _dbar(rows) <= eps, max_steps,
                         "mixing_time")
@@ -214,8 +212,6 @@ def separation_time(g: Graph, eps: float = INV_E,
     """First t with p^t(u, v) >= (1 - eps) pi(v) for every pair."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if g.n == 1:
-        return 0
     pi = stationary(g)
     floor = (1.0 - eps) * pi
 
@@ -274,14 +270,12 @@ def hitting_to(g: Graph, target: int) -> HittingProfile:
     1e-10 * n; ``residual`` is the final max residual.
     """
     g.check_vertices((target,), "target")
-    if g.n == 1:
-        return HittingProfile(target, np.zeros(1), 0.0, "dense")
     others = np.flatnonzero(np.arange(g.n) != target)
     rhs = np.ones(g.n - 1)
     P = _dense_transition(g)
     A = np.eye(g.n - 1) - P[np.ix_(others, others)]
     h = np.linalg.solve(A, rhs)
-    resid = np.abs(A @ h - rhs).max()
+    resid = np.abs(A @ h - rhs).max(initial=0.0)
     if resid > _REFINE_TOL * g.n:
         h = h + np.linalg.solve(A, rhs - A @ h)
         resid = np.abs(A @ h - rhs).max()
@@ -299,8 +293,6 @@ def hitting_matrix(g: Graph) -> np.ndarray:
     one dense solve total. The two routes agree to solver precision and the
     tests hold them to that. Nothing is cached: each call solves afresh.
     """
-    if g.n == 1:
-        return np.zeros((1, 1))
     if g.n <= _PER_TARGET_LIMIT:
         return np.column_stack([hitting_to(g, v).times for v in range(g.n)])
     pi = stationary(g)

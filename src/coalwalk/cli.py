@@ -35,6 +35,10 @@ CSV_COLUMNS = ("family", "n", "m", "quantity", "value", "stderr",
 
 # The Monte Carlo kinds that ``run`` and ``coalwalk simulate`` serve.
 SIM_KINDS = ("coalescence", "meeting", "voter")
+# The ``MeasuredQuantities.to_dict`` keys that ``run`` writes as CSV rows,
+# in row order; a None value writes no row.
+EXACT_ROWS = ("t_hit", "t_mix", "t_sep", "lambda2", "t_meet", "t_meet_pi",
+              "c_max", "c_min", "r_max", "pi_min", "pi_norm_sq")
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,8 @@ def parse_config(path: str) -> ExperimentConfig:
     (whitespace list), and optional degree, dim, alpha. A missing key takes
     its dataclass default; an unknown section or key is an error.
     """
-    parser = configparser.ConfigParser(interpolation=None)  # '%' is literal
+    # '%' is literal; no header names "", so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -265,19 +270,11 @@ def run(config: ExperimentConfig) -> dict:
             if "exact" in config.quantities or "verify" in config.quantities:
                 mq = bounds.measure(
                     g, t_coal_estimate=estimates.get("coalescence"))
-                record["measured"] = mq.to_dict()
-                for name, value in (
-                        ("t_hit", mq.t_hit), ("t_mix", mq.t_mix),
-                        ("t_sep", mq.t_sep), ("lambda2", mq.lambda2),
-                        ("t_meet", mq.t_meet), ("t_meet_pi", mq.t_meet_pi),
-                        ("c_max", mq.collision.c_max),
-                        ("c_min", mq.collision.c_min),
-                        ("r_max", mq.collision.r_max),
-                        ("pi_min", mq.pi_min),
-                        ("pi_norm_sq", mq.pi_norm_sq)):
-                    if value is not None:
-                        rows.append((spec.family, g.n, g.m, name,
-                                     float(value), None, None, None, None))
+                measured = record["measured"] = mq.to_dict()
+                rows.extend((spec.family, g.n, g.m, name,
+                             float(measured[name]), None, None, None, None)
+                            for name in EXACT_ROWS
+                            if measured[name] is not None)
             if "verify" in config.quantities:
                 report = bounds.verify_relations(g, mq)
                 record["bound_report"] = report.to_rows()

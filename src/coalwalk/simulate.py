@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -216,15 +217,7 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
 def simulate_meeting(g: Graph, u: int, v: int, seed: int,
                      cap: int | None = None) -> SimSample:
     """First time two synchronized lazy walks from u and v co-locate."""
-    g.check_vertices((u, v))
-    return _meeting_batch(g, [(u, v)], [seed], cap)[0]
-
-
-def _start_list(g: Graph, vertices) -> list[int]:
-    """Distinct start vertices, ascending: walk i starts at the i-th."""
-    starts = sorted({int(v) for v in vertices})
-    g.check_vertices(starts)
-    return starts
+    return _batch("meeting", g, {"u": u, "v": v}, cap)([seed])[0]
 
 
 def _survivors(ids, pos, immortal) -> list[int]:
@@ -314,9 +307,8 @@ def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
     vertex merge with the smallest id surviving. Returns the first time a
     single walk remains.
     """
-    params = {"start_vertices": start_vertices,
-              "record_trajectory": record_trajectory}
-    return _trial_batch_samples(("coalescence", g, params, [seed], cap))[0]
+    return _batch("coalescence", g, {"start_vertices": start_vertices}, cap,
+                  record_trajectory)([seed])[0]
 
 
 def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
@@ -366,7 +358,7 @@ def simulate_voter(g: Graph, seed: int, cap: int | None = None) -> SimSample:
     all-distinct opinions: each round every node keeps its opinion w.p. 1/2,
     else adopts a uniform neighbor's previous-round opinion. This is the
     exact dual of the lazy coalescing walks."""
-    return _voter_batch(g, [seed], cap)[0]
+    return _batch("voter", g, {}, cap)([seed])[0]
 
 
 def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
@@ -385,9 +377,8 @@ def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
     variant reachable when target_k = |G1|.)
     """
     params = {"start_vertices": start_vertices, "immortal_ids": immortal_ids,
-              "target_k": target_k, "mode": mode,
-              "record_trajectory": record_trajectory}
-    return _trial_batch_samples(("immortal", g, params, [seed], cap))[0]
+              "target_k": target_k, "mode": mode}
+    return _batch("immortal", g, params, cap, record_trajectory)([seed])[0]
 
 
 def _walk_sums(g: Graph, starts, seeds, steps: int, walks: int,
@@ -410,42 +401,72 @@ def _walk_sums(g: Graph, starts, seeds, steps: int, walks: int,
 # Ensemble estimation
 # ---------------------------------------------------------------------------
 
-_KINDS = ("meeting", "coalescence", "voter", "immortal")
+# The params keys each kind reads; ``_batch`` rejects any other key.
+_PARAMS = {"meeting": ("u", "v", "stationary"),
+           "coalescence": ("start_vertices",),
+           "voter": ("lazy",),
+           "immortal": ("start_vertices", "immortal_ids", "target_k", "mode")}
 
 
-def _meeting_starts(g: Graph, params: dict, seeds) -> list:
-    if params.get("stationary"):
-        # starts drawn from pi per trial; independent of the step stream
-        pi = stationary(g)
-        return [generator(s, 1).choice(g.n, size=2, p=pi) for s in seeds]
-    return [(params["u"], params["v"])] * len(seeds)
+def _meeting_pairs(g: Graph, pair, seeds, cap: int) -> list[SimSample]:
+    """Meeting samples from ``pair``, or, when it is None, from a pair drawn
+    from pi by each trial seed, independent of the step stream."""
+    pi = stationary(g)
+    starts = [pair or generator(s, 1).choice(g.n, size=2, p=pi) for s in seeds]
+    return _meeting_batch(g, starts, seeds, cap)
 
 
-def _trial_batch_samples(args):
-    kind, g, params, seeds, cap = args
+def _batch(kind: str, g: Graph, params: dict | None, cap: int | None,
+           record: bool = False):
+    """The trials of ``kind`` on ``g``, as a picklable call ``(seeds)`` that
+    returns a SimSample per seed. Every check of the kind, the params, the
+    start set and the cap runs here, before any draw or worker: a params key
+    the kind does not read (``_PARAMS``), or ``u``/``v`` beside a true
+    ``stationary``, is an error. ``record`` keeps coalescence and immortal
+    trajectories."""
+    if kind not in _PARAMS:
+        raise InvalidSpec(f"unknown simulation kind {kind!r}")
+    params = params or {}
+    drawn = kind == "meeting" and params.get("stationary")
+    read = ("stationary",) if drawn else _PARAMS[kind]
+    needs = {"meeting": () if drawn else ("u", "v"),
+             "immortal": ("start_vertices", "target_k", "immortal_ids")}
+    for key in params:
+        if key not in read:
+            raise InvalidSpec(f"{kind} trials do not read params[{key!r}]")
+    for key in needs.get(kind, ()):
+        if key not in params:
+            raise InvalidSpec(f"{kind} trials need params[{key!r}]")
+    cap = _step_cap(g, cap)
     if kind == "meeting":
-        return _meeting_batch(g, _meeting_starts(g, params, seeds), seeds, cap)
+        pair = None if drawn else (params["u"], params["v"])
+        g.check_vertices(pair or ())
+        return partial(_meeting_pairs, g, pair, cap=cap)
     if kind == "voter":
-        return _voter_batch(g, seeds, cap)
-    record = params.get("record_trajectory", False)
+        if params.get("lazy", True) is not True:
+            raise InvalidSpec("the voter model is lazy only")
+        return partial(_voter_batch, g, cap=cap)
     if kind == "coalescence":
         vertices = params.get("start_vertices")
-        starts = _start_list(g, range(g.n) if vertices is None else vertices)
-        if not starts:
-            raise InvalidSpec("start set must be non-empty")
-        return _coalesce_batch(g, starts, frozenset([0]), 1, False, seeds, cap,
-                               record)
-    mode, target_k = params.get("mode", "total"), params["target_k"]
-    if mode not in ("total", "mortal"):
-        raise InvalidSpec(f"unknown stopping mode {mode!r}")
-    if target_k < 1:
-        raise InvalidSpec("target_k must be >= 1")
-    starts = _start_list(g, params["start_vertices"])
-    immortal = frozenset(int(i) for i in params["immortal_ids"])
+        vertices = range(g.n) if vertices is None else vertices
+        immortal, target_k, mode = [0], 1, "total"
+    else:
+        vertices, immortal = params["start_vertices"], params["immortal_ids"]
+        target_k, mode = params["target_k"], params.get("mode", "total")
+        if mode not in ("total", "mortal"):
+            raise InvalidSpec(f"unknown stopping mode {mode!r}")
+        if target_k < 1:
+            raise InvalidSpec("target_k must be >= 1")
+    # walk i starts at the i-th distinct start vertex, ascending
+    starts = sorted({int(v) for v in vertices})
+    g.check_vertices(starts)
+    if not starts:
+        raise InvalidSpec("start set must be non-empty")
+    immortal = frozenset(int(i) for i in immortal)
     if not immortal or min(immortal) < 0 or max(immortal) >= len(starts):
         raise InvalidIds("immortal ids must be ids of the start ensemble")
-    return _coalesce_batch(g, starts, immortal, target_k, mode == "mortal",
-                           seeds, cap, record)
+    return partial(_coalesce_batch, g, starts, immortal, target_k,
+                   mode == "mortal", cap=cap, record_trajectory=record)
 
 
 def estimate(kind: str, g: Graph, params: dict | None, trials: int,
@@ -458,20 +479,9 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     defaults to the COALWALK_WORKERS variable, or 1 when it is unset.
     Censored trials are counted and excluded from the mean.
     """
-    if kind not in _KINDS:
-        raise InvalidSpec(f"unknown simulation kind {kind!r}")
+    run = _batch(kind, g, params, cap)
     if trials < 2:
         raise InvalidSpec("trials must be >= 2")
-    params = dict(params or {})
-    needs = {"meeting": () if params.get("stationary") else ("u", "v"),
-             "immortal": ("start_vertices", "target_k", "immortal_ids")}
-    for key in needs.get(kind, ()):
-        if key not in params:
-            raise InvalidSpec(f"{kind} estimate needs params[{key!r}]")
-    if kind == "meeting" and not params.get("stationary"):
-        g.check_vertices((params["u"], params["v"]))
-    if kind == "voter" and not params.get("lazy", True):
-        raise InvalidSpec("the voter model is lazy only")
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     if workers is None:
         text = os.environ.get(WORKERS_ENV, "1")
@@ -485,13 +495,12 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, trials // (workers * 4))
-        batches = [(kind, g, params, seeds[i:i + chunk], cap)
-                   for i in range(0, trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [s for batch in pool.map(_trial_batch_samples, batches)
-                       for s in batch]
+            results = [s for batch in pool.map(run, [
+                seeds[i:i + chunk] for i in range(0, trials, chunk)])
+                for s in batch]
     else:
-        results = _trial_batch_samples((kind, g, params, seeds, cap))
+        results = run(seeds)
     values = np.array([float(s.value) for s in results])
     censored = np.array([s.censored for s in results])
     kept = values[~censored]
@@ -521,10 +530,10 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     if batch_trials < 1:
         raise InvalidSpec("batch_trials must be >= 1")
     seeds = [trial_seed(master_seed, i) for i in range(batch_trials)]
-    std, imm = (_trial_batch_samples(("immortal", g, {
+    std, imm = [run(seeds) for run in [_batch("immortal", g, {
         "start_vertices": start_vertices, "immortal_ids": group,
-        "target_k": target_k, "record_trajectory": True}, seeds, cap))
-        for group in ([0], immortal_ids))
+        "target_k": target_k}, cap, record=True)
+        for group in ([0], immortal_ids)]]
     if any(s.censored for s in std + imm):
         raise BudgetExceeded("a paired trial hit the step cap")
     pathwise_excess = 0

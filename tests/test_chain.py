@@ -406,7 +406,35 @@ class TestMeeting:
         one = _single_vertex_graph()
         assert chain.meeting_exact(one).t_meet == 0.0
         assert chain.t_hit(one) == 0.0
-        assert chain.mixing_time(one).value == 0
+        mix = chain.mixing_time(one)
+        assert (mix.value, mix.method) == (0, "pairwise")
+        assert chain.separation_time(one) == 0
+        hit = chain.hitting_to(one, 0)
+        assert hit.times.tolist() == [0.0]
+        assert (hit.residual, hit.method) == (0.0, "dense")
+        assert chain.hitting_matrix(one).tolist() == [[0.0]]
+        assert chain.spectral(one).lambda2 == 0.0
+
+    def test_hitting_to_refinement(self, monkeypatch):
+        """At a refinement tolerance of 0 the solve takes its refinement
+        step: the times move by solver rounding only, and the residual
+        reported is the refined solve's."""
+        g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=3)
+        plain = chain.hitting_to(g, 5)
+        assert plain.residual > 0.0
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solves.append(1) or solve(a, b))
+        monkeypatch.setattr(chain, "_REFINE_TOL", 0.0)
+        refined = chain.hitting_to(g, 5)
+        assert len(solves) == 2
+        np.testing.assert_allclose(refined.times, plain.times, rtol=1e-12,
+                                   atol=0.0)
+        others = np.arange(g.n) != 5
+        A = np.eye(g.n - 1) - chain._dense_transition(g)[np.ix_(others,
+                                                                others)]
+        assert refined.residual == np.abs(A @ refined.times[others] - 1).max()
 
 
 @pytest.mark.parametrize("cls, fields", [

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import coalwalk
-from coalwalk import chain
+from coalwalk import bounds, chain
 from coalwalk.cli import (
     ExperimentConfig,
     SweepSpec,
@@ -62,6 +62,13 @@ family = lower_bound
 alpha = 4
 sizes = 16
 """
+
+
+def _failed_check(g, mq):
+    """A ``verify_relations`` whose one explicit check fails."""
+    report = bounds.BoundReport()
+    report.add_explicit("synthetic", 2.0, "<=", 1.0)
+    return report
 
 
 @pytest.fixture()
@@ -210,6 +217,21 @@ class TestConfig:
             parse_config(str(path))
         assert main(["all", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("default", ["trials = 5\n", ""])
+    def test_default_section_is_unknown(self, tmp_path, default):
+        # configparser would merge [DEFAULT] keys into every section
+        path = tmp_path / "exp.ini"
+        path.write_text("[DEFAULT]\n" + default
+                        + "[sweep:a]\nfamily = cycle\nsizes = 8\n")
+        with pytest.raises(ConfigError,
+                           match=r"^\[DEFAULT\] is not a known section$"):
+            parse_config(str(path))
+
+    def test_benchmark_sweep_parses(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "sweep.ini"
+        config = parse_config(str(path))
+        assert config.master_seed == 1 and len(config.sweeps) == 5
 
     def test_meeting_limit_accepted_at_the_fixed_cap(self, tmp_path,
                                                      config_file):
@@ -362,17 +384,22 @@ class TestCommands:
         assert payload["n"] == 3
 
     def test_verify_exit_two_on_violation(self, capsys, monkeypatch):
-        import coalwalk.bounds as bounds_mod
-        import coalwalk.cli as cli_mod
-
-        def poisoned(g, mq):
-            report = bounds_mod.BoundReport()
-            report.add_explicit("synthetic", 2.0, "<=", 1.0)
-            return report
-
-        monkeypatch.setattr(cli_mod.bounds, "verify_relations", poisoned)
+        monkeypatch.setattr(bounds, "verify_relations", _failed_check)
         code = main(["verify", "--family", "clique", "--n", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["all", "scale"])
+    def test_config_commands_exit_two_on_violation(self, capsys, monkeypatch,
+                                                   tmp_path, command):
+        path = tmp_path / "verify.ini"
+        path.write_text("[experiment]\nquantities = exact,verify\n"
+                        f"outdir = {tmp_path / 'out'}\n\n"
+                        "[sweep:c]\nfamily = cycle\nsizes = 8\n")
+        assert main([command, "--config", str(path)]) == 0
+        monkeypatch.setattr(bounds, "verify_relations", _failed_check)
+        assert main([command, "--config", str(path)]) == 2
+        if command == "all":
+            assert '"explicit_ok": false' in capsys.readouterr().out
 
     @pytest.mark.parametrize("family,key,size", [
         ("torus", "side", 3), ("grid", "side", 4),

@@ -369,6 +369,69 @@ def test_estimate_names_missing_param(monkeypatch, kind, params, key):
         estimate(kind, generate(FamilySpec("cycle", n=8)), params, 10, 1)
 
 
+IMMORTAL = {"start_vertices": range(16), "immortal_ids": [1, 2],
+            "target_k": 3}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, params, cap, error, match", [
+    ("meeting", {"u": 0, "v": 8, "w": 5}, None, InvalidSpec, "'w'"),
+    ("meeting", {"stationary": True, "u": 0}, None, InvalidSpec, "'u'"),
+    ("meeting", {"stationary": True, "v": 3}, None, InvalidSpec, "'v'"),
+    ("coalescence", {"start_vertex": [0, 8]}, None, InvalidSpec,
+     "'start_vertex'"),
+    ("coalescence", {"record_trajectory": True}, None, InvalidSpec,
+     "'record_trajectory'"),
+    ("voter", {"lazy": True, "start_vertices": [0]}, None, InvalidSpec,
+     "'start_vertices'"),
+    ("immortal", {**IMMORTAL, "targetk": 3}, None, InvalidSpec, "'targetk'"),
+    ("immortal", {**IMMORTAL, "immortal_ids": [16]}, None, InvalidIds,
+     "immortal ids"),
+    ("immortal", {**IMMORTAL, "immortal_ids": [-1]}, None, InvalidIds,
+     "immortal ids"),
+    ("coalescence", {"start_vertices": []}, None, InvalidSpec, "non-empty"),
+    ("immortal", {**IMMORTAL, "start_vertices": []}, None, InvalidSpec,
+     "non-empty"),
+    ("meeting", {"u": 0, "v": 8}, 0, InvalidSpec, "cap"),
+    ("meeting", {"stationary": True}, -1, InvalidSpec, "cap"),
+    ("coalescence", {}, 0, InvalidSpec, "cap"),
+    ("voter", {}, 0, InvalidSpec, "cap"),
+    ("immortal", IMMORTAL, 0, InvalidSpec, "cap"),
+    ("meeting", {"v": 3}, None, InvalidSpec, "'u'"),
+    ("immortal", {"start_vertices": [0, 1]}, None, InvalidSpec, "'target_k'"),
+    ("walk", {}, None, InvalidSpec, "'walk'"),
+])
+def test_estimate_rejects_before_any_draw_or_worker(
+        cycle16, monkeypatch, kind, params, cap, error, match, workers):
+    """A bad kind, a params key the kind does not read or lacks, a bad start
+    set, immortal id or cap: each raises in the caller's process, before any
+    Philox draw and before any worker pool."""
+    import concurrent.futures
+
+    def fail(*args, **kwargs):
+        raise AssertionError("drew uniforms or built a pool for a bad spec")
+    monkeypatch.setattr(simulate, "philox_uniforms", fail)
+    monkeypatch.setattr(simulate, "philox_uniforms_ragged", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    with pytest.raises(error, match=match):
+        estimate(kind, cycle16, params, 10, 1, cap=cap, workers=workers)
+
+
+def test_params_read_by_each_kind(cycle16):
+    """The keys a kind reads keep their meaning: ``stationary: False`` reads
+    ``u`` and ``v``, ``lazy: True`` is the default, and ``start_vertices``
+    None is every vertex."""
+    fixed = estimate("meeting", cycle16, {"u": 0, "v": 8}, 20, 4)
+    assert estimate("meeting", cycle16, {"stationary": False, "u": 0, "v": 8},
+                    20, 4) == fixed
+    assert estimate("voter", cycle16, {"lazy": True}, 20, 4) == (
+        estimate("voter", cycle16, {}, 20, 4))
+    assert estimate("coalescence", cycle16, {"start_vertices": None}, 20,
+                    4) == estimate("coalescence", cycle16, {}, 20, 4)
+    assert estimate("immortal", cycle16, {**IMMORTAL, "mode": "total"}, 20,
+                    4) == estimate("immortal", cycle16, IMMORTAL, 20, 4)
+
+
 def _reference_meeting(g, u, v, seed, cap):
     """The per-step meeting loop on the ``step_uniforms`` oracle."""
     if u == v:
