@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chain
 from .chain import CollisionStats
-from .errors import InvalidSpec, LengthMismatch, MissingQuantity, TooLarge
+from .errors import InvalidSpec, MissingQuantity, TooLarge
 from .graphs import Graph, VERTEX_TRANSITIVE
 from .seeding import mix64
 from .simulate import Estimate, _walk_sums
@@ -27,6 +27,13 @@ from .simulate import Estimate, _walk_sums
 _E = math.e
 _REL_TOL = 1e-9  # float slack on exact theorem comparisons
 _LAMBDAS = (1, 2, 3)  # tail levels of the concentration checks
+
+
+def _holds(lhs: float, relation: str, rhs: float) -> bool:
+    """lhs <= rhs (or >=, by ``relation``) up to the _REL_TOL slack."""
+    if relation == "<=":
+        return lhs <= rhs * (1 + _REL_TOL) + _REL_TOL
+    return lhs >= rhs * (1 - _REL_TOL) - _REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +100,8 @@ def sandwich_avgmeet(t_mix: float, t_meet_pi: float,
     upper = 2.0 / (1.0 - 1.0 / _E) ** 2 * (4.0 * t_mix + 2.0 * t_meet_pi)
     return SandwichResult(
         lower, upper,
-        lower_ok=lower <= t_meet * (1 + _REL_TOL) + _REL_TOL,
-        upper_ok=t_meet <= upper * (1 + _REL_TOL) + _REL_TOL)
+        lower_ok=_holds(lower, "<=", t_meet),
+        upper_ok=_holds(t_meet, "<=", upper))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +205,9 @@ class BoundReport:
     checks: list[BoundCheck] = field(default_factory=list)
 
     def add_explicit(self, name, lhs, relation, rhs, note=""):
-        if relation == "<=":
-            ok = lhs <= rhs * (1 + _REL_TOL) + _REL_TOL
-        else:
-            ok = lhs >= rhs * (1 - _REL_TOL) - _REL_TOL
         self.checks.append(BoundCheck(name, float(lhs), relation, float(rhs),
-                                      True, bool(ok), note))
+                                      True, bool(_holds(lhs, relation, rhs)),
+                                      note))
 
     def add_ratio(self, name, lhs, rhs, note=""):
         self.checks.append(BoundCheck(name, float(lhs), "ratio", float(rhs),
@@ -325,30 +329,24 @@ def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
 
 
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
-                        seed: int, f_values: np.ndarray | None = None,
+                        seed: int,
                         t_hit_value: float | None = None) -> ConcentrationReport:
     """Empirical check of the visit-count concentration inequality.
 
-    For f the indicator of ``target_set`` (or any supplied f in [0, 1]),
-    walks of length ``steps`` are launched from every start vertex and the
-    per-start empirical means of sum_t f(X_t) are all required to stay
+    For f the indicator of ``target_set``, walks of length ``steps`` are
+    launched from every start vertex, max(trials // n, 2) from each, and
+    the per-start empirical means of sum_t f(X_t) are all required to stay
     below 8 * max(t_hit, steps) * mean_pi(f). Pooled tail frequencies at
     lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1), lambda = 1, 2, 3,
     must stay below 2^-lambda plus three binomial standard errors.
+    ``steps`` and ``trials`` below 1 raise InvalidSpec.
     """
-    if steps < 1:
-        raise InvalidSpec("steps must be >= 1")
-    if f_values is None:
-        targets = np.asarray(list(target_set), dtype=np.int64)
-        g.check_vertices(targets, "target vertices")
-        f_values = np.zeros(g.n)
-        f_values[targets] = 1.0
-    else:
-        f_values = np.asarray(f_values, dtype=float)
-        if f_values.shape != (g.n,):
-            raise LengthMismatch("f_values length != vertex count")
-        if f_values.min() < 0 or f_values.max() > 1:
-            raise ValueError("f must map into [0, 1]")
+    if steps < 1 or trials < 1:
+        raise InvalidSpec("steps and trials must be >= 1")
+    targets = np.asarray(list(target_set), dtype=np.int64)
+    g.check_vertices(targets, "target vertices")
+    f_values = np.zeros(g.n)
+    f_values[targets] = 1.0
     if t_hit_value is None:
         t_hit_value = chain.t_hit(g)
     t_plus = max(t_hit_value, steps)

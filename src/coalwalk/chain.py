@@ -45,6 +45,7 @@ _REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
 _PAIRWISE_LIMIT = 256  # mixing_time: largest n with the exact pairwise value
 _PER_TARGET_LIMIT = 128  # hitting_matrix: largest n solved target by target
 _MEETING_LIMIT = 100  # meeting_exact: largest n of the product-chain solve
+_MAX_STEPS = 10 ** 8  # mixing_time, separation_time: largest t searched
 # Fewest start vertices in a collision_stats block. Blocks of one column
 # would let einsum reduce in another order, so this stays at 2 or more.
 _COLLISION_GRAIN = 128
@@ -182,8 +183,7 @@ class MixingResult:
         return self.value
 
 
-def mixing_time(g: Graph, eps: float = INV_E,
-                max_steps: int = 10 ** 8) -> MixingResult:
+def mixing_time(g: Graph, eps: float = INV_E) -> MixingResult:
     """First t at which the worst pairwise TV distance drops to eps.
 
     Exact for n <= _PAIRWISE_LIMIT (256). Above that, evolving all rows is
@@ -192,24 +192,26 @@ def mixing_time(g: Graph, eps: float = INV_E,
     bracket; the returned value is the bracket's upper end. Both bracket
     searches walk the graph's cached ladder of squarings of P, which holds
     ceil(log2 t) + 1 dense n x n matrices once the search reaches t.
+    BudgetExceeded is raised when the distance is still above eps at
+    t = _MAX_STEPS (10^8).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if g.n <= _PAIRWISE_LIMIT:
-        t = _first_time(g, lambda rows: _dbar(rows) <= eps, max_steps,
+        t = _first_time(g, lambda rows: _dbar(rows) <= eps, _MAX_STEPS,
                         "mixing_time")
         return MixingResult(t, "pairwise", eps)
     pi = stationary(g)
-    hi = _first_time(g, lambda rows: _dmax(rows, pi) <= eps / 2, max_steps,
+    hi = _first_time(g, lambda rows: _dmax(rows, pi) <= eps / 2, _MAX_STEPS,
                      "mixing_time")
     lo = _first_time(g, lambda rows: _dmax(rows, pi) <= eps, hi,
                      "mixing_time")
     return MixingResult(hi, "bracket", eps, bracket=(lo, hi))
 
 
-def separation_time(g: Graph, eps: float = INV_E,
-                    max_steps: int = 10 ** 8) -> int:
-    """First t with p^t(u, v) >= (1 - eps) pi(v) for every pair."""
+def separation_time(g: Graph, eps: float = INV_E) -> int:
+    """First t with p^t(u, v) >= (1 - eps) pi(v) for every pair, searched
+    up to t = _MAX_STEPS (10^8) like ``mixing_time``."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     pi = stationary(g)
@@ -218,7 +220,7 @@ def separation_time(g: Graph, eps: float = INV_E,
     def ok(rows: np.ndarray) -> bool:
         return bool(np.all(rows >= floor - 1e-15))
 
-    return _first_time(g, ok, max_steps, "separation_time")
+    return _first_time(g, ok, _MAX_STEPS, "separation_time")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,8 @@ def hitting_to(g: Graph, target: int) -> HittingProfile:
     """Solve (I - P restricted to V minus {target}) h = 1.
 
     One dense LU solve, refined once when its max residual exceeds
-    1e-10 * n; ``residual`` is the final max residual.
+    1e-10 * n; the refined solve is kept only when its residual is lower.
+    ``residual`` is the max residual of the times returned.
     """
     g.check_vertices((target,), "target")
     others = np.flatnonzero(np.arange(g.n) != target)
@@ -277,8 +280,10 @@ def hitting_to(g: Graph, target: int) -> HittingProfile:
     h = np.linalg.solve(A, rhs)
     resid = np.abs(A @ h - rhs).max(initial=0.0)
     if resid > _REFINE_TOL * g.n:
-        h = h + np.linalg.solve(A, rhs - A @ h)
-        resid = np.abs(A @ h - rhs).max()
+        refined = h + np.linalg.solve(A, rhs - A @ h)
+        refined_resid = np.abs(A @ refined - rhs).max()
+        if refined_resid < resid:
+            h, resid = refined, refined_resid
     full = np.zeros(g.n)
     full[others] = h
     return HittingProfile(target, full, float(resid), "dense")

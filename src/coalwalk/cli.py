@@ -185,11 +185,14 @@ def fit_scaling(series, model: str = "n^a") -> ScalingFit:
 
     ``"n^a"`` regresses ln T on ln n and reports the exponent with its
     standard error and R^2. ``"n*log n"`` has no free exponent, so the
-    spread of T / (n ln n) over the sweep is reported instead.
+    spread of T / (n ln n) over the sweep is reported instead. Either
+    model needs 4 points or more, at 2 distinct sizes or more.
     """
     pts = [(int(n), float(v)) for n, v in series]
     if len(pts) < 4:
         raise InsufficientPoints("scaling fits need at least 4 sizes")
+    if len({n for n, _ in pts}) < 2:
+        raise InsufficientPoints("scaling fits need at least 2 distinct sizes")
     if any(v <= 0 for _, v in pts):
         raise InsufficientPoints("scaling fits need positive values")
     ns = np.array([n for n, _ in pts], dtype=float)
@@ -289,8 +292,7 @@ def run(config: ExperimentConfig) -> dict:
                     for kind, est in estimates.items()}
             path = os.path.join(config.outdir,
                                 f"{spec.label()}.json")
-            _atomic_write(path, json.dumps(record, indent=2, sort_keys=True,
-                                           default=_json_default))
+            _atomic_write(path, json.dumps(record, indent=2, sort_keys=True))
             record_paths.append(path)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -309,14 +311,6 @@ def hash_label(label: str) -> int:
     return acc
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 # ---------------------------------------------------------------------------
 # Command-line interface
 # ---------------------------------------------------------------------------
@@ -326,17 +320,23 @@ def _spec_from_args(args) -> FamilySpec:
                         {key: getattr(args, key) for key in SPEC_PARAMS})
 
 
-def _add_spec_args(sub):
-    sub.add_argument("--family", required=True)
+def _add_spec_args(sub, edge_list: bool = True):
+    """The family spec flags and --seed; with ``edge_list`` also
+    --edge-list, which then stands in for --family."""
+    sub.add_argument("--family", required=not edge_list)
     for key in SPEC_PARAMS:
         sub.add_argument(f"--{key}", type=float if key == "alpha" else int)
     sub.add_argument("--seed", type=int, default=None)
+    if edge_list:
+        sub.add_argument("--edge-list")
 
 
 def _load_graph(args):
     if getattr(args, "edge_list", None):
         with open(args.edge_list) as handle:
             return load_edge_list(handle.read())
+    if args.family is None:
+        raise ConfigError("give --family or --edge-list")
     return generate(_spec_from_args(args), seed=args.seed or 0)
 
 
@@ -354,8 +354,7 @@ def _cmd_exact(args) -> int:
     mq = bounds.measure(g)
     payload = {"n": g.n, "m": g.m, "diagnostics": vars(validate(g)),
                "measured": mq.to_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True,
-                      default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
         _atomic_write(args.output, text)
     else:
@@ -434,19 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="emit an edge list for a family spec")
-    _add_spec_args(gen)
+    _add_spec_args(gen, edge_list=False)
     gen.add_argument("--output", "-o")
     gen.set_defaults(func=_cmd_gen)
 
     exact = subs.add_parser("exact", help="exact chain quantities")
     _add_spec_args(exact)
-    exact.add_argument("--edge-list")
     exact.add_argument("--output", "-o")
     exact.set_defaults(func=_cmd_exact)
 
     sim = subs.add_parser("simulate", help="Monte Carlo estimates")
     _add_spec_args(sim)
-    sim.add_argument("--edge-list")
     sim.add_argument("--kind", default="coalescence",
                      choices=SIM_KINDS)
     sim.add_argument("--trials", type=int, default=1000)
@@ -457,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="explicit-constant checks")
     _add_spec_args(verify)
-    verify.add_argument("--edge-list")
     verify.add_argument("--csv")
     verify.set_defaults(func=_cmd_verify)
 

@@ -50,7 +50,8 @@ class MissingQuantity(CoalwalkError):
 
 
 class InsufficientPoints(CoalwalkError):
-    """A scaling fit needs at least four positive data points."""
+    """A scaling fit needs at least four positive data points, at two
+    distinct sizes or more."""
 
 
 class ConfigError(CoalwalkError):

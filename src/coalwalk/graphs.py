@@ -31,6 +31,8 @@ from .seeding import mix64
 
 # Families whose automorphism group acts transitively on vertices.
 VERTEX_TRANSITIVE = frozenset({"cycle", "clique", "hypercube", "torus"})
+# lower_bound_graph builds with alpha' = max(alpha, _ALPHA_FLOOR).
+_ALPHA_FLOOR = 4.0
 
 
 class Graph:
@@ -259,7 +261,8 @@ class FamilySpec:
     """Parameters of one graph family instance.
 
     ``FAMILIES`` gives each family's size parameter and the other fields
-    it needs; lower_bound also reads ``alpha_floor`` (default 4).
+    it needs. ``to_dict`` of a lower_bound spec also records the floor
+    ``alpha_floor`` (4.0) that its construction applies to ``alpha``.
     """
     family: str
     n: int | None = None
@@ -268,7 +271,6 @@ class FamilySpec:
     side: int | None = None
     degree: int | None = None
     alpha: float | None = None
-    alpha_floor: float = 4.0
 
     def to_dict(self) -> dict:
         out = {"family": self.family}
@@ -277,12 +279,8 @@ class FamilySpec:
             if val is not None:
                 out[key] = val
         if self.family == "lower_bound":
-            out["alpha_floor"] = self.alpha_floor
+            out["alpha_floor"] = _ALPHA_FLOOR
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FamilySpec":
-        return cls(**data)
 
     def label(self) -> str:
         parts = [self.family]
@@ -405,22 +403,21 @@ def _bipartite_regular_edges(s, r, rng, sweeps=500):
     return np.concatenate(chunks, axis=0)
 
 
-def lower_bound_graph(n: int, alpha: float, seed: int,
-                      alpha_floor: float = 4.0) -> Graph:
+def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
     """Composite clique/expander graph with slow coalescence.
 
     Layout: kappa = ceil(sqrt(n)) cliques of ceil(sqrt(n)) vertices each,
     then a random bipartite ceil(sqrt(n))-regular expander on roughly
     n/sqrt(alpha') vertices, then a single hub vertex. The hub is wired to
     one designated vertex per clique and to ceil(sqrt(n/alpha')) distinct
-    expander vertices. alpha' = max(alpha, alpha_floor); the theoretical
-    floor constant is far too conservative at these sizes, so the floor is
-    configurable with default 4. All fractional sizes round up, making the
-    construction reproducible bit for bit.
+    expander vertices. alpha' = max(alpha, _ALPHA_FLOOR) with the floor
+    fixed at 4: the theoretical floor constant is far too conservative at
+    these sizes. All fractional sizes round up, making the construction
+    reproducible bit for bit.
     """
     if alpha < 1:
         raise InvalidSpec("lower_bound: alpha must be >= 1")
-    alpha_eff = max(float(alpha), float(alpha_floor))
+    alpha_eff = max(float(alpha), _ALPHA_FLOOR)
     kappa = math.isqrt(n - 1) + 1 if math.isqrt(n) ** 2 != n else math.isqrt(n)
     clique_size = kappa
     g2_target = math.ceil(n / math.sqrt(alpha_eff))
@@ -560,7 +557,6 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
             raise InvalidSpec("random_regular: n*degree must be even")
     if spec.family == "lower_bound":
         need("alpha", spec.alpha is not None and spec.alpha >= 1)
-        return lower_bound_graph(spec.n, spec.alpha, seed,
-                                 alpha_floor=spec.alpha_floor)
+        return lower_bound_graph(spec.n, spec.alpha, seed)
     n, edges = row.build(spec, seed)
     return Graph.from_edges(n, edges, meta=spec.to_dict())

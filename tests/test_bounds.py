@@ -1,12 +1,11 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from coalwalk import bounds, chain
 from coalwalk.chain import CollisionStats
-from coalwalk.errors import InvalidSpec, LengthMismatch, MissingQuantity
+from coalwalk.errors import InvalidSpec, MissingQuantity
 from coalwalk.graphs import FamilySpec, generate
 
 
@@ -204,18 +203,6 @@ class TestConcentration:
                                             t_hit_value=t_hit_value)
         assert report.ok
 
-    def test_rejects_f_out_of_range(self):
-        g = generate(FamilySpec("cycle", n=8))
-        with pytest.raises(ValueError):
-            bounds.check_concentration(g, [], steps=10, trials=8, seed=1,
-                                       f_values=np.full(8, 1.5))
-
-    def test_rejects_f_of_wrong_length(self):
-        g = generate(FamilySpec("cycle", n=8))
-        with pytest.raises(LengthMismatch):
-            bounds.check_concentration(g, [], steps=10, trials=8, seed=1,
-                                       f_values=np.ones(5))
-
     @pytest.mark.parametrize("targets", [[-1], [0, 8]])
     def test_rejects_target_outside(self, targets):
         g = generate(FamilySpec("cycle", n=8))
@@ -232,12 +219,14 @@ class TestConcentration:
                 g, start, targets, steps=10, trials=8, seed=1,
                 t_hit_value=10.0)
 
-    @pytest.mark.parametrize("steps", [0, -3])
-    def test_rejects_steps_below_one(self, steps):
+    @pytest.mark.parametrize("steps, trials", [
+        (0, 8), (-3, 8), (10, 0), (10, -5)],
+        ids=["steps-0", "steps--3", "trials-0", "trials--5"])
+    def test_rejects_steps_or_trials_below_one(self, steps, trials):
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
-            bounds.check_concentration(g, [0], steps=steps, trials=8, seed=1,
-                                       t_hit_value=10.0)
+            bounds.check_concentration(g, [0], steps=steps, trials=trials,
+                                       seed=1, t_hit_value=10.0)
 
     @pytest.mark.parametrize("targets, steps, trials", [
         ([], 10, 8), ([0], 0, 8), ([0], 10, 0)],

@@ -131,9 +131,10 @@ class TestMixingSeparation:
         assert lo <= exact <= hi
         assert bracketed.value == hi
 
-    def test_budget_exceeded(self, cycle8):
+    def test_budget_exceeded(self, cycle8, monkeypatch):
+        monkeypatch.setattr(chain, "_MAX_STEPS", 2)
         with pytest.raises(BudgetExceeded):
-            chain.mixing_time(cycle8, max_steps=2)
+            chain.mixing_time(cycle8)
 
     def test_separation_star_brute(self):
         star = generate(FamilySpec("star", n=5))
@@ -206,6 +207,13 @@ def scan_or_budget(g, predicate, max_steps):
         return BudgetExceeded
 
 
+def budgeted(monkeypatch, m, fn, *args):
+    """fn(*args) with the search budget chain._MAX_STEPS set to m."""
+    with monkeypatch.context() as budget:
+        budget.setattr(chain, "_MAX_STEPS", m)
+        return fn(*args)
+
+
 def call_or_budget(fn):
     try:
         return fn()
@@ -232,11 +240,12 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
 
         searches = {
             "pairwise": (lambda rows: chain._dbar(rows) <= eps,
-                         lambda m: chain.mixing_time(g, eps, max_steps=m)),
+                         lambda m: budgeted(monkeypatch, m,
+                                            chain.mixing_time, g, eps)),
             "d": (d_ok, lambda m: chain._first_time(g, d_ok, m, "d")),
             "separation": (lambda rows: bool(np.all(rows >= floor - 1e-15)),
-                           lambda m: chain.separation_time(g, eps,
-                                                           max_steps=m)),
+                           lambda m: budgeted(monkeypatch, m,
+                                              chain.separation_time, g, eps)),
         }
         for name, (predicate, search) in searches.items():
             t_star = scan_first_time(g, predicate, 10 ** 6)
@@ -255,8 +264,8 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
                 g, lambda rows: chain._dmax(rows, pi) <= eps / 2, m)
             with monkeypatch.context() as forced:
                 forced.setattr(chain, "_PAIRWISE_LIMIT", 4)
-                got = call_or_budget(lambda: chain.mixing_time(
-                    g, eps, max_steps=m))
+                forced.setattr(chain, "_MAX_STEPS", m)
+                got = call_or_budget(lambda: chain.mixing_time(g, eps))
             if hi is BudgetExceeded:
                 assert got is BudgetExceeded, (eps, m)
                 continue
@@ -417,8 +426,8 @@ class TestMeeting:
 
     def test_hitting_to_refinement(self, monkeypatch):
         """At a refinement tolerance of 0 the solve takes its refinement
-        step: the times move by solver rounding only, and the residual
-        reported is the refined solve's."""
+        step: the times move by solver rounding only, and the better of the
+        two solves is kept, its residual reported."""
         g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=3)
         plain = chain.hitting_to(g, 5)
         assert plain.residual > 0.0
@@ -435,6 +444,10 @@ class TestMeeting:
         A = np.eye(g.n - 1) - chain._dense_transition(g)[np.ix_(others,
                                                                 others)]
         assert refined.residual == np.abs(A @ refined.times[others] - 1).max()
+        first = plain.times[others]
+        second = first + solve(A, 1 - A @ first)
+        assert refined.residual == min(plain.residual,
+                                       np.abs(A @ second - 1).max())
 
 
 @pytest.mark.parametrize("cls, fields", [

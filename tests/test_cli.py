@@ -98,6 +98,10 @@ class TestFitScaling:
             fit_scaling([(8, 1.0), (16, 2.0), (32, 3.0)])
         with pytest.raises(InsufficientPoints):
             fit_scaling([(8, 1.0), (16, 0.0), (32, 3.0), (64, 4.0)])
+        for model in ("n^a", "n*log n"):
+            with pytest.raises(InsufficientPoints):
+                fit_scaling([(8, 1.0), (8, 1.0), (8, 2.0), (8, 3.0)],
+                            model=model)
 
 
 class TestConfig:
@@ -374,6 +378,37 @@ class TestCommands:
         assert main(["scale", "--config", str(path)]) == 0
         fits = json.loads(capsys.readouterr().out)
         assert 1.7 <= fits["cycle:t_hit"]["exponent"] <= 2.2
+
+    def test_scale_needs_two_sizes(self, tmp_path, capsys):
+        path = tmp_path / "scale.ini"
+        path.write_text(
+            "[experiment]\nquantities = exact\noutdir = %s\n" % (
+                tmp_path / "out") + "".join(
+                f"\n[sweep:c{i}]\nfamily = cycle\nsizes = 8\n"
+                for i in range(4)))
+        assert main(["scale", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: scaling fits need at least 2 distinct sizes\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("exact", []), ("simulate", ["--seed", "1", "--trials", "10"]),
+        ("verify", [])])
+    def test_edge_list_without_family(self, tmp_path, capsys, command,
+                                      flags):
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        assert main([command, "--edge-list", str(edges), *flags]) == 0
+        out = capsys.readouterr().out
+        if command == "verify":
+            assert all(row["passed"] is not False
+                       for row in json.loads(out))
+        else:
+            assert json.loads(out)["n"] == 3
+        assert main([command, *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: give --family or --edge-list\n")
 
     def test_edge_list_input(self, tmp_path, capsys):
         edges = tmp_path / "g.txt"

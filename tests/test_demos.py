@@ -9,6 +9,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script", ["01_exact_chain_quantities.py",
+                                    "02_coalescence_and_voter.py",
                                     "03_bound_verification.py"])
 def test_demo_exits_zero(script):
     env = dict(os.environ)

@@ -47,7 +47,7 @@ FAMILY_SPECS = [
     FamilySpec("random_regular", n=4, degree=3),
     FamilySpec("random_regular", n=30, degree=4),
     FamilySpec("lower_bound", n=16, alpha=4.0),
-    FamilySpec("lower_bound", n=256, alpha=2.0, alpha_floor=1.0),
+    FamilySpec("lower_bound", n=256, alpha=8.0),
 ]
 
 INVALID_SPECS = [

@@ -254,14 +254,6 @@ def test_subgraph_relabels():
     assert sub.n == 4 and sub.m == 3
 
 
-def test_family_spec_dict_roundtrip():
-    spec = FamilySpec("random_regular", n=20, degree=3)
-    assert FamilySpec.from_dict(spec.to_dict()) == spec
-    lb = FamilySpec("lower_bound", n=64, alpha=2.0)
-    again = FamilySpec.from_dict(lb.to_dict())
-    assert again.alpha == 2.0 and again.alpha_floor == 4.0
-
-
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         Graph.from_edges(3, [(0, 5)])
