@@ -17,7 +17,7 @@ print(f"  coalescence mean {coal.mean:7.1f}  CI [{coal.ci95_lo:.1f}, {coal.ci95_
 print(f"  voter       mean {voter.mean:7.1f}  CI [{voter.ci95_lo:.1f}, {voter.ci95_hi:.1f}]")
 print(f"  intervals overlap: {coal.overlaps(voter)}")
 
-sample = simulate_coalescence(g, seed=7, record_trajectory=True)
+sample = simulate_coalescence(g, seed=7)
 print(f"\none trajectory (seed 7) coalesced at t={sample.value}; survivors at")
 print("power-of-two checkpoints:")
 for t, count in sample.trajectory:

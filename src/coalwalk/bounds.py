@@ -77,31 +77,17 @@ def bound_coal_beer(t_meet: float, k: int) -> float:
     return t_meet * math.log(k)
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    lower: float
-    upper: float
-    lower_ok: bool
-    upper_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_ok and self.upper_ok
-
-
-def sandwich_avgmeet(t_mix: float, t_meet_pi: float,
-                     t_meet: float) -> SandwichResult:
+def sandwich_avgmeet(t_mix: float, t_meet_pi: float) -> tuple[float, float]:
     """Explicit sandwich between worst-case and stationary meeting times:
 
         max(t_mix / e, t_meet_pi) <= t_meet
                                   <= 2/(1-1/e)^2 * (4 t_mix + 2 t_meet_pi)
+
+    Returns the (lower, upper) ends.
     """
     lower = max(t_mix / _E, t_meet_pi)
     upper = 2.0 / (1.0 - 1.0 / _E) ** 2 * (4.0 * t_mix + 2.0 * t_meet_pi)
-    return SandwichResult(
-        lower, upper,
-        lower_ok=_holds(lower, "<=", t_meet),
-        upper_ok=_holds(t_meet, "<=", upper))
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +248,11 @@ def verify_relations(g: Graph, mq: MeasuredQuantities) -> BoundReport:
         report.add_explicit("meet_vs_hit", mq.t_meet, "<=",
                             bound_meet_hit(mq.t_hit))
         report.add_explicit(
-            "meet_sandwich_lower",
-            sandwich_avgmeet(mix_lo, mq.t_meet_pi, mq.t_meet).lower, "<=",
-            mq.t_meet, note=bracket_note)
+            "meet_sandwich_lower", sandwich_avgmeet(mix_lo, mq.t_meet_pi)[0],
+            "<=", mq.t_meet, note=bracket_note)
         report.add_explicit(
             "meet_sandwich_upper", mq.t_meet, "<=",
-            sandwich_avgmeet(mix_hi, mq.t_meet_pi, mq.t_meet).upper,
-            note=bracket_note)
+            sandwich_avgmeet(mix_hi, mq.t_meet_pi)[1], note=bracket_note)
         coll_lo, coll_hi = bound_meet_interval(mq.collision)
         report.add_explicit("collision_lower", coll_lo, "<=", mq.t_meet_pi)
         report.add_explicit("collision_upper", mq.t_meet, "<=", coll_hi)
@@ -329,8 +313,7 @@ def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
 
 
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
-                        seed: int,
-                        t_hit_value: float | None = None) -> ConcentrationReport:
+                        seed: int) -> ConcentrationReport:
     """Empirical check of the visit-count concentration inequality.
 
     For f the indicator of ``target_set``, walks of length ``steps`` are
@@ -339,6 +322,7 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     below 8 * max(t_hit, steps) * mean_pi(f). Pooled tail frequencies at
     lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1), lambda = 1, 2, 3,
     must stay below 2^-lambda plus three binomial standard errors.
+    t_hit is ``chain.t_hit(g)``, solved once the inputs are checked.
     ``steps`` and ``trials`` below 1 raise InvalidSpec.
     """
     if steps < 1 or trials < 1:
@@ -347,9 +331,7 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     g.check_vertices(targets, "target vertices")
     f_values = np.zeros(g.n)
     f_values[targets] = 1.0
-    if t_hit_value is None:
-        t_hit_value = chain.t_hit(g)
-    t_plus = max(t_hit_value, steps)
+    t_plus = max(chain.t_hit(g), steps)
     f_bar = float(f_values @ chain.stationary(g))
     mean_bound = 8.0 * t_plus * f_bar
 
@@ -365,15 +347,14 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
 
 def check_collision_concentration(g: Graph, start: int, target_set,
                                   steps: int, trials: int,
-                                  seed: int,
-                                  t_hit_value: float | None = None
-                                  ) -> ConcentrationReport:
+                                  seed: int) -> ConcentrationReport:
     """Time-dependent variant: f_t(v) = 1[v in S] * p^t(start, v).
 
     The statistic is the expected collision count of an unexposed second
     walk with the simulated one; its bound uses the in-set degree spread
     gamma: mean <= Upsilon = 16 gamma max(t_hit, steps) max_{w in S} pi(w),
-    tails at lambda * (2 Upsilon + 1).
+    tails at lambda * (2 Upsilon + 1). As in ``check_concentration``,
+    t_hit is ``chain.t_hit(g)``, solved once the inputs are checked.
     """
     members = np.asarray(sorted(set(int(v) for v in target_set)),
                          dtype=np.int64)
@@ -383,9 +364,7 @@ def check_collision_concentration(g: Graph, start: int, target_set,
         raise InvalidSpec("steps and trials must be >= 1")
     g.check_vertices(members, "target vertices")
     g.check_vertices((start,))
-    if t_hit_value is None:
-        t_hit_value = chain.t_hit(g)
-    t_plus = max(t_hit_value, steps)
+    t_plus = max(chain.t_hit(g), steps)
     degs = g.degrees[members]
     gamma = float(degs.max() / degs.min())
     pi = chain.stationary(g)

@@ -18,11 +18,12 @@ at most one per usable CPU. Each start's sums take the same float
 operations in the same order in any block, so the values do not depend on
 the CPU count.
 
-Dense matrices are filled from the graph's rows in numpy, so hitting,
-separation, spectral, bracket mixing and the dense meeting solve need no
-scipy. It loads inside the three callers that do: scipy.sparse for the CSR
-transition matrix of collision statistics and the sparse meeting branch
-(with its LU solver), and scipy.spatial for the pairwise mixing distance.
+P is built once, dense, from the graph's rows in numpy
+(``_dense_transition``), so hitting, separation, spectral, bracket mixing
+and the dense meeting solve need no scipy. It loads inside the three
+callers that do: scipy.sparse for the CSR copies of that dense P in
+collision statistics and the sparse meeting branch (with its LU solver),
+and scipy.spatial for the pairwise mixing distance.
 """
 from __future__ import annotations
 
@@ -55,20 +56,6 @@ _COLLISION_GRAIN = 128
 # Transition matrix and distributions
 # ---------------------------------------------------------------------------
 
-def transition_matrix(g: Graph) -> sp.csr_matrix:
-    """Sparse lazy transition matrix P (cached on the graph); built from
-    the rows, not from the dense P, which costs a scan of all n^2 cells."""
-    mat = g._cache.get("P")
-    if mat is None:
-        import scipy.sparse as sp
-
-        weights = 0.5 / np.repeat(g.degrees, g.degrees)
-        off = sp.csr_matrix((weights, g.indices, g.indptr), shape=(g.n, g.n))
-        mat = (off + sp.identity(g.n, format="csr") * 0.5).tocsr()
-        g._cache["P"] = mat
-    return mat
-
-
 def _dense_rows(g: Graph, weights) -> np.ndarray:
     """Dense n x n matrix with ``weights`` at the row entries of g; repeats
     add up, as in ``toarray()`` of the CSR matrix over the same rows."""
@@ -80,7 +67,7 @@ def _dense_rows(g: Graph, weights) -> np.ndarray:
 
 def _dense_transition(g: Graph) -> np.ndarray:
     """Dense lazy transition matrix P (cached on the graph), filled from
-    the rows: equal bit for bit to ``transition_matrix(g).toarray()``."""
+    the rows; the one builder of P."""
     mat = g._cache.get("P_dense")
     if mat is None:
         mat = _dense_rows(g, 0.5 / np.repeat(g.degrees, g.degrees))
@@ -167,13 +154,12 @@ class MixingResult:
 
     ``method`` is "pairwise" when the worst pairwise distance was
     evaluated exactly, or "bracket" when only the distance to
-    stationarity d(t) was used; then ``bracket`` = (min t: d <= eps,
-    min t: d <= eps/2) sandwiches the pairwise value and ``value`` is the
+    stationarity d(t) was used; then ``bracket`` = (min t: d <= 1/e,
+    min t: d <= 1/(2e)) sandwiches the pairwise value and ``value`` is the
     conservative upper endpoint.
     """
     value: int
     method: str
-    eps: float
     bracket: tuple[int, int] | None = None
 
     def __int__(self) -> int:
@@ -183,8 +169,8 @@ class MixingResult:
         return self.value
 
 
-def mixing_time(g: Graph, eps: float = INV_E) -> MixingResult:
-    """First t at which the worst pairwise TV distance drops to eps.
+def mixing_time(g: Graph) -> MixingResult:
+    """First t at which the worst pairwise TV distance drops to 1/e (INV_E).
 
     Exact for n <= _PAIRWISE_LIMIT (256). Above that, evolving all rows is
     still exact but the pairwise maximum is replaced by the distance to
@@ -192,30 +178,25 @@ def mixing_time(g: Graph, eps: float = INV_E) -> MixingResult:
     bracket; the returned value is the bracket's upper end. Both bracket
     searches walk the graph's cached ladder of squarings of P, which holds
     ceil(log2 t) + 1 dense n x n matrices once the search reaches t.
-    BudgetExceeded is raised when the distance is still above eps at
+    BudgetExceeded is raised when the distance is still above 1/e at
     t = _MAX_STEPS (10^8).
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
     if g.n <= _PAIRWISE_LIMIT:
-        t = _first_time(g, lambda rows: _dbar(rows) <= eps, _MAX_STEPS,
+        t = _first_time(g, lambda rows: _dbar(rows) <= INV_E, _MAX_STEPS,
                         "mixing_time")
-        return MixingResult(t, "pairwise", eps)
+        return MixingResult(t, "pairwise")
     pi = stationary(g)
-    hi = _first_time(g, lambda rows: _dmax(rows, pi) <= eps / 2, _MAX_STEPS,
+    hi = _first_time(g, lambda rows: _dmax(rows, pi) <= INV_E / 2,
+                     _MAX_STEPS, "mixing_time")
+    lo = _first_time(g, lambda rows: _dmax(rows, pi) <= INV_E, hi,
                      "mixing_time")
-    lo = _first_time(g, lambda rows: _dmax(rows, pi) <= eps, hi,
-                     "mixing_time")
-    return MixingResult(hi, "bracket", eps, bracket=(lo, hi))
+    return MixingResult(hi, "bracket", bracket=(lo, hi))
 
 
-def separation_time(g: Graph, eps: float = INV_E) -> int:
-    """First t with p^t(u, v) >= (1 - eps) pi(v) for every pair, searched
+def separation_time(g: Graph) -> int:
+    """First t with p^t(u, v) >= (1 - 1/e) pi(v) for every pair, searched
     up to t = _MAX_STEPS (10^8) like ``mixing_time``."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    pi = stationary(g)
-    floor = (1.0 - eps) * pi
+    floor = (1.0 - INV_E) * stationary(g)
 
     def ok(rows: np.ndarray) -> bool:
         return bool(np.all(rows >= floor - 1e-15))
@@ -378,7 +359,7 @@ def meeting_exact(g: Graph) -> MeetingResult:
         from scipy.sparse.linalg import spsolve
 
         method = "sparse"
-        P = transition_matrix(g)
+        P = sp.csr_matrix(_dense_transition(g))
         K = sp.kron(P, P, format="csr")[offdiag][:, offdiag].tocsr()
         A = (sp.identity(N, format="csr") - K).tocsc()
         m_vec = spsolve(A, rhs)
@@ -442,23 +423,23 @@ def _collision_block(Pt: sp.csr_matrix, lo: int, hi: int,
     return sq_sums, returns
 
 
-def collision_stats(g: Graph, t_mix_value: int | None = None) -> CollisionStats:
+def collision_stats(g: Graph, t_mix_value: int) -> CollisionStats:
     """Accumulate sum_t sum_v p^t(u,v)^2 and sum_t p^t(u,u) for t < t_mix.
 
-    The window is ``t_mix_value`` steps, by default ``mixing_time(g)`` at
-    eps = 1/e, and at least one.
+    The window is ``t_mix_value`` steps, at least one; callers pass
+    ``mixing_time(g).value``.
     The rows p^t(u, .) are kept transposed, as the columns of X, and
-    stepped as X <- P^T X with P^T in CSR form. The start vertices are
-    split into contiguous blocks of at least _COLLISION_GRAIN, one per
-    usable CPU at most, and each block runs its whole window in a thread
-    of its own. Every start sees the same float operations in the same
-    order whatever its block, so the result does not depend on the CPU
-    count.
+    stepped as X <- P^T X with P^T a CSR copy of the dense P. The start
+    vertices are split into contiguous blocks of at least _COLLISION_GRAIN,
+    one per usable CPU at most, and each block runs its whole window in a
+    thread of its own. Every start sees the same float operations in the
+    same order whatever its block, so the result does not depend on the
+    CPU count.
     """
-    if t_mix_value is None:
-        t_mix_value = mixing_time(g).value
+    import scipy.sparse as sp
+
     window = max(int(t_mix_value), 1)
-    Pt = transition_matrix(g).T.tocsr()
+    Pt = sp.csr_matrix(_dense_transition(g).T)
     count = max(1, min(_usable_cpus(), g.n // _COLLISION_GRAIN))
     if count == 1:
         parts = [_collision_block(Pt, 0, g.n, window)]

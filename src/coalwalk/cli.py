@@ -82,11 +82,17 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.sweeps:
             raise ConfigError("config defines no sweeps")
+        labels = set()
         for sweep in self.sweeps:
             if sweep.family not in FAMILIES:
                 raise ConfigError(f"unknown family {sweep.family!r}")
             if list(sweep.sizes) != sorted(set(sweep.sizes)):
                 raise ConfigError("sweep sizes must be strictly increasing")
+            for size in sweep.sizes:
+                label = sweep.spec_for(size).label()
+                if label in labels:
+                    raise ConfigError(f"sweep point {label} is repeated")
+                labels.add(label)
         for q in self.quantities:
             if q not in ("exact", "simulate", "verify"):
                 raise ConfigError(f"unknown quantity group {q!r}")
@@ -120,7 +126,8 @@ def parse_config(path: str) -> ExperimentConfig:
     sim_kinds (comma list of ``SIM_KINDS``) and outdir; plus one
     ``[sweep:NAME]`` section per family sweep with keys family, sizes
     (whitespace list), and optional degree, dim, alpha. A missing key takes
-    its dataclass default; an unknown section or key is an error.
+    its dataclass default; an unknown section or key is an error. The
+    values are checked by ``run``, after any command-line override.
     """
     # '%' is literal; no header names "", so [DEFAULT] is an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -155,9 +162,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if exp.pop("meeting_limit", chain._MEETING_LIMIT) != chain._MEETING_LIMIT:
         raise ConfigError("[experiment] meeting_limit: the meeting size cap "
                           f"is fixed at {chain._MEETING_LIMIT}")
-    config = ExperimentConfig(sweeps=sweeps, **exp)
-    config.validate()
-    return config
+    return ExperimentConfig(sweeps=sweeps, **exp)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ def default_cap(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class SimSample:
-    """One simulated stopping time; ``censored`` means the cap was hit."""
+    """One simulated stopping time; ``censored`` means the cap was hit.
+    Coalescence and immortal samples carry ``trajectory``, the walks alive
+    at t = 0 and at every power of two; meeting and voter samples none."""
     value: int
     censored: bool
     seed: int
@@ -66,15 +68,6 @@ class Estimate:
 
     def overlaps(self, other: "Estimate") -> bool:
         return self.ci95_lo <= other.ci95_hi and other.ci95_lo <= self.ci95_hi
-
-
-def _step_cap(g: Graph, cap: int | None) -> int:
-    """``cap``, or ``default_cap(g)`` when it is None; below 1 is rejected."""
-    if cap is None:
-        return default_cap(g)
-    if cap < 1:
-        raise InvalidSpec("cap must be >= 1")
-    return cap
 
 
 def _cuts_of(d: int) -> np.ndarray:
@@ -175,13 +168,14 @@ def _rows(end: int, blocks):
         width *= 2
 
 
-def _meeting_batch(g: Graph, starts, seeds, cap: int | None) -> list[SimSample]:
+def _meeting_batch(g: Graph, starts, seeds, cap: int) -> list[SimSample]:
     """Meeting samples of many trials; trial i starts at ``starts[i]``.
 
     Trial i reads the same per-(step, id) uniforms as any other run keyed by
     ``seeds[i]``, so its sample does not depend on the rest of the batch.
+    ``cap``, here and in the other batch kernels, is the step cap that
+    ``_batch`` resolved.
     """
-    cap = _step_cap(g, cap)
     cuts, rank_of, moves = _move_tables(g)
     keys = philox_keys(seeds)
     samples: list[SimSample | None] = [None] * len(seeds)
@@ -231,8 +225,8 @@ def _survivors(ids, pos, immortal) -> list[int]:
 
 
 def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
-                    target_k: int, mortal: bool, seeds, cap: int | None,
-                    record_trajectory: bool) -> list[SimSample]:
+                    target_k: int, mortal: bool, seeds,
+                    cap: int) -> list[SimSample]:
     """Coalescing walks of many trials; walk i starts at ``starts[i]``.
 
     Coalescence is the case ``immortal = {0}``, ``target_k = 1``: the
@@ -242,16 +236,11 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
     n. As in ``_meeting_batch``, trial i's sample depends on ``seeds[i]``
     only.
     """
-    cap = _step_cap(g, cap)
     cuts, rank_of, moves = _move_tables(g)
 
     def stopped(ids):
         alive = [i for i in ids if i not in immortal] if mortal else ids
         return len(alive) <= target_k
-
-    def sample(i, t, censored, trajectory):
-        return SimSample(t, censored, seeds[i],
-                         tuple(trajectory) if record_trajectory else None)
 
     # a start set that already meets the stopping rule takes no step
     end = 0 if stopped(range(len(starts))) else cap
@@ -288,30 +277,31 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                     if t & (t - 1) == 0:
                         trajectory.append((t, len(ids)))
                     if merged and stopped(ids):
-                        samples[i] = sample(i, t, False, trajectory)
+                        samples[i] = SimSample(t, False, seeds[i],
+                                               tuple(trajectory))
                         break
                 else:
                     still.append((i, ids, pos, trajectory))
             live = still
         for i, _, _, trajectory in live:
-            samples[i] = sample(i, end, end > 0, trajectory)
+            samples[i] = SimSample(end, end > 0, seeds[i], tuple(trajectory))
     return samples
 
 
 def simulate_coalescence(g: Graph, start_vertices=None, seed: int = 0,
-                         cap: int | None = None,
-                         record_trajectory: bool = False) -> SimSample:
+                         cap: int | None = None) -> SimSample:
     """Coalescing walks from ``start_vertices`` (default: every vertex).
 
     All active walks take synchronized lazy steps; walks landing on one
     vertex merge with the smallest id surviving. Returns the first time a
-    single walk remains.
+    single walk remains, with the walks alive at t = 0 and at every power
+    of two as its trajectory.
     """
-    return _batch("coalescence", g, {"start_vertices": start_vertices}, cap,
-                  record_trajectory)([seed])[0]
+    return _batch("coalescence", g, {"start_vertices": start_vertices},
+                  cap)([seed])[0]
 
 
-def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
+def _voter_batch(g: Graph, seeds, cap: int) -> list[SimSample]:
     """Voter consensus times of many trials; as in ``_meeting_batch``, the
     sample of the trial keyed by ``seeds[i]`` does not depend on the rest.
 
@@ -320,7 +310,6 @@ def _voter_batch(g: Graph, seeds, cap: int | None) -> list[SimSample]:
     end. Equal opinions stay equal, so the first step of the row at which
     a trial's opinions are all equal is its consensus time.
     """
-    cap = _step_cap(g, cap)
     if g.n == 1:
         return [SimSample(0, False, s) for s in seeds]
     samples: list[SimSample | None] = [None] * len(seeds)
@@ -362,8 +351,8 @@ def simulate_voter(g: Graph, seed: int, cap: int | None = None) -> SimSample:
 
 
 def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
-                      seed: int, cap: int | None = None, mode: str = "total",
-                      record_trajectory: bool = False) -> SimSample:
+                      seed: int, cap: int | None = None,
+                      mode: str = "total") -> SimSample:
     """Coalescing walks where the id group ``immortal_ids`` cannot die.
 
     Merge rule per vertex: if any immortal walk arrives, every arriving
@@ -374,11 +363,12 @@ def simulate_immortal(g: Graph, start_vertices, immortal_ids, target_k: int,
     remain; ``mode="mortal"`` when at most ``target_k`` mortal walks
     remain. ("Fewer than k remain" in the usual phrasing; at-most
     semantics make target_k = |S0| stop at time 0 and keep the immortal
-    variant reachable when target_k = |G1|.)
+    variant reachable when target_k = |G1|.) The sample carries its
+    trajectory, as in ``simulate_coalescence``.
     """
     params = {"start_vertices": start_vertices, "immortal_ids": immortal_ids,
               "target_k": target_k, "mode": mode}
-    return _batch("immortal", g, params, cap, record_trajectory)([seed])[0]
+    return _batch("immortal", g, params, cap)([seed])[0]
 
 
 def _walk_sums(g: Graph, starts, seeds, steps: int, walks: int,
@@ -416,14 +406,13 @@ def _meeting_pairs(g: Graph, pair, seeds, cap: int) -> list[SimSample]:
     return _meeting_batch(g, starts, seeds, cap)
 
 
-def _batch(kind: str, g: Graph, params: dict | None, cap: int | None,
-           record: bool = False):
+def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):
     """The trials of ``kind`` on ``g``, as a picklable call ``(seeds)`` that
     returns a SimSample per seed. Every check of the kind, the params, the
     start set and the cap runs here, before any draw or worker: a params key
     the kind does not read (``_PARAMS``), or ``u``/``v`` beside a true
-    ``stationary``, is an error. ``record`` keeps coalescence and immortal
-    trajectories."""
+    ``stationary``, is an error. The cap, ``default_cap(g)`` when None, is
+    resolved here once; the batch kernels take it as an int."""
     if kind not in _PARAMS:
         raise InvalidSpec(f"unknown simulation kind {kind!r}")
     params = params or {}
@@ -437,7 +426,9 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None,
     for key in needs.get(kind, ()):
         if key not in params:
             raise InvalidSpec(f"{kind} trials need params[{key!r}]")
-    cap = _step_cap(g, cap)
+    cap = default_cap(g) if cap is None else cap
+    if cap < 1:
+        raise InvalidSpec("cap must be >= 1")
     if kind == "meeting":
         pair = None if drawn else (params["u"], params["v"])
         g.check_vertices(pair or ())
@@ -466,7 +457,7 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None,
     if not immortal or min(immortal) < 0 or max(immortal) >= len(starts):
         raise InvalidIds("immortal ids must be ids of the start ensemble")
     return partial(_coalesce_batch, g, starts, immortal, target_k,
-                   mode == "mortal", cap=cap, record_trajectory=record)
+                   mode == "mortal", cap=cap)
 
 
 def estimate(kind: str, g: Graph, params: dict | None, trials: int,
@@ -532,7 +523,7 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     seeds = [trial_seed(master_seed, i) for i in range(batch_trials)]
     std, imm = [run(seeds) for run in [_batch("immortal", g, {
         "start_vertices": start_vertices, "immortal_ids": group,
-        "target_k": target_k}, cap, record=True)
+        "target_k": target_k}, cap)
         for group in ([0], immortal_ids)]]
     if any(s.censored for s in std + imm):
         raise BudgetExceeded("a paired trial hit the step cap")

@@ -45,6 +45,18 @@ RAW_ROWS = {
 }
 
 
+def csr_transition(g):
+    """Reference lazy transition matrix P in CSR form, built straight from
+    the graph's rows (0.5/deg at each neighbour entry) plus I/2; the oracle
+    that the dense ``chain._dense_transition`` and its CSR copies are held
+    to, bit for bit."""
+    import scipy.sparse as sp
+
+    weights = 0.5 / np.repeat(g.degrees, g.degrees)
+    off = sp.csr_matrix((weights, g.indices, g.indptr), shape=(g.n, g.n))
+    return (off + sp.identity(g.n, format="csr") * 0.5).tocsr()
+
+
 def row_arrays(rows):
     """``indptr`` and ``indices`` of a list of neighbour rows."""
     return (np.cumsum([0] + [len(r) for r in rows]),

@@ -216,10 +216,9 @@ def test_criterion_07_concentration():
     for spec, target in ((FamilySpec("cycle", n=64), 0),
                          (FamilySpec("star", n=64), 0)):
         g = generate(spec)
-        t_hit_value = chain.t_hit(g)
         report = bounds.check_concentration(
-            g, [target], steps=int(t_hit_value), trials=10_000,
-            seed=8100 + target, t_hit_value=t_hit_value)
+            g, [target], steps=int(chain.t_hit(g)), trials=10_000,
+            seed=8100 + target)
         results.append((spec.label(), report))
     ok = all(rep.ok for _, rep in results)
     detail = "; ".join(

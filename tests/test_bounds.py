@@ -62,19 +62,23 @@ class TestSpectralHitRatio:
 class TestSandwich:
     def test_k2_exact_values_pass(self):
         # t_mix = 1, t_meet_pi = 1, t_meet = 2 for the two-vertex clique
-        result = bounds.sandwich_avgmeet(1.0, 1.0, 2.0)
-        assert result.ok
+        lower, upper = bounds.sandwich_avgmeet(1.0, 1.0)
+        assert bounds._holds(lower, "<=", 2.0)
+        assert bounds._holds(2.0, "<=", upper)
 
     def test_synthetic_violation_detected(self):
-        result = bounds.sandwich_avgmeet(1.0, 0.0, 1e6)
-        assert not result.upper_ok and not result.ok
+        lower, upper = bounds.sandwich_avgmeet(1.0, 0.0)
+        assert bounds._holds(lower, "<=", 1e6)
+        assert not bounds._holds(1e6, "<=", upper)
 
     def test_all_small_families(self, small_graph):
         if small_graph.n > chain._MEETING_LIMIT:
             pytest.skip("beyond exact-meeting limit")
-        meet = chain.meeting_exact(small_graph)
-        t_mix = chain.mixing_time(small_graph).value
-        assert bounds.sandwich_avgmeet(t_mix, meet.t_meet_pi, meet.t_meet).ok
+        report = bounds.verify_relations(small_graph,
+                                         bounds.measure(small_graph))
+        rows = {c.name: c for c in report.checks}
+        for name in ("meet_sandwich_lower", "meet_sandwich_upper"):
+            assert rows[name].passed, name
 
 
 class TestVerifyRelations:
@@ -183,24 +187,20 @@ class TestConcentration:
     def test_zero_function_trivially_passes(self):
         g = generate(FamilySpec("cycle", n=16))
         report = bounds.check_concentration(g, [], steps=30, trials=64,
-                                            seed=1, t_hit_value=100.0)
+                                            seed=1)
         assert report.ok and report.worst_mean == 0.0
 
     def test_cycle_single_vertex_indicator(self):
         g = generate(FamilySpec("cycle", n=32))
-        t_hit_value = chain.t_hit(g)
-        report = bounds.check_concentration(g, [0], int(t_hit_value),
-                                            trials=2000, seed=3,
-                                            t_hit_value=t_hit_value)
+        report = bounds.check_concentration(g, [0], int(chain.t_hit(g)),
+                                            trials=2000, seed=3)
         assert report.mean_ok
         assert all(t.ok for t in report.tails)
 
     def test_star_center_stress(self):
         g = generate(FamilySpec("star", n=32))
-        t_hit_value = chain.t_hit(g)
-        report = bounds.check_concentration(g, [0], int(t_hit_value),
-                                            trials=2000, seed=4,
-                                            t_hit_value=t_hit_value)
+        report = bounds.check_concentration(g, [0], int(chain.t_hit(g)),
+                                            trials=2000, seed=4)
         assert report.ok
 
     @pytest.mark.parametrize("targets", [[-1], [0, 8]])
@@ -208,7 +208,7 @@ class TestConcentration:
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_concentration(g, targets, steps=10, trials=8,
-                                       seed=1, t_hit_value=10.0)
+                                       seed=1)
 
     @pytest.mark.parametrize("start, targets", [(0, [-1]), (0, [1, 8]),
                                                 (-1, [0]), (8, [0])])
@@ -216,8 +216,7 @@ class TestConcentration:
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_collision_concentration(
-                g, start, targets, steps=10, trials=8, seed=1,
-                t_hit_value=10.0)
+                g, start, targets, steps=10, trials=8, seed=1)
 
     @pytest.mark.parametrize("steps, trials", [
         (0, 8), (-3, 8), (10, 0), (10, -5)],
@@ -226,7 +225,7 @@ class TestConcentration:
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_concentration(g, [0], steps=steps, trials=trials,
-                                       seed=1, t_hit_value=10.0)
+                                       seed=1)
 
     @pytest.mark.parametrize("targets, steps, trials", [
         ([], 10, 8), ([0], 0, 8), ([0], 10, 0)],
@@ -235,13 +234,10 @@ class TestConcentration:
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_collision_concentration(
-                g, 0, targets, steps=steps, trials=trials, seed=1,
-                t_hit_value=10.0)
+                g, 0, targets, steps=steps, trials=trials, seed=1)
 
     def test_collision_variant(self):
         g = generate(FamilySpec("cycle", n=32))
-        t_hit_value = chain.t_hit(g)
         report = bounds.check_collision_concentration(
-            g, 0, [0, 1, 31], steps=256, trials=2000, seed=5,
-            t_hit_value=t_hit_value)
+            g, 0, [0, 1, 31], steps=256, trials=2000, seed=5)
         assert report.ok

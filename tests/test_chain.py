@@ -8,7 +8,8 @@ from coalwalk import chain
 from coalwalk.errors import (BudgetExceeded, InvalidSpec, LengthMismatch,
                              TooLarge)
 from coalwalk.graphs import FamilySpec, generate
-from conftest import RAW_ROWS, row_arrays, small_family_specs, unchecked_graph
+from conftest import (RAW_ROWS, csr_transition, row_arrays, small_family_specs,
+                      unchecked_graph)
 
 INV_E = 1.0 / math.e
 
@@ -71,7 +72,7 @@ class TestStationaryAndSteps:
 
     def test_reversibility(self, small_graph):
         g = small_graph
-        P = chain.transition_matrix(g).toarray()
+        P = csr_transition(g).toarray()
         pi = chain.stationary(g)
         assert np.abs(pi[:, None] * P - (pi[:, None] * P).T).max() < 1e-12
 
@@ -112,9 +113,12 @@ class TestMixingSeparation:
         assert brute_dbar(k16, t_mix) <= INV_E
         assert brute_dbar(k16, t_mix - 1) > INV_E
 
-    def test_monotone_in_eps(self):
+    def test_monotone_in_eps(self, monkeypatch):
         c16 = generate(FamilySpec("cycle", n=16))
-        values = [chain.mixing_time(c16, eps=e).value for e in (0.5, INV_E, 0.2)]
+        values = []
+        for eps in (0.5, INV_E, 0.2):
+            monkeypatch.setattr(chain, "INV_E", eps)
+            values.append(chain.mixing_time(c16).value)
         assert values == sorted(values)
 
     def test_dbar_nonincreasing(self, cycle8):
@@ -155,13 +159,6 @@ class TestMixingSeparation:
             cycle8, lambda rows: chain._dmax(rows, pi) <= INV_E, 10 ** 8, "d")
         assert t_d <= chain.mixing_time(cycle8).value
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
-    def test_rejects_eps_outside(self, cycle8, eps):
-        with pytest.raises(ValueError):
-            chain.mixing_time(cycle8, eps=eps)
-        with pytest.raises(ValueError):
-            chain.separation_time(cycle8, eps=eps)
-
     def test_cycle_mixing_scales_quadratically(self):
         from coalwalk.cli import fit_scaling
         series = [(n, float(chain.mixing_time(
@@ -177,7 +174,7 @@ class TestMixingSeparation:
         pi = chain.stationary(g)
         rows = np.eye(g.n)
         prev = np.ones(g.n)
-        P = chain.transition_matrix(g)
+        P = csr_transition(g)
         for _ in range(horizon):
             rows = rows @ P
             diag = rows.diagonal()
@@ -191,7 +188,7 @@ def scan_first_time(g, predicate, max_steps):
 
     P^0 and P^1 are always probed, later t only up to max_steps.
     """
-    P = chain.transition_matrix(g).toarray()
+    P = csr_transition(g).toarray()
     rows = np.eye(g.n)
     for t in range(max(max_steps, 1) + 1):
         if predicate(rows):
@@ -207,10 +204,12 @@ def scan_or_budget(g, predicate, max_steps):
         return BudgetExceeded
 
 
-def budgeted(monkeypatch, m, fn, *args):
-    """fn(*args) with the search budget chain._MAX_STEPS set to m."""
+def budgeted(monkeypatch, m, eps, fn, *args):
+    """fn(*args) with the search budget chain._MAX_STEPS set to m and the
+    threshold chain.INV_E to eps."""
     with monkeypatch.context() as budget:
         budget.setattr(chain, "_MAX_STEPS", m)
+        budget.setattr(chain, "INV_E", eps)
         return fn(*args)
 
 
@@ -240,12 +239,12 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
 
         searches = {
             "pairwise": (lambda rows: chain._dbar(rows) <= eps,
-                         lambda m: budgeted(monkeypatch, m,
-                                            chain.mixing_time, g, eps)),
+                         lambda m: budgeted(monkeypatch, m, eps,
+                                            chain.mixing_time, g)),
             "d": (d_ok, lambda m: chain._first_time(g, d_ok, m, "d")),
             "separation": (lambda rows: bool(np.all(rows >= floor - 1e-15)),
-                           lambda m: budgeted(monkeypatch, m,
-                                              chain.separation_time, g, eps)),
+                           lambda m: budgeted(monkeypatch, m, eps,
+                                              chain.separation_time, g)),
         }
         for name, (predicate, search) in searches.items():
             t_star = scan_first_time(g, predicate, 10 ** 6)
@@ -265,7 +264,8 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
             with monkeypatch.context() as forced:
                 forced.setattr(chain, "_PAIRWISE_LIMIT", 4)
                 forced.setattr(chain, "_MAX_STEPS", m)
-                got = call_or_budget(lambda: chain.mixing_time(g, eps))
+                forced.setattr(chain, "INV_E", eps)
+                got = call_or_budget(lambda: chain.mixing_time(g))
             if hi is BudgetExceeded:
                 assert got is BudgetExceeded, (eps, m)
                 continue
@@ -292,7 +292,7 @@ def test_dense_fills_match_csr_route(source):
     import scipy.sparse as sp
 
     for name, g in oracle_graphs(source).items():
-        P = chain.transition_matrix(g).toarray()
+        P = csr_transition(g).toarray()
         assert chain._dense_transition(g).tobytes() == P.tobytes(), name
         if g.n == 1 or g.deg_min == 0:
             continue  # D^{-1/2} needs every degree positive
@@ -303,6 +303,36 @@ def test_dense_fills_match_csr_route(source):
             dinv[:, None] * adj.toarray() * dinv[None, :])
         lam2 = min(max(float(np.linalg.eigvalsh(sym)[-2]), 0.0), 1.0)
         assert chain.spectral(g).lambda2 == lam2, name
+
+
+# The graphs of the benchmark's exact_chain workload.
+EXACT_CHAIN_SPECS = [
+    FamilySpec("hypercube", dim=6),
+    FamilySpec("torus", dim=2, side=8),
+    FamilySpec("barbell", n=64),
+    FamilySpec("lower_bound", n=64, alpha=4.0),
+    FamilySpec("binary_tree", levels=9),
+    FamilySpec("lower_bound", n=340, alpha=4.0),
+]
+
+
+@pytest.mark.parametrize("spec", small_family_specs() + EXACT_CHAIN_SPECS,
+                         ids=lambda s: s.label())
+def test_csr_copies_of_dense_match_row_builder(spec):
+    """The CSR P of the sparse meeting branch and the CSR P^T of collision
+    statistics, both copied from the dense P, against the CSR matrices
+    built from the rows: the same indptr, indices and data, byte for byte."""
+    import scipy.sparse as sp
+
+    g = generate(spec, seed=11)
+    P = chain._dense_transition(g)
+    want = csr_transition(g)
+    for got, ref in ((sp.csr_matrix(P), want),
+                     (sp.csr_matrix(P.T), want.T.tocsr())):
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(ref, part).dtype, part
+            assert getattr(got, part).tobytes() == getattr(
+                ref, part).tobytes(), part
 
 
 class TestSpectral:
@@ -345,7 +375,7 @@ class TestHitting:
 
     def test_residual_invariant(self, small_graph):
         g = small_graph
-        P = chain.transition_matrix(g).toarray()
+        P = csr_transition(g).toarray()
         for target in (0, g.n // 2):
             profile = chain.hitting_to(g, target)
             others = np.arange(g.n) != target
@@ -469,19 +499,20 @@ def _single_vertex_graph():
 
 class TestCollisionStats:
     def test_cmin_at_least_one(self, small_graph):
-        stats = chain.collision_stats(small_graph)
+        stats = chain.collision_stats(
+            small_graph, chain.mixing_time(small_graph).value)
         assert stats.c_min >= 1.0 - 1e-12
         assert stats.r_max >= 1.0 - 1e-12
 
     def test_clique16_rmax_frozen(self):
         # t_mix(K16) = 2, so r_max = p^0(u,u) + p^1(u,u) = 1 + 1/2
         k16 = generate(FamilySpec("clique", n=16))
-        stats = chain.collision_stats(k16)
+        stats = chain.collision_stats(k16, chain.mixing_time(k16).value)
         assert stats.t_mix_used == 2
         assert stats.r_max == pytest.approx(1.5, rel=1e-12)
 
     def test_matches_direct_accumulation(self, cycle8):
-        stats = chain.collision_stats(cycle8)
+        stats = chain.collision_stats(cycle8, chain.mixing_time(cycle8).value)
         rows = np.eye(8)
         c_u = np.zeros(8)
         r_u = np.zeros(8)
@@ -497,7 +528,8 @@ class TestCollisionStats:
         values = {}
         for side in (4, 8, 12):
             g = generate(FamilySpec("torus", dim=2, side=side))
-            values[side * side] = chain.collision_stats(g).c_min
+            values[side * side] = chain.collision_stats(
+                g, chain.mixing_time(g).value).c_min
         # log-like growth: increasing, and clearly sublinear in n
         assert values[64] > values[16] and values[144] > values[64]
         assert values[144] / values[16] < (144 / 16) ** 0.5
@@ -505,7 +537,7 @@ class TestCollisionStats:
 
 def step_loop_collision(g, window):
     """Oracle for collision_stats: the rows of P^t stepped as rows @ P."""
-    P = chain.transition_matrix(g)
+    P = csr_transition(g)
     rows = np.eye(g.n)
     sq_sums = np.zeros(g.n)
     returns = np.zeros(g.n)

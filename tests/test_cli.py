@@ -138,6 +138,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.validate()
 
+    def test_repeated_sweep_point(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        + "\n[sweep:again]\nfamily = cycle\nsizes = 4 8\n")
+        with pytest.raises(ConfigError,
+                           match="sweep point cycle-n8 is repeated"):
+            parse_config(str(path)).validate()
+        assert main(["all", "--config", str(path)]) == 1
+        assert "cycle-n8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sim_kind_in_config_fails_before_run(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
@@ -380,12 +391,13 @@ class TestCommands:
         assert 1.7 <= fits["cycle:t_hit"]["exponent"] <= 2.2
 
     def test_scale_needs_two_sizes(self, tmp_path, capsys):
+        # four distinct points, one family series, each with 25 vertices
         path = tmp_path / "scale.ini"
         path.write_text(
             "[experiment]\nquantities = exact\noutdir = %s\n" % (
                 tmp_path / "out") + "".join(
-                f"\n[sweep:c{i}]\nfamily = cycle\nsizes = 8\n"
-                for i in range(4)))
+                f"\n[sweep:a{a}]\nfamily = lower_bound\nalpha = {a}\n"
+                "sizes = 16\n" for a in range(4, 8)))
         assert main(["scale", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
@@ -448,6 +460,22 @@ class TestCommands:
                      "--seed", "4"]) == 0
         expected = generate(SweepSpec(family, (size,)).spec_for(size), seed=4)
         assert capsys.readouterr().out == expected.to_edge_list()
+
+    def test_all_flags_fill_missing_seed_and_trials(self, tmp_path, capsys):
+        # the overrides are applied before the config is checked
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        .replace("master_seed = 909\ntrials = 40\n", ""))
+        config = parse_config(str(path))
+        assert (config.master_seed, config.trials) == (None, 0)
+        assert main(["all", "--config", str(path), "--seed", "3",
+                     "--trials", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        with open(payload["csv"]) as handle:
+            rows = [row for row in csv.DictReader(handle)
+                    if row["quantity"] == "t_coalescence_sim"]
+        assert [(row["seed"], row["trials"]) for row in rows] == [
+            ("3", "4"), ("3", "4")]
 
     def test_all_flag_overrides(self, config_file, tmp_path, capsys):
         override = str(tmp_path / "elsewhere")

@@ -265,7 +265,8 @@ def test_pickle_round_trip_skips_validation(monkeypatch):
     from coalwalk import chain, graphs
 
     g = generate(FamilySpec("lower_bound", n=64, alpha=1.0), seed=3)
-    chain.transition_matrix(g)  # fill the cache; it must not travel
+    chain._dense_transition(g)  # fill the cache; it must not travel
+    assert g._cache
     data = pickle.dumps(g)
 
     def fail(_):

@@ -74,7 +74,7 @@ class TestCoalescence:
         assert simulate_coalescence(cycle16, [5], seed=1).value == 0
 
     def test_active_count_nonincreasing(self, cycle16):
-        sample = simulate_coalescence(cycle16, seed=8, record_trajectory=True)
+        sample = simulate_coalescence(cycle16, seed=8)
         counts = [count for _, count in sample.trajectory]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[0] == 16
@@ -229,8 +229,7 @@ class TestImmortal:
         std, imm, excess = [], [], 0
         for i in range(40):
             seed = trial_seed(9, i)
-            a, b = (simulate_immortal(g, range(g.n), group, 2, seed,
-                                      record_trajectory=True)
+            a, b = (simulate_immortal(g, range(g.n), group, 2, seed)
                     for group in ([0], [0, 5]))
             std.append(a.value)
             imm.append(b.value)
@@ -637,7 +636,7 @@ def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
                                        mode == "mortal", s, limit)
                 for s in seeds]
         got = _coalesce_batch(g, sorted(set(vertices)), group, target_k,
-                              mode == "mortal", seeds, cap, True)
+                              mode == "mortal", seeds, limit)
         assert [(s.value, s.censored, list(s.trajectory))
                 for s in got] == want
         assert [s.seed for s in got] == seeds
@@ -645,12 +644,10 @@ def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
             assert 0 < sum(c for _, c, _ in want) < trials
         # the public entry points are batches of one
         if immortal is None:
-            one = simulate_coalescence(g, starts, seeds[0], cap,
-                                       record_trajectory=True)
+            one = simulate_coalescence(g, starts, seeds[0], cap)
         else:
             one = simulate_immortal(g, vertices, immortal, target_k,
-                                    seeds[0], cap, mode,
-                                    record_trajectory=True)
+                                    seeds[0], cap, mode)
         assert one == got[0]
 
 
@@ -691,7 +688,7 @@ def test_voter_batch_matches_reference_loop(spec):
     for cap, count in ((7, 300), (None, 12)):
         seeds = [mix64(23, i) for i in range(count)]
         limit = default_cap(g) if cap is None else cap
-        samples = _voter_batch(g, seeds, cap)
+        samples = _voter_batch(g, seeds, limit)
         assert [(s.value, s.censored) for s in samples] == [
             _reference_voter(g, s, limit) for s in seeds]
         assert [s.seed for s in samples] == seeds
@@ -733,7 +730,7 @@ def test_voter_batch_row_edges(spec, salt, trials, cap):
     seeds = [mix64(salt, i) for i in trials]
     limit = default_cap(g) if cap is None else cap
     want = [_reference_voter(g, s, limit) for s in seeds]
-    samples = _voter_batch(g, seeds, cap)
+    samples = _voter_batch(g, seeds, limit)
     assert [(s.value, s.censored) for s in samples] == want
     if cap is None:  # the trials reach the edges they stand for
         ended = {value for value, _ in want}
@@ -801,7 +798,7 @@ class TestGoldenSamples:
         assert (est.mean, est.stderr, est.censored_count) == want
 
     def test_coalescence(self, cycle16):
-        s = simulate_coalescence(cycle16, seed=8, record_trajectory=True)
+        s = simulate_coalescence(cycle16, seed=8)
         assert (s.value, s.censored) == (200, False)
         assert s.trajectory == ((0, 16), (1, 11), (2, 10), (4, 8), (8, 4),
                                 (16, 4), (32, 3), (64, 2), (128, 2))
@@ -811,7 +808,6 @@ class TestGoldenSamples:
         assert (s.value, s.censored) == (47, False)
 
     def test_immortal(self, cycle16):
-        s = simulate_immortal(cycle16, range(16), [0, 1, 2, 3], 4, seed=6,
-                              record_trajectory=True)
+        s = simulate_immortal(cycle16, range(16), [0, 1, 2, 3], 4, seed=6)
         assert (s.value, s.censored) == (15, False)
         assert s.trajectory == ((0, 16), (1, 13), (2, 12), (4, 9), (8, 7))
