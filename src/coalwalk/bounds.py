@@ -142,8 +142,11 @@ def measure(g: Graph, *,
     Meeting times are left None on graphs above the product-chain size
     cap, where ``chain.meeting_exact`` raises TooLarge. The graph's ladder
     of squarings is released once mixing and separation are found: no
-    later solver reads it.
+    later solver reads it. A one-vertex graph, whose degree ratio is 0/0
+    and where the relation checks do not hold, is InvalidSpec.
     """
+    if g.n < 2:
+        raise InvalidSpec("measure needs a graph of at least 2 vertices")
     pi = chain.stationary(g)
     mix = chain.mixing_time(g)
     t_sep = chain.separation_time(g)

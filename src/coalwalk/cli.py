@@ -50,9 +50,14 @@ class SweepSpec:
     alpha: float | None = None
 
     def spec_for(self, size: int) -> FamilySpec:
-        row = FAMILIES[self.family]
-        given = {key: getattr(self, key) for key in row.defaults}
-        return _family_spec(self.family, {**given, row.size: size})
+        """The spec of point ``size``: degree, dim and alpha pass through to
+        ``generate``, which rejects any the family does not read, and a key
+        naming the size field that ``sizes`` sets is a ConfigError."""
+        given = {"degree": self.degree, "dim": self.dim, "alpha": self.alpha}
+        field = FAMILIES[self.family].size
+        if given.get(field) is not None:
+            raise ConfigError(f"a {self.family} sweep sets {field} by sizes")
+        return _family_spec(self.family, {**given, field: size})
 
 
 def _family_spec(family: str, given: dict) -> FamilySpec:
@@ -73,11 +78,6 @@ class ExperimentConfig:
     quantities: tuple[str, ...] = ("exact",)
     sim_kinds: tuple[str, ...] = ("coalescence",)
     outdir: str = "out"
-
-    def require_seed(self) -> int:
-        if self.master_seed is None:
-            raise ConfigError("a master seed is mandatory for Monte Carlo runs")
-        return self.master_seed
 
     def validate(self) -> None:
         if not self.sweeps:
@@ -103,7 +103,9 @@ class ExperimentConfig:
         if "simulate" in self.quantities:
             if self.trials < 2:
                 raise ConfigError("Monte Carlo quantities need trials >= 2")
-            self.require_seed()
+            if self.master_seed is None:
+                raise ConfigError(
+                    "a master seed is mandatory for Monte Carlo runs")
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -125,9 +127,10 @@ def parse_config(path: str) -> ExperimentConfig:
     trials, cap, quantities (comma list of exact/simulate/verify),
     sim_kinds (comma list of ``SIM_KINDS``) and outdir; plus one
     ``[sweep:NAME]`` section per family sweep with keys family, sizes
-    (whitespace list), and optional degree, dim, alpha. A missing key takes
-    its dataclass default; an unknown section or key is an error. The
-    values are checked by ``run``, after any command-line override.
+    (whitespace list), and the family's other fields among degree, dim and
+    alpha. A missing key takes its dataclass default; an unknown section
+    or key is an error. ``run`` checks the values after any command-line
+    override, and ``generate`` the fields.
     """
     # '%' is literal; no header names "", so [DEFAULT] is an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -243,62 +246,57 @@ def _atomic_write(path: str, text: str) -> None:
 def run(config: ExperimentConfig) -> dict:
     """Execute every sweep point; write JSON records and one flat CSV.
 
+    The config is checked and every point's graph built, in config order,
+    before ``outdir`` is made, so a bad point fails with nothing written;
+    each graph and its solver caches go once its record is written.
+
     Returns a summary dict with the CSV path, per-point record paths, and
     the explicit-check verdict. Numeric CSV fields are byte-identical
     across reruns with the same config and master seed, independent of
     worker count.
     """
     config.validate()
+    master = config.master_seed
+    specs = [sweep.spec_for(size)
+             for sweep in config.sweeps for size in sweep.sizes]
+    points = [(spec, generate(spec, seed=mix64(
+        master or 0, hash_label(spec.label())))) for spec in specs]
     os.makedirs(config.outdir, exist_ok=True)
     rows = []  # CSV rows, one tuple in CSV_COLUMNS order each
     record_paths = []
     explicit_ok = True
-    for sweep in config.sweeps:
-        for size in sweep.sizes:
-            spec = sweep.spec_for(size)
-            seed = mix64(config.master_seed or 0, hash_label(spec.label()))
-            g = generate(spec, seed=seed)
-            record = {"spec": spec.to_dict(), "n": g.n, "m": g.m}
-            mq = None
-            estimates = {}
-            if "simulate" in config.quantities:
-                master = config.require_seed()
-                for kind in config.sim_kinds:
-                    params = {}
-                    if kind == "meeting":
-                        params = {"stationary": True}
-                    est = estimate(kind, g, params, config.trials,
-                                   mix64(master, hash_label(spec.label()),
-                                         hash_label(kind)),
-                                   cap=config.cap)
-                    estimates[kind] = est
-                    rows.append((spec.family, g.n, g.m, f"t_{kind}_sim",
-                                 est.mean, est.stderr, est.trials,
-                                 est.censored_count, master))
-            if "exact" in config.quantities or "verify" in config.quantities:
-                mq = bounds.measure(
-                    g, t_coal_estimate=estimates.get("coalescence"))
-                measured = record["measured"] = mq.to_dict()
-                rows.extend((spec.family, g.n, g.m, name,
-                             float(measured[name]), None, None, None, None)
-                            for name in EXACT_ROWS
-                            if measured[name] is not None)
-            if "verify" in config.quantities:
-                report = bounds.verify_relations(g, mq)
-                record["bound_report"] = report.to_rows()
-                if not report.all_explicit_passed:
-                    explicit_ok = False
-            if estimates:
-                record["estimates"] = {
-                    kind: {"mean": est.mean, "stderr": est.stderr,
-                           "ci95": [est.ci95_lo, est.ci95_hi],
-                           "trials": est.trials,
-                           "censored": est.censored_count}
-                    for kind, est in estimates.items()}
-            path = os.path.join(config.outdir,
-                                f"{spec.label()}.json")
-            _atomic_write(path, json.dumps(record, indent=2, sort_keys=True))
-            record_paths.append(path)
+    while points:
+        spec, g = points.pop(0)
+        record = {"spec": spec.to_dict(), "n": g.n, "m": g.m}
+        estimates = {}
+        if "simulate" in config.quantities:
+            for kind in config.sim_kinds:
+                params = {"stationary": True} if kind == "meeting" else {}
+                est = estimate(kind, g, params, config.trials, mix64(
+                    master, hash_label(spec.label()), hash_label(kind)),
+                    cap=config.cap)
+                estimates[kind] = est
+                rows.append((spec.family, g.n, g.m, f"t_{kind}_sim",
+                             est.mean, est.stderr, est.trials,
+                             est.censored_count, master))
+        if "exact" in config.quantities or "verify" in config.quantities:
+            mq = bounds.measure(
+                g, t_coal_estimate=estimates.get("coalescence"))
+            measured = record["measured"] = mq.to_dict()
+            rows.extend((spec.family, g.n, g.m, name,
+                         float(measured[name]), None, None, None, None)
+                        for name in EXACT_ROWS if measured[name] is not None)
+        if "verify" in config.quantities:
+            report = bounds.verify_relations(g, mq)
+            record["bound_report"] = report.to_rows()
+            if not report.all_explicit_passed:
+                explicit_ok = False
+        if estimates:
+            record["estimates"] = {kind: est.to_dict()
+                                   for kind, est in estimates.items()}
+        path = os.path.join(config.outdir, f"{spec.label()}.json")
+        _atomic_write(path, json.dumps(record, indent=2, sort_keys=True))
+        record_paths.append(path)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -320,14 +318,9 @@ def hash_label(label: str) -> int:
 # Command-line interface
 # ---------------------------------------------------------------------------
 
-def _spec_from_args(args) -> FamilySpec:
-    return _family_spec(args.family,
-                        {key: getattr(args, key) for key in SPEC_PARAMS})
-
-
 def _add_spec_args(sub, edge_list: bool = True):
     """The family spec flags and --seed; with ``edge_list`` also
-    --edge-list, which then stands in for --family."""
+    --edge-list, which stands in for --family and every family flag."""
     sub.add_argument("--family", required=not edge_list)
     for key in SPEC_PARAMS:
         sub.add_argument(f"--{key}", type=float if key == "alpha" else int)
@@ -337,12 +330,16 @@ def _add_spec_args(sub, edge_list: bool = True):
 
 
 def _load_graph(args):
+    given = {key: getattr(args, key) for key in SPEC_PARAMS}
     if getattr(args, "edge_list", None):
+        if args.family is not None or any(v is not None
+                                          for v in given.values()):
+            raise ConfigError("--edge-list takes no --family or family flag")
         with open(args.edge_list) as handle:
             return load_edge_list(handle.read())
     if args.family is None:
         raise ConfigError("give --family or --edge-list")
-    return generate(_spec_from_args(args), seed=args.seed or 0)
+    return generate(_family_spec(args.family, given), seed=args.seed or 0)
 
 
 def _cmd_gen(args) -> int:
@@ -370,20 +367,15 @@ def _cmd_exact(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seed is None:
         raise ConfigError("--seed is mandatory for Monte Carlo runs")
+    if (args.u is None) != (args.v is None):
+        raise ConfigError("--u and --v must be given together")
     g = _load_graph(args)
-    params = {}
-    if args.kind == "meeting":
-        if (args.u is None) != (args.v is None):
-            raise ConfigError("--u and --v must be given together")
-        if args.u is None:
-            params = {"stationary": True}
-        else:
-            params = {"u": args.u, "v": args.v}
+    # a given pair goes to every kind, and estimate rejects it off meeting
+    params = ({"u": args.u, "v": args.v} if args.u is not None else
+              {"stationary": True} if args.kind == "meeting" else {})
     est = estimate(args.kind, g, params, args.trials, args.seed, cap=args.cap)
-    print(json.dumps({
-        "kind": args.kind, "n": g.n, "mean": est.mean, "stderr": est.stderr,
-        "ci95": [est.ci95_lo, est.ci95_hi], "trials": est.trials,
-        "censored": est.censored_count}, indent=2))
+    print(json.dumps({"kind": args.kind, "n": g.n, **est.to_dict()},
+                     indent=2))
     return 0
 
 
@@ -425,9 +417,7 @@ def _cmd_all(args) -> int:
     if args.outdir is not None:
         config.outdir = args.outdir
     result = run(config)
-    print(json.dumps({"csv": result["csv"],
-                      "records": result["records"],
-                      "explicit_ok": result["explicit_ok"]}, indent=2))
+    print(json.dumps(result, indent=2))
     return 0 if result["explicit_ok"] else 2
 
 

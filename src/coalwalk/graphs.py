@@ -33,6 +33,9 @@ from .seeding import mix64
 VERTEX_TRANSITIVE = frozenset({"cycle", "clique", "hypercube", "torus"})
 # lower_bound_graph builds with alpha' = max(alpha, _ALPHA_FLOOR).
 _ALPHA_FLOOR = 4.0
+# Random-generator budgets: pairing-model samples, sweeps per matching repair.
+_RANDOM_REGULAR_TRIES = 1000
+_REPAIR_SWEEPS = 500
 
 
 class Graph:
@@ -361,11 +364,11 @@ def _barbell_edges(n):
     return np.concatenate([left, right, chain, joins], axis=0)
 
 
-def _random_regular_edges(n, r, rng, retries=1000):
+def _random_regular_edges(n, r, rng):
     # Pairing (configuration) model with whole-sample rejection of loops
-    # and parallel edges.
+    # and parallel edges, up to _RANDOM_REGULAR_TRIES samples.
     stubs = np.repeat(np.arange(n), r)
-    for _ in range(retries):
+    for _ in range(_RANDOM_REGULAR_TRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -375,10 +378,11 @@ def _random_regular_edges(n, r, rng, retries=1000):
         if np.unique(keyed).size != keyed.size:
             continue
         return canon
-    raise GenerationFailure(f"random_regular(n={n}, r={r}) failed after {retries} tries")
+    raise GenerationFailure(f"random_regular(n={n}, r={r}) failed after "
+                            f"{_RANDOM_REGULAR_TRIES} tries")
 
 
-def _bipartite_regular_edges(s, r, rng, sweeps=500):
+def _bipartite_regular_edges(s, r, rng):
     """Union of r random perfect matchings between two sides of size s.
 
     Each new permutation is repaired by random transpositions until it
@@ -389,7 +393,7 @@ def _bipartite_regular_edges(s, r, rng, sweeps=500):
     chunks = []
     for _ in range(r):
         sigma = rng.permutation(s)
-        for _ in range(sweeps):
+        for _ in range(_REPAIR_SWEEPS):
             bad = np.flatnonzero(used[rows, sigma])
             if bad.size == 0:
                 break
@@ -418,7 +422,7 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
     if alpha < 1:
         raise InvalidSpec("lower_bound: alpha must be >= 1")
     alpha_eff = max(float(alpha), _ALPHA_FLOOR)
-    kappa = math.isqrt(n - 1) + 1 if math.isqrt(n) ** 2 != n else math.isqrt(n)
+    kappa = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     clique_size = kappa
     g2_target = math.ceil(n / math.sqrt(alpha_eff))
     side = math.ceil(g2_target / 2)
@@ -433,18 +437,15 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
 
     for attempt in range(50):
         rng = np.random.default_rng(mix64(seed, attempt))
-        clique_base = 0
         g2_base = kappa * clique_size
         hub = g2_base + 2 * side
         total = hub + 1
 
-        chunks = []
         proto = _clique_edges(clique_size)
-        for i in range(kappa):
-            chunks.append(proto + clique_base + i * clique_size)
+        chunks = [proto + i * clique_size for i in range(kappa)]
         g2_edges = _bipartite_regular_edges(side, r, rng) + g2_base
         chunks.append(g2_edges)
-        designated = clique_base + np.arange(kappa) * clique_size
+        designated = np.arange(kappa) * clique_size
         chunks.append(np.column_stack(
             [designated, np.full(kappa, hub, dtype=np.int64)]))
         g2_hub = g2_base + np.sort(rng.choice(2 * side, size=hub_fanout,
@@ -461,13 +462,10 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
             "hub_g2_fanout": hub_fanout, "seed": seed,
         }
         try:
-            g2_check = Graph.from_edges(
-                2 * side, (g2_edges - g2_base), meta={"family": "g2"})
-            graph = Graph.from_edges(total, edges, meta=meta)
+            Graph.from_edges(2 * side, g2_edges - g2_base)  # g2 connected
+            return Graph.from_edges(total, edges, meta=meta)
         except DisconnectedGraph:
             continue
-        del g2_check
-        return graph
     raise GenerationFailure("lower_bound: no connected instance in 50 attempts")
 
 
@@ -535,6 +533,9 @@ FAMILIES = {
 def generate(spec: FamilySpec, seed: int = 0) -> Graph:
     """Build the graph described by ``spec``.
 
+    The one check of a spec: an unknown family, a set field that is not
+    the family's size field or a key of its ``FAMILIES`` defaults, and a
+    missing or out-of-range field are each InvalidSpec.
     ``seed`` only matters for the random families (random_regular and
     lower_bound); deterministic families ignore it.
     """
@@ -546,6 +547,9 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
         if not ok:
             raise InvalidSpec(f"{spec.family}: bad parameter {name}")
 
+    for key in SPEC_PARAMS:
+        need(key, getattr(spec, key) is None or key == row.size
+             or key in row.defaults)
     if "dim" in row.defaults:
         need("dim", spec.dim is not None and spec.dim >= 1)
     size = getattr(spec, row.size)

@@ -39,10 +39,6 @@ def mix64(*parts: int) -> int:
     return acc
 
 
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    return mix64(master_seed, trial_index)
-
-
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 # 3", SC 2011) as numpy's ``Philox`` runs it: round multipliers, key bumps.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)

@@ -35,8 +35,8 @@ import numpy as np
 from .chain import stationary
 from .errors import AllCensored, BudgetExceeded, InvalidIds, InvalidSpec
 from .graphs import Graph
-from .seeding import (generator, philox_keys, philox_uniforms,
-                      philox_uniforms_ragged, trial_seed)
+from .seeding import (generator, mix64, philox_keys, philox_uniforms,
+                      philox_uniforms_ragged)
 
 WORKERS_ENV = "COALWALK_WORKERS"
 
@@ -68,6 +68,12 @@ class Estimate:
 
     def overlaps(self, other: "Estimate") -> bool:
         return self.ci95_lo <= other.ci95_hi and other.ci95_lo <= self.ci95_hi
+
+    def to_dict(self) -> dict:
+        """The record ``coalwalk all`` and ``coalwalk simulate`` write."""
+        return {"mean": self.mean, "stderr": self.stderr,
+                "ci95": [self.ci95_lo, self.ci95_hi], "trials": self.trials,
+                "censored": self.censored_count}
 
 
 def _cuts_of(d: int) -> np.ndarray:
@@ -473,7 +479,7 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     run = _batch(kind, g, params, cap)
     if trials < 2:
         raise InvalidSpec("trials must be >= 2")
-    seeds = [trial_seed(master_seed, i) for i in range(trials)]
+    seeds = [mix64(master_seed, i) for i in range(trials)]
     if workers is None:
         text = os.environ.get(WORKERS_ENV, "1")
         try:
@@ -520,7 +526,7 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     """
     if batch_trials < 1:
         raise InvalidSpec("batch_trials must be >= 1")
-    seeds = [trial_seed(master_seed, i) for i in range(batch_trials)]
+    seeds = [mix64(master_seed, i) for i in range(batch_trials)]
     std, imm = [run(seeds) for run in [_batch("immortal", g, {
         "start_vertices": start_vertices, "immortal_ids": group,
         "target_k": target_k}, cap)

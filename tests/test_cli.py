@@ -149,6 +149,24 @@ class TestConfig:
         assert "cycle-n8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("family = cycle\ndegree = 5\nalpha = 9\nsizes = 8\n",
+         "cycle: bad parameter degree"),
+        ("family = hypercube\ndim = 4\nsizes = 3\n",
+         "a hypercube sweep sets dim by sizes"),
+        ("family = barbell\nsizes = 8 10\n", "barbell: bad parameter n"),
+    ], ids=["unread-key", "size-field-key", "bad-late-point"])
+    def test_bad_sweep_point_fails_before_any_point_runs(
+            self, tmp_path, capsys, monkeypatch, sweep, message):
+        # the bad sweep comes second: no point of the first is measured
+        monkeypatch.setattr(bounds, "measure", None)
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        + "\n[sweep:bad]\n" + sweep)
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sim_kind_in_config_fails_before_run(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
@@ -422,13 +440,43 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: give --family or --edge-list\n")
 
-    def test_edge_list_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--family", "clique"], ["--family", "cycle", "--n", "50"],
+        ["--n", "50"], ["--alpha", "2"]])
+    def test_edge_list_takes_no_family_flag(self, tmp_path, capsys, flags):
         edges = tmp_path / "g.txt"
         edges.write_text("0 1\n1 2\n2 0\n")
-        assert main(["exact", "--family", "clique",
-                     "--edge-list", str(edges)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n"] == 3
+        assert main(["exact", "--edge-list", str(edges), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --edge-list takes no --family or family flag\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, family, flags", [
+        ("gen", "cycle", ["--n", "8", "--degree", "5"]),
+        ("exact", "torus", ["--side", "3", "--n", "9"]),
+        ("simulate", "clique", ["--n", "4", "--alpha", "2", "--seed", "1"]),
+        ("verify", "hypercube", ["--dim", "3", "--levels", "2"]),
+    ])
+    def test_family_flag_the_family_does_not_read(self, capsys, command,
+                                                  family, flags):
+        # the third flag is the one the family does not read
+        assert main([command, "--family", family, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {family}: bad parameter {flags[2][2:]}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["voter", "coalescence"])
+    def test_simulate_vertices_are_for_meeting_only(self, capsys, kind):
+        code = main(["simulate", "--family", "cycle", "--n", "8",
+                     "--kind", kind, "--u", "3", "--v", "5",
+                     "--trials", "10", "--seed", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {kind} trials do not read params['u']\n")
+        assert captured.out == ""
 
     def test_verify_exit_two_on_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "verify_relations", _failed_check)

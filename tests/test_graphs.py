@@ -93,11 +93,12 @@ class TestGenerators:
         g = generate(spec)
         assert g.deg_min == g.deg_max
 
-    def test_pairing_model_retry_budget(self):
-        from coalwalk.graphs import _random_regular_edges
+    def test_pairing_model_retry_budget(self, monkeypatch):
+        from coalwalk import graphs
+        monkeypatch.setattr(graphs, "_RANDOM_REGULAR_TRIES", 0)
         rng = np.random.default_rng(0)
         with pytest.raises(GenerationFailure):
-            _random_regular_edges(8, 3, rng, retries=0)
+            graphs._random_regular_edges(8, 3, rng)
 
     def test_determinism_byte_identical(self):
         spec = FamilySpec("random_regular", n=30, degree=4)
@@ -119,6 +120,19 @@ class TestGenerators:
     ], ids=str)
     def test_invalid_specs(self, spec):
         with pytest.raises(InvalidSpec):
+            generate(spec, seed=0)
+
+    @pytest.mark.parametrize("spec, key", [
+        (FamilySpec("cycle", n=8, degree=5), "degree"),
+        (FamilySpec("cycle", n=8, alpha=9.0), "alpha"),
+        (FamilySpec("hypercube", dim=3, n=8), "n"),
+        (FamilySpec("torus", dim=2, side=4, n=16), "n"),
+        (FamilySpec("random_regular", n=10, degree=3, dim=2), "dim"),
+        (FamilySpec("lower_bound", n=16, alpha=4.0, levels=3), "levels"),
+    ], ids=lambda v: v.label() if isinstance(v, FamilySpec) else v)
+    def test_rejects_fields_the_family_does_not_read(self, spec, key):
+        with pytest.raises(InvalidSpec,
+                           match=rf"^{spec.family}: bad parameter {key}$"):
             generate(spec, seed=0)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -7,7 +7,7 @@ from coalwalk import chain, simulate
 from coalwalk.errors import (AllCensored, BudgetExceeded, InvalidIds,
                              InvalidSpec)
 from coalwalk.graphs import FamilySpec, Graph, generate
-from coalwalk.seeding import generator, mix64, trial_seed
+from coalwalk.seeding import generator, mix64
 from coalwalk.simulate import (
     Estimate,
     _cells,
@@ -228,7 +228,7 @@ class TestImmortal:
         got = paired_batch_means(g, range(g.n), [0, 5], 2, 40, master_seed=9)
         std, imm, excess = [], [], 0
         for i in range(40):
-            seed = trial_seed(9, i)
+            seed = mix64(9, i)
             a, b = (simulate_immortal(g, range(g.n), group, 2, seed)
                     for group in ([0], [0, 5]))
             std.append(a.value)
