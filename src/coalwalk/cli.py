@@ -103,6 +103,8 @@ class ExperimentConfig:
         if "simulate" in self.quantities:
             if self.trials < 2:
                 raise ConfigError("Monte Carlo quantities need trials >= 2")
+            if self.cap is not None and self.cap < 1:
+                raise ConfigError("cap must be >= 1")
             if self.master_seed is None:
                 raise ConfigError(
                     "a master seed is mandatory for Monte Carlo runs")
@@ -400,10 +402,16 @@ def _cmd_scale(args) -> int:
             if row["value"]:
                 by_sweep.setdefault(key, []).append(
                     (int(row["n"]), float(row["value"])))
-        for (family, quantity), series in by_sweep.items():
-            if len(series) >= 4 and all(v > 0 for _, v in series):
-                fit = fit_scaling(series, model=args.model)
-                fits[f"{family}:{quantity}"] = vars(fit)
+    # skip a series fit_scaling rejects, and fail if it rejects all
+    unfit = InsufficientPoints("the sweep has no series to fit")
+    for (family, quantity), series in by_sweep.items():
+        try:
+            fits[f"{family}:{quantity}"] = vars(
+                fit_scaling(series, model=args.model))
+        except InsufficientPoints as exc:
+            unfit = exc
+    if not fits:
+        raise unfit
     print(json.dumps(fits, indent=2, sort_keys=True))
     return 0 if result["explicit_ok"] else 2
 

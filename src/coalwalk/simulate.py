@@ -14,12 +14,14 @@ concentration walkers run as one batch. One row policy, ``_rows``, serves
 every kernel: rows of 32 steps that double, capped by a counter budget.
 The one coalescence and immortal kernel draws only the blocks of the ids
 still alive in each live trial, and a paired run is two such batches over
-the same seeds. A sample does not depend on its batch or its rows. The
-voter checks consensus once per row of steps, which is exact because
-consensus is absorbing.
-The scalar kernels take the lazy step of the numpy ``_lazy_moves`` one walk
-at a time with no float math: numpy turns each row's uniforms into cells of
-the residual grid, on which every degree's neighbour rank is constant, and a
+the same seeds. While ``_WIDE`` or more walks are alive, it steps them all at
+once in numpy (``_lazy_moves``); the step that leaves fewer hands the rest
+of the row to its scalar loop. A sample does not depend on its batch, its
+rows or that switch. The voter checks consensus once per row of steps, which
+is exact because consensus is absorbing.
+The scalar loops take the lazy step of ``_lazy_moves`` one walk at a time
+with no float math: numpy turns each row's uniforms into cells of the
+residual grid, on which every degree's neighbour rank is constant, and a
 walk moves by two list lookups in tables cached on the graph
 (``_move_tables``).
 """
@@ -230,6 +232,11 @@ def _survivors(ids, pos, immortal) -> list[int]:
     return sorted([*first.values(), *held])
 
 
+# A row's steps run in numpy, over every live walk of the chunk at once,
+# while at least _WIDE walks are alive, and the rest in the scalar loop.
+_WIDE = 128
+
+
 def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                     target_k: int, mortal: bool, seeds,
                     cap: int) -> list[SimSample]:
@@ -239,17 +246,22 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
     immortal rule then keeps the smallest id at every vertex. Each row of
     steps makes one Philox call for the live ids of every live trial, so
     the long tail with a few walks left costs a few counters per step, not
-    n. As in ``_meeting_batch``, trial i's sample depends on ``seeds[i]``
-    only.
+    n. While the chunk has ``_WIDE`` or more walks alive, a step moves them
+    all in numpy (``_lazy_moves``) and merges them by one sort of their
+    (trial, vertex, mortal bit, index) keys. The step that leaves fewer
+    hands the rest of the row to the scalar loop: cell tables, then
+    ``_survivors``. Both keep the same walks, so as in ``_meeting_batch``,
+    trial i's sample depends on ``seeds[i]`` only.
     """
     cuts, rank_of, moves = _move_tables(g)
-
-    def stopped(ids):
-        alive = [i for i in ids if i not in immortal] if mortal else ids
-        return len(alive) <= target_k
-
+    # immortal walks never die, so a trial stops at the merge that leaves at
+    # most ``most`` walks alive
+    most = target_k + len(immortal) * mortal
     # a start set that already meets the stopping rule takes no step
-    end = 0 if stopped(range(len(starts))) else cap
+    end = 0 if len(starts) <= most else cap
+    # a walk's key bit below its vertex's: 0 if immortal, else 1
+    mortal_bit = np.isin(np.arange(len(starts)), list(immortal), invert=True)
+    span = 2 * g.n  # key span of a trial
     keys = philox_keys(seeds)
     samples: list[SimSample | None] = [None] * len(seeds)
     # no more trials than fill the first step's Philox call
@@ -264,13 +276,51 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
             uniforms = philox_uniforms_ragged(
                 keys[[i for i, _, _, _ in live]], steps,
                 [ids for _, ids, _, _ in live])
-            rows = _cells(cuts, uniforms).tolist()
-            still, offset = [], 0
-            for i, ids, pos, trajectory in live:
-                # column of each live walk in the rows
-                cols = range(offset, offset + len(ids))
-                offset += len(ids)
-                for t, row in zip(steps, rows):
+            # every live walk, in (trial, id) order: the order of its column
+            count = np.array([len(ids) for _, ids, _, _ in live])
+            ids = np.concatenate([ids for _, ids, _, _ in live])
+            pos = np.concatenate([pos for _, _, pos, _ in live])
+            base = np.repeat(np.arange(len(live)) * span, count)
+            base += mortal_bit[ids]
+            col, bits = np.arange(ids.size), ids.size.bit_length()
+            head = 0  # the row's steps done in numpy
+            while head < len(steps) and col.size >= _WIDE:
+                t = steps[head]
+                pos = _lazy_moves(g, pos, uniforms[head, col])
+                head += 1
+                # sorted (trial, vertex, mortal bit, index) keys
+                key = np.sort((base + 2 * pos << bits) + np.arange(pos.size))
+                at, index = key >> bits, key & (1 << bits) - 1
+                # a mortal walk dies where another sorts before it at its
+                # vertex: that key with the low bit set is its own
+                lost = index[1:][at[1:] == at[:-1] | 1]
+                if lost.size:
+                    hit = np.bincount(base[lost] // span, minlength=count.size)
+                    count -= hit
+                if t & (t - 1) == 0:
+                    for k in np.flatnonzero(count).tolist():
+                        live[k][3].append((t, int(count[k])))
+                if lost.size:
+                    ended = np.flatnonzero((hit > 0) & (count <= most))
+                    for k in ended.tolist():
+                        i, _, _, trajectory = live[k]
+                        samples[i] = SimSample(t, False, seeds[i],
+                                               tuple(trajectory))
+                    count[ended] = 0
+                    keep = count[base // span] > 0
+                    keep[lost] = False
+                    base, pos, col = base[keep], pos[keep], col[keep]
+            # back to lists, for the scalar loop and the next row
+            cut = np.searchsorted(base // span, np.arange(count.size + 1))
+            cut, ids, pos, col = (a.tolist() for a in (cut, ids[col], pos, col))
+            running = np.flatnonzero(count).tolist()
+            columns = [col[cut[k]:cut[k + 1]] for k in running]
+            live = [(live[k][0], ids[cut[k]:cut[k + 1]], pos[cut[k]:cut[k + 1]],
+                     live[k][3]) for k in running]
+            rows = _cells(cuts, uniforms[head:]).tolist()
+            still = []
+            for (i, ids, pos, trajectory), cols in zip(live, columns):
+                for t, row in zip(steps[head:], rows):
                     for j, c in enumerate(cols):
                         x = pos[j]
                         pos[j] = moves[x][rank_of[x][row[c]]]
@@ -282,7 +332,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                         cols = [cols[j] for j in keep]
                     if t & (t - 1) == 0:
                         trajectory.append((t, len(ids)))
-                    if merged and stopped(ids):
+                    if merged and len(ids) <= most:
                         samples[i] = SimSample(t, False, seeds[i],
                                                tuple(trajectory))
                         break

@@ -175,6 +175,16 @@ class TestConfig:
         assert "immortal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_cap_below_one_fails_before_run(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
+                        .replace("outdir", "cap = 0\noutdir"))
+        with pytest.raises(ConfigError, match="cap must be >= 1"):
+            parse_config(str(path)).validate()
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: cap must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_kinds_are_the_config_kinds(self, capsys):
         from coalwalk.cli import SIM_KINDS
         with pytest.raises(SystemExit):
@@ -422,6 +432,18 @@ class TestCommands:
             "error: scaling fits need at least 2 distinct sizes\n")
         assert captured.out == ""
 
+    def test_scale_with_no_series_to_fit(self, tmp_path, capsys):
+        # three sizes: every series is one short of a fit
+        path = tmp_path / "scale.ini"
+        path.write_text(
+            "[experiment]\nquantities = exact\noutdir = %s\n\n"
+            "[sweep:c]\nfamily = cycle\nsizes = 8 16 32\n"
+            % (tmp_path / "out"))
+        assert main(["scale", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: scaling fits need at least 4 sizes\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, flags", [
         ("exact", []), ("simulate", ["--seed", "1", "--trials", "10"]),
         ("verify", [])])
@@ -489,7 +511,7 @@ class TestCommands:
         path = tmp_path / "verify.ini"
         path.write_text("[experiment]\nquantities = exact,verify\n"
                         f"outdir = {tmp_path / 'out'}\n\n"
-                        "[sweep:c]\nfamily = cycle\nsizes = 8\n")
+                        "[sweep:c]\nfamily = cycle\nsizes = 8 10 12 16\n")
         assert main([command, "--config", str(path)]) == 0
         monkeypatch.setattr(bounds, "verify_relations", _failed_check)
         assert main([command, "--config", str(path)]) == 2

@@ -39,6 +39,29 @@ def cycle16():
     return generate(FamilySpec("cycle", n=16))
 
 
+@pytest.fixture(params=[(0, {"numpy"}), (None, {"numpy", "scalar"}),
+                        (10 ** 9, {"scalar"})], ids=["numpy", "switch", "scalar"])
+def wide(request, monkeypatch):
+    """The coalescence kernel with ``_WIDE`` at 0 (numpy steps to the end),
+    at its default (the switch falls mid-row) or at 10**9 (scalar only).
+
+    Yields (reached, named): the paths the test has reached, "numpy" once
+    the numpy step (``_lazy_moves``) ran and "scalar" once the scalar merge
+    (``_survivors``) did, and the paths the setting names. A run that has
+    at least _WIDE walks alive at first and merges below that reaches them.
+    """
+    width, named = request.param
+    if width is not None:
+        monkeypatch.setattr(simulate, "_WIDE", width)
+    reached = set()
+    for name, path in (("_lazy_moves", "numpy"), ("_survivors", "scalar")):
+        def spy(*args, _run=getattr(simulate, name), _path=path):
+            reached.add(_path)
+            return _run(*args)
+        monkeypatch.setattr(simulate, name, spy)
+    yield reached, named
+
+
 class TestMeeting:
     def test_same_start_zero(self, cycle16):
         assert simulate_meeting(cycle16, 3, 3, seed=1).value == 0
@@ -197,6 +220,7 @@ def test_coalescence_and_voter_match_exact_oracle(spec):
             kind, est.mean, est.stderr, exact)
 
 
+@pytest.mark.usefixtures("wide")
 class TestImmortal:
     def test_matches_standard_when_g1_is_min_id(self):
         g = generate(FamilySpec("cycle", n=8))
@@ -223,9 +247,11 @@ class TestImmortal:
             cycle16, range(16), [0, 1, 2, 3], 4, 120, master_seed=31)
         assert std_mean <= imm_mean
 
-    def test_paired_matches_per_trial_runs(self):
+    def test_paired_matches_per_trial_runs(self, wide):
         g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=3)
         got = paired_batch_means(g, range(g.n), [0, 5], 2, 40, master_seed=9)
+        reached, named = wide  # 40 trials of 16 walks in one Philox call
+        assert reached == named
         std, imm, excess = [], [], 0
         for i in range(40):
             seed = mix64(9, i)
@@ -596,6 +622,10 @@ def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
     return cap, True, trajectory
 
 
+# (case id, cap): the reference loop's (value, censored, trajectory) list
+_REFERENCE_RUNS: dict = {}
+
+
 # (cap, trials) runs per case: each is one batch call, and 300 trials at a
 # small cap cross a trial-chunk boundary with trials stopping at mixed times
 @pytest.mark.parametrize("label,spec,starts,immortal,target_k,mode,runs", [
@@ -624,24 +654,30 @@ def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
 ], ids=["torus-all", "torus-sparse", "lb-all", "lb-immortal-total",
         "lb-immortal-mortal", "star-all", "star-immortal-mortal",
         "star-immortal-total", "threshold-all"])
-def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
-                                         target_k, mode, runs):
+def test_coalesce_matches_reference_loop(request, wide, label, spec, starts,
+                                         immortal, target_k, mode, runs):
     g = spec if isinstance(spec, Graph) else generate(spec, seed=11)
     vertices = range(g.n) if starts is None else starts
     group = frozenset([0] if immortal is None else immortal)
+    case = request.node.callspec.id.split("-", 1)[1]  # the id after wide's
     for cap, trials in runs:
         seeds = [mix64(19, i) for i in range(trials)]
         limit = default_cap(g) if cap is None else cap
-        want = [_reference_coalescence(g, vertices, immortal, target_k,
-                                       mode == "mortal", s, limit)
+        # the oracle's answers do not depend on _WIDE: each is run once
+        if (case, cap) not in _REFERENCE_RUNS:
+            _REFERENCE_RUNS[case, cap] = [_reference_coalescence(
+                g, vertices, immortal, target_k, mode == "mortal", s, limit)
                 for s in seeds]
+        want = _REFERENCE_RUNS[case, cap]
         got = _coalesce_batch(g, sorted(set(vertices)), group, target_k,
                               mode == "mortal", seeds, limit)
         assert [(s.value, s.censored, list(s.trajectory))
                 for s in got] == want
         assert [s.seed for s in got] == seeds
-        if trials == 300 and cap != 37:  # 37 censors every all-vertex run
+        if trials == 300 and cap != 37:
             assert 0 < sum(c for _, c, _ in want) < trials
+        if cap == 37:  # 37 censors every all-vertex run, on either path
+            assert all(s.censored for s in got)
         # the public entry points are batches of one
         if immortal is None:
             one = simulate_coalescence(g, starts, seeds[0], cap)
@@ -649,6 +685,8 @@ def test_coalesce_matches_reference_loop(label, spec, starts, immortal,
             one = simulate_immortal(g, vertices, immortal, target_k,
                                     seeds[0], cap, mode)
         assert one == got[0]
+    reached, named = wide  # 300 trials put _WIDE walks in one Philox call
+    assert reached == named
 
 
 def _reference_voter(g, seed, cap):
