@@ -73,10 +73,10 @@ def _family_spec(family: str, given: dict) -> FamilySpec:
 class ExperimentConfig:
     sweeps: list[SweepSpec]
     master_seed: int | None = None
-    trials: int = 0
+    trials: int | None = None
     cap: int | None = None
     quantities: tuple[str, ...] = ("exact",)
-    sim_kinds: tuple[str, ...] = ("coalescence",)
+    sim_kinds: tuple[str, ...] | None = None  # None: coalescence alone
     outdir: str = "out"
 
     def validate(self) -> None:
@@ -96,18 +96,21 @@ class ExperimentConfig:
         for q in self.quantities:
             if q not in ("exact", "simulate", "verify"):
                 raise ConfigError(f"unknown quantity group {q!r}")
-        for kind in self.sim_kinds:
+        for kind in self.sim_kinds or ():
             if kind not in SIM_KINDS:
                 raise ConfigError(f"unknown sim kind {kind!r}; "
                                   f"expected one of {', '.join(SIM_KINDS)}")
-        if "simulate" in self.quantities:
-            if self.trials < 2:
-                raise ConfigError("Monte Carlo quantities need trials >= 2")
-            if self.cap is not None and self.cap < 1:
-                raise ConfigError("cap must be >= 1")
-            if self.master_seed is None:
-                raise ConfigError(
-                    "a master seed is mandatory for Monte Carlo runs")
+        if "simulate" not in self.quantities:
+            for key in ("trials", "cap", "sim_kinds"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"[experiment] {key} is read only when "
+                                      "quantities include simulate")
+        elif self.trials is None or self.trials < 2:
+            raise ConfigError("Monte Carlo quantities need trials >= 2")
+        elif self.cap is not None and self.cap < 1:
+            raise ConfigError("cap must be >= 1")
+        elif self.master_seed is None:
+            raise ConfigError("a master seed is mandatory for Monte Carlo runs")
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -127,7 +130,8 @@ def parse_config(path: str) -> ExperimentConfig:
 
     Format: an optional ``[experiment]`` section with keys master_seed,
     trials, cap, quantities (comma list of exact/simulate/verify),
-    sim_kinds (comma list of ``SIM_KINDS``) and outdir; plus one
+    sim_kinds (comma list of ``SIM_KINDS``, coalescence alone if left out)
+    and outdir; trials, cap and sim_kinds only beside simulate. Plus one
     ``[sweep:NAME]`` section per family sweep with keys family, sizes
     (whitespace list), and the family's other fields among degree, dim and
     alpha. A missing key takes its dataclass default; an unknown section
@@ -272,7 +276,7 @@ def run(config: ExperimentConfig) -> dict:
         record = {"spec": spec.to_dict(), "n": g.n, "m": g.m}
         estimates = {}
         if "simulate" in config.quantities:
-            for kind in config.sim_kinds:
+            for kind in config.sim_kinds or ("coalescence",):
                 params = {"stationary": True} if kind == "meeting" else {}
                 est = estimate(kind, g, params, config.trials, mix64(
                     master, hash_label(spec.label()), hash_label(kind)),
@@ -337,6 +341,9 @@ def _load_graph(args):
         if args.family is not None or any(v is not None
                                           for v in given.values()):
             raise ConfigError("--edge-list takes no --family or family flag")
+        # simulate reads --seed as its master seed; nothing else would
+        if args.seed is not None and args.command != "simulate":
+            raise ConfigError(f"{args.command} --edge-list takes no --seed")
         with open(args.edge_list) as handle:
             return load_edge_list(handle.read())
     if args.family is None:
@@ -393,6 +400,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scale(args) -> int:
     config = parse_config(args.config)
+    config.validate()  # a bad config is named before the count of points
+    # a family's series has a point per size of every sweep of it
+    points: dict[str, int] = {}
+    for sweep in config.sweeps:
+        points[sweep.family] = points.get(sweep.family, 0) + len(sweep.sizes)
+    if max(points.values(), default=0) < 4:
+        raise InsufficientPoints("scaling fits need at least 4 sizes")
     result = run(config)
     fits = {}
     by_sweep: dict[tuple[str, str], list] = {}

@@ -16,6 +16,12 @@ stops the last round at the two words it reads. The tests hold both, bit for
 bit, to the reference: a fresh ``np.random.Philox`` keyed by
 ``mix64(seed)`` at counter ``[0, 0, 0, step]``, whose first ``count``
 doubles are the uniforms of walk ids 0..count-1.
+
+The one draw outside the step stream is the pair of start vertices of a
+stationary meeting trial: ids 0 and 1 at step 0 under the key
+``mix64(seed, 1)`` in place of ``mix64(seed)``, mapped through the cdf of
+pi. Those are the bits of ``np.random.Generator(np.random.Philox(key=
+mix64(seed, 1))).choice(n, 2, p=pi)``.
 """
 from __future__ import annotations
 
@@ -144,8 +150,3 @@ class StepStream:
 
     def uniforms(self, step: int, count: int) -> np.ndarray:
         return philox_uniforms(self._key, [step], count)[0, 0]
-
-
-def generator(seed: int, *context: int) -> np.random.Generator:
-    """A free-running generator for draws that are not per-step keyed."""
-    return np.random.Generator(np.random.Philox(key=mix64(seed, *context)))

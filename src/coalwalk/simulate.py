@@ -21,9 +21,11 @@ rows or that switch. The voter checks consensus once per row of steps, which
 is exact because consensus is absorbing.
 The scalar loops take the lazy step of ``_lazy_moves`` one walk at a time
 with no float math: numpy turns each row's uniforms into cells of the
-residual grid, on which every degree's neighbour rank is constant, and a
-walk moves by two list lookups in tables cached on the graph
-(``_move_tables``).
+residual grid, on which every degree's neighbour rank is constant, by a
+bucket table with a few gathers per uniform (``_cells``), and a walk moves
+by two list lookups in tables cached on the graph (``_move_tables``).
+The start pairs of stationary meeting trials come from one Philox call for
+the whole batch (``_meeting_pairs``).
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import numpy as np
 from .chain import stationary
 from .errors import AllCensored, BudgetExceeded, InvalidIds, InvalidSpec
 from .graphs import Graph
-from .seeding import (generator, mix64, philox_keys, philox_uniforms,
+from .seeding import (mix64, philox_keys, philox_uniforms,
                       philox_uniforms_ragged)
 
 WORKERS_ENV = "COALWALK_WORKERS"
@@ -92,19 +94,42 @@ def _cuts_of(d: int) -> np.ndarray:
     return j * 2.0 ** -52
 
 
-def _move_tables(g: Graph) -> tuple[np.ndarray, list[list[int]],
-                                    list[list[int]]]:
-    """``(cuts, rank_of, moves)`` of the scalar lazy step, cached on the graph.
+def _bucket_table(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, rows)``, the bucket table that ``_cells`` reads.
+
+    A uniform u's cell counts the bounds [0.5, 0.5 + 0.5 * cuts] at or
+    below u, less one. K is the smallest power of two of at least four
+    times their number; ``first[j]`` is the cell at the bucket start
+    j / K, so it counts a bound on that edge, and the h rows hold the
+    bounds strictly inside bucket j at column j, padded with 2.0.
+    """
+    bounds = np.concatenate(([0.5], 0.5 + 0.5 * cuts))
+    size = 1 << (4 * bounds.size - 1).bit_length()
+    first = np.searchsorted(bounds, np.arange(size) / size, "right") - 1
+    scaled = bounds * size  # exact: size is a power of two
+    inside = scaled != np.floor(scaled)
+    bucket = scaled[inside].astype(np.intp)
+    slot = np.arange(bucket.size) - np.searchsorted(bucket, bucket)
+    rows = np.full((slot.max(initial=-1) + 1, size), 2.0)
+    rows[slot, bucket] = bounds[inside]
+    return first, rows
+
+
+def _move_tables(g: Graph) -> tuple[tuple[np.ndarray, np.ndarray],
+                                    list[list[int]], list[list[int]]]:
+    """``(table, rank_of, moves)`` of the scalar lazy step, cached on the
+    graph.
 
     A moving walk's residual a = (u - 0.5) * 2.0 lies on the grid
     j * 2**-52, 0 <= j < 2**52, and picks neighbour rank int(a * deg).
-    ``cuts`` is the sorted union, over the distinct degrees d, of the grid
+    The cuts are the sorted union, over the distinct degrees d, of the grid
     points at which int(a * d) steps up, so every degree's rank is constant
-    on each cell q = searchsorted(cuts, a, "right"). ``rank_of[x]``, one
-    list shared by all vertices of x's degree, holds that rank at index q,
-    and the degree itself at the last index, the stay cell (a < 0).
-    ``moves[x]`` lists x's neighbours, then x, so a walk at x in cell q
-    steps to ``moves[x][rank_of[x][q]]``.
+    on each cell q = searchsorted(cuts, a, "right"). ``table`` is the
+    bucket table (``_bucket_table``) that ``_cells`` maps uniforms to cells
+    with. ``rank_of[x]``, one list shared by all vertices of x's degree,
+    holds that rank at index q, and the degree itself at the last index,
+    the stay cell (a < 0). ``moves[x]`` lists x's neighbours, then x, so a
+    walk at x in cell q steps to ``moves[x][rank_of[x][q]]``.
 
     The rank lists hold D * (len(cuts) + 2) entries for D distinct degrees,
     and len(cuts) <= sum(d - 1) over them.
@@ -118,20 +143,28 @@ def _move_tables(g: Graph) -> tuple[np.ndarray, list[list[int]],
                  for d in degrees}
         idx, ptr = g.indices.tolist(), g.indptr.tolist()
         moves = [idx[a:b] + [x] for x, (a, b) in enumerate(zip(ptr, ptr[1:]))]
-        tables = (cuts, [ranks[d] for d in g.degrees.tolist()], moves)
+        tables = (_bucket_table(cuts), [ranks[d] for d in g.degrees.tolist()],
+                  moves)
         g._cache["move_tables"] = tables
     return tables
 
 
-def _cells(cuts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _cells(table, uniforms: np.ndarray) -> np.ndarray:
     """The move-table cell of each uniform u: -1, the stay cell, at u < 0.5,
     else searchsorted(cuts, a, "right") of its residual a = (u - 0.5) * 2.0.
 
     Both u = (1 + a) / 2 and each (1 + c) / 2 of a cut c are exact doubles,
-    so u >= (1 + c) / 2 exactly when a >= c.
+    so u >= (1 + c) / 2 exactly when a >= c. u lies in [0, 1) and
+    K = len(first) is a power of two, so u * K is exact and its floor j is
+    u's bucket: the cell is ``first[j]`` plus the count of the bucket's
+    inside bounds at or below u, one compare per row of ``_bucket_table``.
     """
-    bounds = np.concatenate(([0.5], 0.5 + 0.5 * cuts))
-    return np.searchsorted(bounds, uniforms, "right") - 1
+    first, rows = table
+    bucket = (uniforms * first.size).astype(np.intp)
+    cells = first.take(bucket)
+    for row in rows:
+        cells += row.take(bucket) <= uniforms
+    return cells
 
 
 def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
@@ -184,7 +217,7 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int) -> list[SimSample]:
     ``cap``, here and in the other batch kernels, is the step cap that
     ``_batch`` resolved.
     """
-    cuts, rank_of, moves = _move_tables(g)
+    table, rank_of, moves = _move_tables(g)
     keys = philox_keys(seeds)
     samples: list[SimSample | None] = [None] * len(seeds)
     chunk = _trial_chunk(1)  # two walks: one block of four ids per step
@@ -197,7 +230,7 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int) -> list[SimSample]:
             else:
                 live.append((i, int(u), int(v)))
         for steps in _rows(cap, lambda: len(live)):
-            cells = _cells(cuts, philox_uniforms(
+            cells = _cells(table, philox_uniforms(
                 keys[[i for i, _, _ in live]], steps, 2))
             still = []
             for (i, x, y), row_x, row_y in zip(live, cells[:, :, 0].tolist(),
@@ -253,7 +286,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
     ``_survivors``. Both keep the same walks, so as in ``_meeting_batch``,
     trial i's sample depends on ``seeds[i]`` only.
     """
-    cuts, rank_of, moves = _move_tables(g)
+    table, rank_of, moves = _move_tables(g)
     # immortal walks never die, so a trial stops at the merge that leaves at
     # most ``most`` walks alive
     most = target_k + len(immortal) * mortal
@@ -317,7 +350,7 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
             columns = [col[cut[k]:cut[k + 1]] for k in running]
             live = [(live[k][0], ids[cut[k]:cut[k + 1]], pos[cut[k]:cut[k + 1]],
                      live[k][3]) for k in running]
-            rows = _cells(cuts, uniforms[head:]).tolist()
+            rows = _cells(table, uniforms[head:]).tolist()
             still = []
             for (i, ids, pos, trajectory), cols in zip(live, columns):
                 for t, row in zip(steps[head:], rows):
@@ -456,10 +489,20 @@ _PARAMS = {"meeting": ("u", "v", "stationary"),
 
 def _meeting_pairs(g: Graph, pair, seeds, cap: int) -> list[SimSample]:
     """Meeting samples from ``pair``, or, when it is None, from a pair drawn
-    from pi by each trial seed, independent of the step stream."""
-    pi = stationary(g)
-    starts = [pair or generator(s, 1).choice(g.n, size=2, p=pi) for s in seeds]
-    return _meeting_batch(g, starts, seeds, cap)
+    from pi by each trial seed, independent of the step stream.
+
+    One Philox call draws the pairs of all seeds: ids 0 and 1 at step 0
+    under the key ``mix64(seed, 1)``, mapped through the normalised cdf of
+    pi as numpy's ``Generator.choice(g.n, 2, p=pi)`` maps them, so each
+    pair has the bits that choice gives on a Philox generator of that key.
+    """
+    if pair is not None:
+        return _meeting_batch(g, [pair] * len(seeds), seeds, cap)
+    cdf = stationary(g).cumsum()
+    cdf /= cdf[-1]
+    keys = np.array([mix64(s, 1) for s in seeds], dtype=np.uint64)
+    uniforms = philox_uniforms(keys, [0], 2)[:, 0]
+    return _meeting_batch(g, cdf.searchsorted(uniforms, "right"), seeds, cap)
 
 
 def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):

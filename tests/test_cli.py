@@ -190,8 +190,34 @@ class TestConfig:
         with pytest.raises(SystemExit):
             main(["simulate", "--help"])
         assert "{" + ",".join(SIM_KINDS) + "}" in capsys.readouterr().out
-        ExperimentConfig(sweeps=[SweepSpec("cycle", (8,))],
+        ExperimentConfig(sweeps=[SweepSpec("cycle", (8,))], master_seed=1,
+                         trials=2, quantities=("simulate",),
                          sim_kinds=SIM_KINDS).validate()
+
+    @pytest.mark.parametrize("line", [
+        "trials = 40", "cap = 1000", "sim_kinds = meeting"])
+    def test_monte_carlo_key_without_simulate(self, tmp_path, capsys, line):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nquantities = exact,verify\n"
+                        f"{line}\noutdir = {tmp_path / 'out'}\n\n"
+                        "[sweep:c]\nfamily = cycle\nsizes = 8\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] {key} "):
+            parse_config(str(path)).validate()
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [experiment] {key} is read only when quantities "
+            "include simulate\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_trials_flag_without_simulate(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nquantities = exact\n"
+                        f"outdir = {tmp_path / 'out'}\n\n"
+                        "[sweep:c]\nfamily = cycle\nsizes = 8\n")
+        assert main(["all", "--config", str(path), "--trials", "4"]) == 1
+        assert "[experiment] trials" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         "trials = 3\n",
@@ -443,6 +469,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == "error: scaling fits need at least 4 sizes\n"
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("exact", []), ("simulate", ["--seed", "1", "--trials", "10"]),
@@ -472,6 +499,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == (
             "error: --edge-list takes no --family or family flag\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_edge_list_takes_no_seed(self, tmp_path, capsys, command):
+        # simulate reads --seed as its master seed; exact and verify would not
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        assert main([command, "--edge-list", str(edges), "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {command} --edge-list takes no --seed\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, family, flags", [
@@ -537,7 +575,7 @@ class TestCommands:
         path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
                         .replace("master_seed = 909\ntrials = 40\n", ""))
         config = parse_config(str(path))
-        assert (config.master_seed, config.trials) == (None, 0)
+        assert (config.master_seed, config.trials) == (None, None)
         assert main(["all", "--config", str(path), "--seed", "3",
                      "--trials", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -6,12 +6,13 @@ import scipy.sparse.linalg as spla
 from coalwalk import chain, simulate
 from coalwalk.errors import (AllCensored, BudgetExceeded, InvalidIds,
                              InvalidSpec)
-from coalwalk.graphs import FamilySpec, Graph, generate
-from coalwalk.seeding import generator, mix64
+from coalwalk.graphs import FamilySpec, Graph, generate, lower_bound_graph
+from coalwalk.seeding import mix64
 from coalwalk.simulate import (
     Estimate,
     _cells,
     _coalesce_batch,
+    _cuts_of,
     _meeting_batch,
     _move_tables,
     _voter_batch,
@@ -26,7 +27,7 @@ from coalwalk.simulate import (
 )
 from conftest import (RAW_ROWS, row_arrays, small_family_specs,
                       unchecked_graph)
-from philox_reference import step_uniforms
+from philox_reference import generator, step_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -535,17 +536,27 @@ def _degree_set_rows(degrees):
 DEGREE_SETS = {"degrees-1-64": range(1, 65), "degrees-1-4095": (1, 4095),
                "degrees-31-48": (31, 32, 33, 48)}
 
+# the graphs of the benchmark's stationary meeting workload
+PAPER_GRAPHS = {"torus3-12": generate(FamilySpec("torus", dim=3, side=12)),
+                "lower_bound-1024": lower_bound_graph(1024, 4, seed=5)}
+
 
 @pytest.mark.parametrize("g", [
     *(generate(spec, seed=11) for spec in small_family_specs()),
     *(unchecked_graph(*row_arrays(rows)) for rows in RAW_ROWS.values()),
     *(unchecked_graph(*row_arrays(_degree_set_rows(degrees)))
       for degrees in DEGREE_SETS.values()),
-], ids=[*(s.label() for s in small_family_specs()), *RAW_ROWS, *DEGREE_SETS])
+    *PAPER_GRAPHS.values(),
+], ids=[*(s.label() for s in small_family_specs()), *RAW_ROWS, *DEGREE_SETS,
+        *PAPER_GRAPHS])
 def test_adjacency_lists_hold_degree_and_neighbours(g):
     """``_move_tables``: moves[x] is x's adjacency list and then x, and
-    rank_of[x] holds int(a * deg) on every cell and deg in the stay cell."""
-    cuts, rank_of, moves = _move_tables(g)
+    rank_of[x] holds int(a * deg) on every cell and deg in the stay cell;
+    ``_cells`` finds every uniform's cell as a binary search over the cell
+    bounds does."""
+    table, rank_of, moves = _move_tables(g)
+    cuts = np.unique(np.concatenate(
+        [_cuts_of(d) for d in np.unique(g.degrees).tolist()]))
     assert moves == [[*g.neighbors(x).tolist(), x] for x in range(g.n)]
     grid = 2.0 ** -52
     assert (np.diff(cuts) > 0).all() and (0 < cuts).all() and (cuts < 1).all()
@@ -565,9 +576,44 @@ def test_adjacency_lists_hold_degree_and_neighbours(g):
         assert all(r < d for r in ranks[:-1]) or set(ranks) == {0}
     # uniforms u = (1 + a) / 2 land in the cell of their residual a
     cells = np.arange(len(first))
-    assert (_cells(cuts, 0.5 + 0.5 * np.array(first)) == cells).all()
-    assert (_cells(cuts, 0.5 + 0.5 * np.array(last)) == cells).all()
-    assert (_cells(cuts, np.array([0.0, 0.25, 0.5 - 2.0 ** -53])) == -1).all()
+    assert (_cells(table, 0.5 + 0.5 * np.array(first)) == cells).all()
+    assert (_cells(table, 0.5 + 0.5 * np.array(last)) == cells).all()
+    assert (_cells(table, np.array([0.0, 0.25, 0.5 - 2.0 ** -53])) == -1).all()
+    # K buckets, the least power of two of at least 4 per bound, and rows
+    # that each hold a bound
+    bounds = np.concatenate(([0.5], 0.5 + 0.5 * cuts))
+    size = table[0].size
+    assert size & (size - 1) == 0 and 4 * bounds.size <= size < 8 * bounds.size
+    assert all((row < 2.0).any() for row in table[1])
+    # the oracle: a binary search over the bounds, at every bound, both of
+    # its float neighbours, the ends of [0, 1) and random uniforms
+    probes = np.concatenate([
+        bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0),
+        [0.0, 0.5 - 2.0 ** -53, 1.0 - 2.0 ** -53],
+        np.random.default_rng(7).random(4096)])
+    probes = probes[probes < 1.0]
+    assert (_cells(table, probes)
+            == np.searchsorted(bounds, probes, "right") - 1).all()
+
+
+@pytest.mark.parametrize("g", [
+    *(generate(spec, seed=11) for spec in small_family_specs()),
+    generate(FamilySpec("star", n=32)),
+    *PAPER_GRAPHS.values(),
+    Graph(np.array([0, 0]), np.array([], dtype=np.int64)),
+], ids=[*(s.label() for s in small_family_specs()), "star-n32",
+        *PAPER_GRAPHS, "single"])
+def test_stationary_starts_are_generator_choices(g, monkeypatch):
+    """The start pairs that one Philox call draws for a whole batch are
+    ``generator(seed, 1).choice(n, 2, p=pi)`` of each trial seed."""
+    drawn = []
+    monkeypatch.setattr(simulate, "_meeting_batch",
+                        lambda g, starts, seeds, cap: drawn.append(starts))
+    seeds = [mix64(41, i) for i in range(300)]
+    simulate._batch("meeting", g, {"stationary": True}, None)(seeds)
+    pi = chain.stationary(g)
+    assert np.asarray(drawn[0]).tolist() == [
+        generator(s, 1).choice(g.n, size=2, p=pi).tolist() for s in seeds]
 
 
 def test_stationary_meeting_single_vertex():
