@@ -142,11 +142,8 @@ def measure(g: Graph, *,
     Meeting times are left None on graphs above the product-chain size
     cap, where ``chain.meeting_exact`` raises TooLarge. The graph's ladder
     of squarings is released once mixing and separation are found: no
-    later solver reads it. A one-vertex graph, whose degree ratio is 0/0
-    and where the relation checks do not hold, is InvalidSpec.
+    later solver reads it.
     """
-    if g.n < 2:
-        raise InvalidSpec("measure needs a graph of at least 2 vertices")
     pi = chain.stationary(g)
     mix = chain.mixing_time(g)
     t_sep = chain.separation_time(g)
@@ -270,9 +267,8 @@ def verify_relations(g: Graph, mq: MeasuredQuantities) -> BoundReport:
         coal = mq.t_coal_estimate.mean
         report.add_ratio("coal_mixtradeoff_ratio", coal,
                          bound_coal_mixtradeoff(mq.t_meet, mq.t_mix, mq.n))
-        if mq.n >= 2:
-            report.add_ratio("coal_beer_ratio", coal,
-                             bound_coal_beer(mq.t_meet, mq.n))
+        report.add_ratio("coal_beer_ratio", coal,
+                         bound_coal_beer(mq.t_meet, mq.n))
     return report
 
 

@@ -77,9 +77,7 @@ def _dense_transition(g: Graph) -> np.ndarray:
 
 
 def stationary(g: Graph) -> np.ndarray:
-    """pi(u) = deg(u) / 2m; the single-vertex graph gets the point mass."""
-    if g.n == 1:
-        return np.ones(1)
+    """pi(u) = deg(u) / 2m."""
     return g.degrees / (2.0 * g.m)
 
 
@@ -88,13 +86,8 @@ def lazy_step(g: Graph, dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (g.n,):
         raise LengthMismatch("distribution length != vertex count")
-    out = 0.5 * dist
-    if g.m:
-        contrib = np.repeat(dist / (2.0 * g.degrees), g.degrees)
-        out += np.bincount(g.indices, weights=contrib, minlength=g.n)
-    else:
-        out += 0.5 * dist
-    return out
+    contrib = np.repeat(dist / (2.0 * g.degrees), g.degrees)
+    return 0.5 * dist + np.bincount(g.indices, weights=contrib, minlength=g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +96,6 @@ def lazy_step(g: Graph, dist: np.ndarray) -> np.ndarray:
 
 def _dbar(rows: np.ndarray) -> float:
     """Worst pairwise total-variation distance between rows."""
-    if rows.shape[0] < 2:
-        return 0.0
     from scipy.spatial.distance import pdist
 
     return 0.5 * float(pdist(rows, metric="cityblock").max())
@@ -116,17 +107,16 @@ def _dmax(rows: np.ndarray, pi: np.ndarray) -> float:
 
 
 def _first_time(g: Graph, predicate, max_steps: int, what: str) -> int:
-    """Smallest t >= 0 with predicate(P^t) true; predicate monotone in t.
+    """Smallest t >= 1 with predicate(P^t) true; predicate monotone in t.
 
     Walks the ladder [P, P^2, P^4, ...] cached on the graph, one squaring
     per new rung, up to the first rung where the predicate holds, then
     binary-lifts from the rung below: rows @ ladder[j] for j from high to
     low, kept while the predicate stays false. P^1 is always probed, no
     probe passes ``max_steps``, and BudgetExceeded is raised when the
-    predicate is still false at t = max_steps.
+    predicate is still false at t = max_steps. P^0 = I is never probed:
+    for n >= 2 no predicate holds there (d(I) = 1 - min pi, dbar(I) = 1).
     """
-    if predicate(np.eye(g.n)):
-        return 0
     ladder = g._cache.setdefault("pow2", [_dense_transition(g)])
     if predicate(ladder[0]):
         return 1
@@ -222,8 +212,6 @@ def spectral(g: Graph) -> SpectralSummary:
     One dense symmetric eigensolve (``eigvalsh``) of the similarity
     transform D^{1/2} P D^{-1/2}; being direct, it reports residual 0.
     """
-    if g.n == 1:
-        return SpectralSummary(0.0, 1.0, "dense", 0.0)
     dinv = 1.0 / np.sqrt(g.degrees)
     sym = 0.5 * np.eye(g.n) + 0.5 * (
         dinv[:, None] * _dense_rows(g, 1.0) * dinv[None, :])
@@ -259,7 +247,7 @@ def hitting_to(g: Graph, target: int) -> HittingProfile:
     P = _dense_transition(g)
     A = np.eye(g.n - 1) - P[np.ix_(others, others)]
     h = np.linalg.solve(A, rhs)
-    resid = np.abs(A @ h - rhs).max(initial=0.0)
+    resid = np.abs(A @ h - rhs).max()
     if resid > _REFINE_TOL * g.n:
         refined = h + np.linalg.solve(A, rhs - A @ h)
         refined_resid = np.abs(A @ refined - rhs).max()
@@ -330,8 +318,6 @@ def meeting_exact(g: Graph) -> MeetingResult:
         raise TooLarge(f"meeting_exact limited to n <= {_MEETING_LIMIT}, "
                        f"got {g.n}")
     n = g.n
-    if n == 1:
-        return MeetingResult(0.0, 0.0, (0, 0), np.zeros((1, 1)), 0.0, "direct")
     states = np.arange(n * n)
     offdiag = np.flatnonzero(states // n != states % n)
     N = offdiag.size

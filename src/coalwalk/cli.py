@@ -25,8 +25,8 @@ import numpy as np
 
 from . import bounds, chain
 from .errors import CoalwalkError, ConfigError, InsufficientPoints
-from .graphs import (FAMILIES, SPEC_PARAMS, FamilySpec, generate,
-                     load_edge_list, validate)
+from .graphs import (FAMILIES, SEEDED_FAMILIES, SPEC_PARAMS, FamilySpec,
+                     generate, load_edge_list, validate)
 from .seeding import mix64
 from .simulate import estimate
 
@@ -337,17 +337,22 @@ def _add_spec_args(sub, edge_list: bool = True):
 
 def _load_graph(args):
     given = {key: getattr(args, key) for key in SPEC_PARAMS}
-    if getattr(args, "edge_list", None):
-        if args.family is not None or any(v is not None
-                                          for v in given.values()):
-            raise ConfigError("--edge-list takes no --family or family flag")
-        # simulate reads --seed as its master seed; nothing else would
-        if args.seed is not None and args.command != "simulate":
-            raise ConfigError(f"{args.command} --edge-list takes no --seed")
-        with open(args.edge_list) as handle:
-            return load_edge_list(handle.read())
-    if args.family is None:
+    edge_list = getattr(args, "edge_list", None)
+    if edge_list and (args.family is not None
+                      or any(v is not None for v in given.values())):
+        raise ConfigError("--edge-list takes no --family or family flag")
+    if not edge_list and args.family is None:
         raise ConfigError("give --family or --edge-list")
+    # simulate reads --seed as its master seed; elsewhere a seeded family
+    # alone reads it (an unknown family is generate's error)
+    if (args.seed is not None and args.command != "simulate"
+            and args.family not in SEEDED_FAMILIES
+            and (edge_list or args.family in FAMILIES)):
+        source = "--edge-list" if edge_list else f"--family {args.family}"
+        raise ConfigError(f"{args.command} {source} takes no --seed")
+    if edge_list:
+        with open(edge_list) as handle:
+            return load_edge_list(handle.read())
     return generate(_family_spec(args.family, given), seed=args.seed or 0)
 
 

@@ -15,6 +15,7 @@ symmetry by comparing the sorted keys of the entries both ways.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -31,15 +32,18 @@ from .seeding import mix64
 
 # Families whose automorphism group acts transitively on vertices.
 VERTEX_TRANSITIVE = frozenset({"cycle", "clique", "hypercube", "torus"})
+# Families whose graph depends on the seed; the others ignore it.
+SEEDED_FAMILIES = frozenset({"random_regular", "lower_bound"})
 # lower_bound_graph builds with alpha' = max(alpha, _ALPHA_FLOOR).
 _ALPHA_FLOOR = 4.0
-# Random-generator budgets: pairing-model samples, sweeps per matching repair.
+# Random-generator budgets: pairing-model samples, sweeps of a repair.
 _RANDOM_REGULAR_TRIES = 1000
 _REPAIR_SWEEPS = 500
 
 
 class Graph:
-    """Immutable simple undirected connected graph (compressed rows).
+    """Immutable simple undirected connected graph (compressed rows) on
+    n >= 2 vertices, so m >= 1 and every degree is at least 1.
 
     Attributes
     ----------
@@ -62,15 +66,14 @@ class Graph:
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  meta: dict | None = None):
-        if len(indptr) < 2:
-            raise InvalidSpec("graph needs at least one vertex")
+        if len(indptr) < 3:
+            raise InvalidSpec("graph needs at least two vertices")
         self.__setstate__({"indptr": indptr, "indices": indices,
                            "meta": meta})
-        if self.n > 1:
-            if self.deg_min < 1:
-                raise DisconnectedGraph("graph has an isolated vertex")
-            if not _is_connected(self):
-                raise DisconnectedGraph("graph is not connected")
+        if self.deg_min < 1:
+            raise DisconnectedGraph("graph has an isolated vertex")
+        if not _is_connected(self):
+            raise DisconnectedGraph("graph is not connected")
 
     @classmethod
     def from_edges(cls, n: int,
@@ -366,7 +369,8 @@ def _barbell_edges(n):
 
 def _random_regular_edges(n, r, rng):
     # Pairing (configuration) model with whole-sample rejection of loops
-    # and parallel edges, up to _RANDOM_REGULAR_TRIES samples.
+    # and parallel edges, up to _RANDOM_REGULAR_TRIES samples; then
+    # switches on the last sample.
     stubs = np.repeat(np.arange(n), r)
     for _ in range(_RANDOM_REGULAR_TRIES):
         perm = rng.permutation(stubs)
@@ -378,8 +382,43 @@ def _random_regular_edges(n, r, rng):
         if np.unique(keyed).size != keyed.size:
             continue
         return canon
+    return _switched_pairing(perm, n, r, rng)
+
+
+def _switched_pairing(perm, n, r, rng):
+    """Edges of a simple connected graph made from the pairing ``perm`` by
+    degree-preserving switches, in sweeps as ``_bipartite_regular_edges``
+    repairs a matching: each bad pair (a loop, a repeated edge, or any one
+    pair while the graph is disconnected) swaps its second stub with a
+    random stub, kept only if neither new pair is a loop or an edge
+    already present."""
+    def key(u, v):
+        return min(u, v) * n + max(u, v)
+
+    pairs = perm.reshape(-1, 2)
+    count = Counter(key(u, v) for u, v in pairs.tolist())
+    for _ in range(_REPAIR_SWEEPS):
+        bad = [i for i, (u, v) in enumerate(pairs.tolist())
+               if u == v or count[key(u, v)] > 1]
+        if not bad:
+            edges = np.sort(pairs, axis=1)
+            try:
+                Graph.from_edges(n, edges)
+                return edges
+            except DisconnectedGraph:
+                bad = [int(rng.integers(pairs.shape[0]))]
+        for i, j in zip(bad, rng.integers(0, perm.size, size=len(bad))):
+            (a, b), c, d = pairs[i].tolist(), int(perm[j]), int(perm[j ^ 1])
+            old, new = (key(a, b), key(c, d)), (key(a, c), key(b, d))
+            count.subtract(old)
+            ok = (a != c and b != d and new[0] != new[1]
+                  and not count[new[0]] and not count[new[1]])
+            if ok:
+                perm[2 * i + 1], perm[j] = perm[j], perm[2 * i + 1]
+            count.update(new if ok else old)
     raise GenerationFailure(f"random_regular(n={n}, r={r}) failed after "
-                            f"{_RANDOM_REGULAR_TRIES} tries")
+                            f"{_RANDOM_REGULAR_TRIES} tries and "
+                            f"{_REPAIR_SWEEPS} sweeps of switches")
 
 
 def _bipartite_regular_edges(s, r, rng):
@@ -536,8 +575,8 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
     The one check of a spec: an unknown family, a set field that is not
     the family's size field or a key of its ``FAMILIES`` defaults, and a
     missing or out-of-range field are each InvalidSpec.
-    ``seed`` only matters for the random families (random_regular and
-    lower_bound); deterministic families ignore it.
+    ``seed`` only matters for the families in ``SEEDED_FAMILIES``; the
+    others ignore it.
     """
     row = FAMILIES.get(spec.family)
     if row is None:

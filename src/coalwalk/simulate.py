@@ -399,8 +399,6 @@ def _voter_batch(g: Graph, seeds, cap: int) -> list[SimSample]:
     end. Equal opinions stay equal, so the first step of the row at which
     a trial's opinions are all equal is its consensus time.
     """
-    if g.n == 1:
-        return [SimSample(0, False, s) for s in seeds]
     samples: list[SimSample | None] = [None] * len(seeds)
     keys = philox_keys(seeds)
     blocks = (g.n + 3) // 4  # Philox counters per (trial, step)

@@ -178,14 +178,6 @@ class TestMeasure:
             t_mix_bracket=mix.bracket,
             vertex_transitive=spec.family == "cycle")
 
-    def test_rejects_single_vertex(self, monkeypatch):
-        from coalwalk.graphs import Graph
-        one = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
-        # the check runs before any solve
-        monkeypatch.setattr(chain, "stationary", None)
-        with pytest.raises(InvalidSpec, match="at least 2 vertices"):
-            bounds.measure(one)
-
     def test_to_dict_roundtrips_to_json(self, k8_measured):
         import json
         _, mq = k8_measured

@@ -294,7 +294,7 @@ def test_dense_fills_match_csr_route(source):
     for name, g in oracle_graphs(source).items():
         P = csr_transition(g).toarray()
         assert chain._dense_transition(g).tobytes() == P.tobytes(), name
-        if g.n == 1 or g.deg_min == 0:
+        if g.deg_min == 0:
             continue  # D^{-1/2} needs every degree positive
         adj = sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr),
                             shape=(g.n, g.n))
@@ -441,19 +441,6 @@ class TestMeeting:
         with pytest.raises(TooLarge):
             chain.meeting_exact(g)
 
-    def test_single_vertex_conventions(self):
-        one = _single_vertex_graph()
-        assert chain.meeting_exact(one).t_meet == 0.0
-        assert chain.t_hit(one) == 0.0
-        mix = chain.mixing_time(one)
-        assert (mix.value, mix.method) == (0, "pairwise")
-        assert chain.separation_time(one) == 0
-        hit = chain.hitting_to(one, 0)
-        assert hit.times.tolist() == [0.0]
-        assert (hit.residual, hit.method) == (0.0, "dense")
-        assert chain.hitting_matrix(one).tolist() == [[0.0]]
-        assert chain.spectral(one).lambda2 == 0.0
-
     def test_hitting_to_refinement(self, monkeypatch):
         """At a refinement tolerance of 0 the solve takes its refinement
         step: the times move by solver rounding only, and the better of the
@@ -489,12 +476,6 @@ class TestMeeting:
 def test_results_keep_provenance_fields(cls, fields):
     # the benchmark tracer reads these fields off every solver result
     assert fields <= {f.name for f in dataclasses.fields(cls)}
-
-
-def _single_vertex_graph():
-    from coalwalk.graphs import Graph
-    return Graph(np.array([0, 0]), np.array([], dtype=np.int64),
-                 meta={"family": "single"})
 
 
 class TestCollisionStats:

@@ -19,7 +19,8 @@ from coalwalk.cli import (
     run,
 )
 from coalwalk.errors import ConfigError, InsufficientPoints, InvalidSpec
-from coalwalk.graphs import FamilySpec, generate, load_edge_list
+from coalwalk.graphs import (SEEDED_FAMILIES, FamilySpec, generate,
+                             load_edge_list)
 
 
 CONFIG_TEMPLATE = """
@@ -512,6 +513,28 @@ class TestCommands:
             f"error: {command} --edge-list takes no --seed\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, flags", [
+        ("gen", ["--family", "cycle", "--n", "4"]),
+        ("exact", ["--family", "cycle", "--n", "8"]),
+        ("verify", ["--family", "torus", "--side", "3"])])
+    def test_unseeded_family_takes_no_seed(self, capsys, command, flags):
+        # only random_regular and lower_bound read --seed off simulate
+        assert main([command, *flags, "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {command} {' '.join(flags[:2])} takes no --seed\n")
+        assert captured.out == ""
+
+    def test_unknown_family_named_before_seed(self, capsys):
+        assert main(["exact", "--family", "foo", "--seed", "5"]) == 1
+        assert capsys.readouterr().err == "error: unknown family 'foo'\n"
+
+    def test_seeded_family_takes_seed(self, capsys):
+        # gen and simulate with --seed are covered elsewhere
+        assert main(["exact", "--family", "lower_bound", "--n", "16",
+                     "--seed", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command, family, flags", [
         ("gen", "cycle", ["--n", "8", "--degree", "5"]),
         ("exact", "torus", ["--side", "3", "--n", "9"]),
@@ -564,9 +587,11 @@ class TestCommands:
         # config sweep does, while generate itself still rejects the spec.
         with pytest.raises(InvalidSpec):
             generate(FamilySpec(family, **{key: size}))
+        seed = ["--seed", "4"] if family in SEEDED_FAMILIES else []
         assert main(["gen", "--family", family, f"--{key}", str(size),
-                     "--seed", "4"]) == 0
-        expected = generate(SweepSpec(family, (size,)).spec_for(size), seed=4)
+                     *seed]) == 0
+        expected = generate(SweepSpec(family, (size,)).spec_for(size),
+                            seed=4 if seed else 0)
         assert capsys.readouterr().out == expected.to_edge_list()
 
     def test_all_flags_fill_missing_seed_and_trials(self, tmp_path, capsys):

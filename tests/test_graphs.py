@@ -94,11 +94,38 @@ class TestGenerators:
         assert g.deg_min == g.deg_max
 
     def test_pairing_model_retry_budget(self, monkeypatch):
+        # one pairing, never simple at degree 5 on 8 vertices here, and no
+        # sweep of switches after it
         from coalwalk import graphs
-        monkeypatch.setattr(graphs, "_RANDOM_REGULAR_TRIES", 0)
+        monkeypatch.setattr(graphs, "_RANDOM_REGULAR_TRIES", 1)
+        monkeypatch.setattr(graphs, "_REPAIR_SWEEPS", 0)
         rng = np.random.default_rng(0)
-        with pytest.raises(GenerationFailure):
-            graphs._random_regular_edges(8, 3, rng)
+        with pytest.raises(GenerationFailure, match="0 sweeps"):
+            graphs._random_regular_edges(8, 5, rng)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_random_regular_switches_after_pairings_fail(self, n):
+        # at degree 5 about half the seeds see 1000 pairings with a loop or
+        # a repeated edge (seeds 0, 1, 3 at n = 8; 2, 3 at 10; 1, 2 at 12);
+        # the switches on the last one give the graph
+        spec = FamilySpec("random_regular", n=n, degree=5)
+        built = [generate(spec, seed=seed) for seed in range(4)]
+        for seed, g in enumerate(built):
+            assert validate(g).ok and g.deg_min == g.deg_max == 5
+            assert g.indices.tobytes() == (
+                generate(spec, seed=seed).indices.tobytes())
+        assert len({g.indices.tobytes() for g in built}) == 4
+
+    def test_switches_connect_two_cliques(self):
+        # the pairing of two disjoint K6 is simple, 5-regular, disconnected
+        from coalwalk import graphs
+        edges = np.concatenate([np.column_stack(np.triu_indices(6, 1)) + k
+                                for k in (0, 6)])
+        perm = edges.reshape(-1).copy()
+        got = graphs._switched_pairing(perm, 12, 5,
+                                       np.random.default_rng(3))
+        g = Graph.from_edges(12, got)
+        assert validate(g).ok and g.deg_min == g.deg_max == 5
 
     def test_determinism_byte_identical(self):
         spec = FamilySpec("random_regular", n=30, degree=4)
@@ -268,6 +295,16 @@ def test_subgraph_relabels():
     assert sub.n == 4 and sub.m == 3
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Graph(np.array([0, 0]), np.array([], dtype=np.int64)),
+    lambda: Graph.from_edges(1, []),
+    lambda: subgraph(generate(FamilySpec("cycle", n=6)), [0]),
+], ids=["rows", "from_edges", "subgraph"])
+def test_one_vertex_graph_rejected(build):
+    with pytest.raises(InvalidSpec, match="at least two vertices"):
+        build()
+
+
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         Graph.from_edges(3, [(0, 5)])
@@ -366,7 +403,10 @@ class TestConnectivity:
                 np.all(depth[src] != depth[indices]))
         else:
             assert not report.bipartite
-        if n > 1 and (raw.deg_min < 1 or not expect):
+        if n < 2:
+            with pytest.raises(InvalidSpec, match="at least two vertices"):
+                Graph(indptr, indices)
+        elif raw.deg_min < 1 or not expect:
             with pytest.raises(DisconnectedGraph):
                 Graph(indptr, indices)
         else:

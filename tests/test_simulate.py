@@ -129,10 +129,6 @@ class TestCoalescence:
 
 
 class TestVoter:
-    def test_single_vertex(self):
-        one = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
-        assert simulate_voter(one, seed=1).value == 0
-
     def test_k2_mean_two(self, k2):
         est = estimate("voter", k2, {}, 5000, master_seed=11)
         assert 1.9 <= est.mean <= 2.1
@@ -600,9 +596,8 @@ def test_adjacency_lists_hold_degree_and_neighbours(g):
     *(generate(spec, seed=11) for spec in small_family_specs()),
     generate(FamilySpec("star", n=32)),
     *PAPER_GRAPHS.values(),
-    Graph(np.array([0, 0]), np.array([], dtype=np.int64)),
 ], ids=[*(s.label() for s in small_family_specs()), "star-n32",
-        *PAPER_GRAPHS, "single"])
+        *PAPER_GRAPHS])
 def test_stationary_starts_are_generator_choices(g, monkeypatch):
     """The start pairs that one Philox call draws for a whole batch are
     ``generator(seed, 1).choice(n, 2, p=pi)`` of each trial seed."""
@@ -616,11 +611,20 @@ def test_stationary_starts_are_generator_choices(g, monkeypatch):
         generator(s, 1).choice(g.n, size=2, p=pi).tolist() for s in seeds]
 
 
-def test_stationary_meeting_single_vertex():
-    # pi is the point mass at vertex 0: both walks start there and meet at 0
-    g = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
-    est = estimate("meeting", g, {"stationary": True}, 4, 1)
-    assert (est.mean, est.stderr, est.censored_count) == (0.0, 0.0, 0)
+def test_stationary_starts_read_pi_through_its_normalised_cdf(monkeypatch):
+    """The start pairs depend on pi only through its cdf divided by its
+    last entry, so 3 pi draws the same pairs as pi."""
+    drawn = []
+    monkeypatch.setattr(simulate, "_meeting_batch",
+                        lambda g, starts, seeds, cap: drawn.append(
+                            np.asarray(starts).tolist()))
+    g = generate(FamilySpec("star", n=32))
+    seeds = [mix64(43, i) for i in range(300)]
+    simulate._meeting_pairs(g, None, seeds, 10)
+    pi = chain.stationary(g)
+    monkeypatch.setattr(simulate, "stationary", lambda _: 3.0 * pi)
+    simulate._meeting_pairs(g, None, seeds, 10)
+    assert drawn[0] == drawn[1]
 
 
 def _reference_coalescence(g, start_vertices, immortal, target_k, mortal,
@@ -738,8 +742,6 @@ def test_coalesce_matches_reference_loop(request, wide, label, spec, starts,
 def _reference_voter(g, seed, cap):
     """The per-step voter loop on the ``step_uniforms`` oracle."""
     opinions = np.arange(g.n)
-    if g.n == 1:
-        return 0, False
     for t in range(1, cap + 1):
         uniforms = step_uniforms(seed, t, g.n)
         adopting = np.flatnonzero(uniforms >= 0.5)
@@ -760,15 +762,11 @@ def _reference_voter(g, seed, cap):
     FamilySpec("star", n=32),
     FamilySpec("clique", n=8),
     FamilySpec("lower_bound", n=16, alpha=1.0),
-    None,
-], ids=["cycle-32", "star-32", "clique-8", "lower_bound-16", "single-vertex"])
+], ids=["cycle-32", "star-32", "clique-8", "lower_bound-16"])
 def test_voter_batch_matches_reference_loop(spec):
     # 300 capped trials span two trial chunks; trials leave the batch at
     # consensus, mid-row, while the rest run on to the cap
-    if spec is None:
-        g = Graph(np.array([0, 0]), np.array([], dtype=np.int64))
-    else:
-        g = generate(spec, seed=11)
+    g = generate(spec, seed=11)
     for cap, count in ((7, 300), (None, 12)):
         seeds = [mix64(23, i) for i in range(count)]
         limit = default_cap(g) if cap is None else cap
