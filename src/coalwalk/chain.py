@@ -152,12 +152,6 @@ class MixingResult:
     method: str
     bracket: tuple[int, int] | None = None
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
 
 def mixing_time(g: Graph) -> MixingResult:
     """First t at which the worst pairwise TV distance drops to 1/e (INV_E).

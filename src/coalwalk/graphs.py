@@ -368,9 +368,12 @@ def _barbell_edges(n):
 
 
 def _random_regular_edges(n, r, rng):
-    # Pairing (configuration) model with whole-sample rejection of loops
-    # and parallel edges, up to _RANDOM_REGULAR_TRIES samples; then
-    # switches on the last sample.
+    # Pairing (configuration) model with whole-sample rejection of loops,
+    # parallel edges and disconnected graphs, up to _RANDOM_REGULAR_TRIES
+    # samples; then switches on the last sample. K_n is the one graph of
+    # degree n - 1, and switches cannot always reach it.
+    if r == n - 1:
+        return _clique_edges(n)
     stubs = np.repeat(np.arange(n), r)
     for _ in range(_RANDOM_REGULAR_TRIES):
         perm = rng.permutation(stubs)
@@ -380,6 +383,10 @@ def _random_regular_edges(n, r, rng):
         canon = np.sort(pairs, axis=1)
         keyed = canon[:, 0] * n + canon[:, 1]
         if np.unique(keyed).size != keyed.size:
+            continue
+        try:
+            Graph.from_edges(n, canon)
+        except DisconnectedGraph:
             continue
         return canon
     return _switched_pairing(perm, n, r, rng)

@@ -14,11 +14,13 @@ concentration walkers run as one batch. One row policy, ``_rows``, serves
 every kernel: rows of 32 steps that double, capped by a counter budget.
 The one coalescence and immortal kernel draws only the blocks of the ids
 still alive in each live trial, and a paired run is two such batches over
-the same seeds. While ``_WIDE`` or more walks are alive, it steps them all at
-once in numpy (``_lazy_moves``); the step that leaves fewer hands the rest
-of the row to its scalar loop. A sample does not depend on its batch, its
-rows or that switch. The voter checks consensus once per row of steps, which
-is exact because consensus is absorbing.
+the same seeds. It runs in three stages. While ``_WIDE`` or more walks
+are alive, it steps them all at once in numpy (``_lazy_moves``); the step
+that leaves fewer hands the rest of the row to a scalar loop per trial: the
+general loop while three walks or more are alive, and with two the meeting
+loop that ``_meeting_batch`` runs (``_meet``). A sample does not depend on
+its batch, its rows or these switches. The voter checks consensus once per
+row of steps, which is exact because consensus is absorbing.
 The scalar loops take the lazy step of ``_lazy_moves`` one walk at a time
 with no float math: numpy turns each row's uniforms into cells of the
 residual grid, on which every degree's neighbour rank is constant, by a
@@ -32,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -209,6 +211,26 @@ def _rows(end: int, blocks):
         width *= 2
 
 
+def _meet(moves, rank_of, x, y, steps, xs, ys):
+    """``(t, x, y)``: two walks from x and y step on the cells ``xs`` and
+    ``ys`` at ``steps`` until the first step t at which they co-locate, or
+    t is None at the end of ``steps``; x and y are then their vertices."""
+    for t, cx, cy in zip(steps, xs, ys):
+        x = moves[x][rank_of[x][cx]]
+        y = moves[y][rank_of[y][cy]]
+        if x == y:
+            return t, x, y
+    return None, x, y
+
+
+def _powers(trajectory, first: int, last: int, alive: int) -> None:
+    """Append ``(t, alive)`` at each power of two t in [first, last]."""
+    t = 1 << (first - 1).bit_length()
+    while t <= last:
+        trajectory.append((t, alive))
+        t <<= 1
+
+
 def _meeting_batch(g: Graph, starts, seeds, cap: int) -> list[SimSample]:
     """Meeting samples of many trials; trial i starts at ``starts[i]``.
 
@@ -233,16 +255,13 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int) -> list[SimSample]:
             cells = _cells(table, philox_uniforms(
                 keys[[i for i, _, _ in live]], steps, 2))
             still = []
-            for (i, x, y), row_x, row_y in zip(live, cells[:, :, 0].tolist(),
-                                               cells[:, :, 1].tolist()):
-                for t, cx, cy in zip(steps, row_x, row_y):
-                    x = moves[x][rank_of[x][cx]]
-                    y = moves[y][rank_of[y][cy]]
-                    if x == y:
-                        samples[i] = SimSample(t, False, seeds[i])
-                        break
-                else:
+            for (i, x, y), xs, ys in zip(live, cells[:, :, 0].tolist(),
+                                         cells[:, :, 1].tolist()):
+                t, x, y = _meet(moves, rank_of, x, y, steps, xs, ys)
+                if t is None:
                     still.append((i, x, y))
+                else:
+                    samples[i] = SimSample(t, False, seeds[i])
             live = still
         for i, _, _ in live:
             samples[i] = SimSample(cap, True, seeds[i])
@@ -279,12 +298,22 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
     immortal rule then keeps the smallest id at every vertex. Each row of
     steps makes one Philox call for the live ids of every live trial, so
     the long tail with a few walks left costs a few counters per step, not
-    n. While the chunk has ``_WIDE`` or more walks alive, a step moves them
-    all in numpy (``_lazy_moves``) and merges them by one sort of their
-    (trial, vertex, mortal bit, index) keys. The step that leaves fewer
-    hands the rest of the row to the scalar loop: cell tables, then
-    ``_survivors``. Both keep the same walks, so as in ``_meeting_batch``,
-    trial i's sample depends on ``seeds[i]`` only.
+    n. A row runs in up to three stages:
+
+    - while the chunk has ``_WIDE`` or more walks alive, a step moves them
+      all in numpy (``_lazy_moves``) and merges them by one sort of their
+      (trial, vertex, mortal bit, index) keys;
+    - the step that leaves fewer hands the rest of the row to a scalar
+      loop per trial on the cell tables: with three walks or more alive,
+      the general loop steps each walk and looks for a shared vertex;
+    - with two alive, the meeting loop ``_meet`` steps them on their two
+      cell columns.
+
+    Each scalar loop runs to the next co-location, where ``_survivors``
+    applies the merge rule, or to the row's end; the walk count holds in
+    between, so the trajectory's powers of two are appended then. All
+    stages keep the same walks, so as in ``_meeting_batch``, trial i's
+    sample depends on ``seeds[i]`` only.
     """
     table, rank_of, moves = _move_tables(g)
     # immortal walks never die, so a trial stops at the merge that leaves at
@@ -350,26 +379,43 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
             columns = [col[cut[k]:cut[k + 1]] for k in running]
             live = [(live[k][0], ids[cut[k]:cut[k + 1]], pos[cut[k]:cut[k + 1]],
                      live[k][3]) for k in running]
-            rows = _cells(table, uniforms[head:]).tolist()
+            # the scalar loops, each up to the next co-location
+            tail = steps[head:]
+            cells = _cells(table, uniforms[head:])
+            rows = cells.tolist()
             still = []
             for (i, ids, pos, trajectory), cols in zip(live, columns):
-                for t, row in zip(steps[head:], rows):
-                    for j, c in enumerate(cols):
-                        x = pos[j]
-                        pos[j] = moves[x][rank_of[x][row[c]]]
-                    merged = len(set(pos)) < len(pos)
-                    if merged:
-                        keep = _survivors(ids, pos, immortal)
-                        ids = [ids[j] for j in keep]
-                        pos = [pos[j] for j in keep]
-                        cols = [cols[j] for j in keep]
-                    if t & (t - 1) == 0:
-                        trajectory.append((t, len(ids)))
-                    if merged and len(ids) <= most:
+                since, k = tail.start, 0  # first unlogged step, next index
+                while k < len(tail):
+                    if len(ids) == 2:
+                        t, *pos = _meet(moves, rank_of, *pos, tail[k:],
+                                        cells[k:, cols[0]].tolist(),
+                                        cells[k:, cols[1]].tolist())
+                    else:
+                        for t, row in zip(tail[k:], islice(rows, k, None)):
+                            for j, c in enumerate(cols):
+                                x = pos[j]
+                                pos[j] = moves[x][rank_of[x][row[c]]]
+                            if len(set(pos)) < len(pos):
+                                break
+                        else:
+                            t = None
+                    if t is None:
+                        k = len(tail)
+                        continue
+                    _powers(trajectory, since, t - 1, len(ids))
+                    keep = _survivors(ids, pos, immortal)
+                    ids = [ids[j] for j in keep]
+                    pos = [pos[j] for j in keep]
+                    cols = [cols[j] for j in keep]
+                    since, k = t, t - tail.start + 1
+                    if len(ids) <= most:
+                        _powers(trajectory, t, t, len(ids))
                         samples[i] = SimSample(t, False, seeds[i],
                                                tuple(trajectory))
                         break
                 else:
+                    _powers(trajectory, since, tail.stop - 1, len(ids))
                     still.append((i, ids, pos, trajectory))
             live = still
         for i, _, _, trajectory in live:

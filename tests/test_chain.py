@@ -240,7 +240,7 @@ def test_ladder_search_matches_step_scan(spec, monkeypatch):
         searches = {
             "pairwise": (lambda rows: chain._dbar(rows) <= eps,
                          lambda m: budgeted(monkeypatch, m, eps,
-                                            chain.mixing_time, g)),
+                                            chain.mixing_time, g).value),
             "d": (d_ok, lambda m: chain._first_time(g, d_ok, m, "d")),
             "separation": (lambda rows: bool(np.all(rows >= floor - 1e-15)),
                            lambda m: budgeted(monkeypatch, m, eps,

@@ -116,6 +116,20 @@ class TestGenerators:
                 generate(spec, seed=seed).indices.tobytes())
         assert len({g.indices.tobytes() for g in built}) == 4
 
+    def test_random_regular_redraws_a_disconnected_pairing(self):
+        # seed 183's first simple pairing at (8, 3) is two disjoint K4
+        g = generate(FamilySpec("random_regular", n=8, degree=3), seed=183)
+        assert validate(g).ok and g.deg_min == g.deg_max == 3
+
+    @pytest.mark.parametrize("n, seed", [(9, 1), (11, 0), (14, 3)])
+    def test_random_regular_at_degree_n_minus_1_is_the_clique(self, n, seed):
+        # switches cannot always clear the last repeated edge of K_n
+        g = generate(FamilySpec("random_regular", n=n, degree=n - 1),
+                     seed=seed)
+        clique = generate(FamilySpec("clique", n=n))
+        assert g.indptr.tobytes() == clique.indptr.tobytes()
+        assert g.indices.tobytes() == clique.indices.tobytes()
+
     def test_switches_connect_two_cliques(self):
         # the pairing of two disjoint K6 is simple, 5-regular, disconnected
         from coalwalk import graphs

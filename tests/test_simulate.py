@@ -40,27 +40,42 @@ def cycle16():
     return generate(FamilySpec("cycle", n=16))
 
 
-@pytest.fixture(params=[(0, {"numpy"}), (None, {"numpy", "scalar"}),
-                        (10 ** 9, {"scalar"})], ids=["numpy", "switch", "scalar"])
+@pytest.fixture(params=[(0, {"numpy"}), (None, {"numpy", "scalar", "meet"}),
+                        (10 ** 9, {"scalar", "meet"})],
+                ids=["numpy", "switch", "scalar"])
 def wide(request, monkeypatch):
     """The coalescence kernel with ``_WIDE`` at 0 (numpy steps to the end),
     at its default (the switch falls mid-row) or at 10**9 (scalar only).
 
     Yields (reached, named): the paths the test has reached, "numpy" once
-    the numpy step (``_lazy_moves``) ran and "scalar" once the scalar merge
-    (``_survivors``) did, and the paths the setting names. A run that has
-    at least _WIDE walks alive at first and merges below that reaches them.
+    the numpy step (``_lazy_moves``) ran, "scalar" once the scalar merge
+    (``_survivors``) did and "meet" once the two-walk loop (``_meet``) did,
+    and the paths the setting names. A run that has at least _WIDE walks
+    alive at first and runs on below that, to two walks, reaches them.
     """
     width, named = request.param
     if width is not None:
         monkeypatch.setattr(simulate, "_WIDE", width)
     reached = set()
-    for name, path in (("_lazy_moves", "numpy"), ("_survivors", "scalar")):
+    for name, path in (("_lazy_moves", "numpy"), ("_survivors", "scalar"),
+                       ("_meet", "meet")):
         def spy(*args, _run=getattr(simulate, name), _path=path):
             reached.add(_path)
             return _run(*args)
         monkeypatch.setattr(simulate, name, spy)
     yield reached, named
+
+
+@pytest.fixture
+def meets(monkeypatch):
+    """The (t, x, y) that each call of the shared meeting loop returns."""
+    calls = []
+
+    def spy(*args, _run=simulate._meet):
+        calls.append(_run(*args))
+        return calls[-1]
+    monkeypatch.setattr(simulate, "_meet", spy)
+    return calls
 
 
 class TestMeeting:
@@ -248,7 +263,9 @@ class TestImmortal:
         g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=3)
         got = paired_batch_means(g, range(g.n), [0, 5], 2, 40, master_seed=9)
         reached, named = wide  # 40 trials of 16 walks in one Philox call
-        assert reached == named
+        # target_k = 2 stops both processes at two walks, before the
+        # two-walk loop
+        assert reached == named - {"meet"}
         std, imm, excess = [], [], 0
         for i in range(40):
             seed = mix64(9, i)
@@ -260,6 +277,19 @@ class TestImmortal:
             excess += sum(1 for t, c in a.trajectory
                           if t in counts and c > counts[t])
         assert got == (float(np.mean(std)), float(np.mean(imm)), excess)
+
+    def test_immortal_pair_meets_and_survives(self, wide, meets):
+        # walk 2 dies; then walks 0 and 1 co-locate, both survive, and the
+        # two-walk loop runs on after each meeting to the cap
+        g = generate(FamilySpec("cycle", n=16))
+        seeds = [mix64(19, i) for i in range(45)]
+        got = _coalesce_batch(g, [0, 3, 7], frozenset([0, 1]), 1, False,
+                              seeds, 400)
+        assert all(s.censored and s.trajectory[-1] == (256, 2) for s in got)
+        reached, named = wide
+        assert reached == named
+        if "meet" in named:
+            assert sum(t is not None for t, _, _ in meets) > len(seeds)
 
     def test_paired_censored_trial_raises(self):
         # a capped time is no sample: it must not be averaged in
@@ -472,7 +502,7 @@ def _reference_meeting(g, u, v, seed, cap):
     return cap, True
 
 
-def test_meeting_batch_matches_reference_loop():
+def test_meeting_batch_matches_reference_loop(meets):
     # irregular degrees, same-vertex starts, censoring off a row boundary,
     # and more trials than one chunk
     g = generate(FamilySpec("lower_bound", n=64, alpha=1.0), seed=11)
@@ -484,6 +514,9 @@ def test_meeting_batch_matches_reference_loop():
     assert [(s.value, s.censored) for s in samples] == want
     assert [s.seed for s in samples] == seeds
     assert any(c for _, c in want) and any(v == 0 for v, _ in want)
+    # every meeting is found by the shared loop
+    assert sorted(t for t, _, _ in meets if t is not None) == sorted(
+        v for v, c in want if v and not c)
 
 
 def _threshold_graph(n):
@@ -498,7 +531,7 @@ def _threshold_graph(n):
     (generate(FamilySpec("clique", n=24), seed=11), 60),
     (_threshold_graph(41), 60),
 ], ids=["star-1025", "clique-24", "threshold-41"])
-def test_meeting_batch_high_degree_matches_reference_loop(g, trials):
+def test_meeting_batch_high_degree_matches_reference_loop(g, trials, meets):
     # the star's hub has degree 1024; on a clique every rank leads to a
     # distinct vertex; the threshold graph has 40 distinct degrees
     seeds = [mix64(31, i) for i in range(trials)]
@@ -506,6 +539,8 @@ def test_meeting_batch_high_degree_matches_reference_loop(g, trials):
     samples = _meeting_batch(g, starts, seeds, cap=200)
     assert [(s.value, s.censored) for s in samples] == [
         _reference_meeting(g, u, v, s, 200) for (u, v), s in zip(starts, seeds)]
+    assert sorted(t for t, _, _ in meets if t is not None) == sorted(
+        s.value for s in samples if s.value and not s.censored)
 
 
 def test_largest_uniform_rank_stays_below_degree():
@@ -701,9 +736,13 @@ _REFERENCE_RUNS: dict = {}
     # 40 distinct degrees, whose rank cuts interleave
     ("threshold-41", _threshold_graph(41), None, None, 1, None,
      ((None, 3), (60, 300))),
+    # walk 2 dies, then the immortal walks 0 and 1 meet and both survive,
+    # over and over, to the cap
+    ("cycle-16", FamilySpec("cycle", n=16), [0, 3, 7], (0, 1), 1, "total",
+     ((400, 45),)),
 ], ids=["torus-all", "torus-sparse", "lb-all", "lb-immortal-total",
         "lb-immortal-mortal", "star-all", "star-immortal-mortal",
-        "star-immortal-total", "threshold-all"])
+        "star-immortal-total", "threshold-all", "cycle-immortal-pair"])
 def test_coalesce_matches_reference_loop(request, wide, label, spec, starts,
                                          immortal, target_k, mode, runs):
     g = spec if isinstance(spec, Graph) else generate(spec, seed=11)
@@ -736,6 +775,34 @@ def test_coalesce_matches_reference_loop(request, wide, label, spec, starts,
                                     seeds[0], cap, mode)
         assert one == got[0]
     reached, named = wide  # 300 trials put _WIDE walks in one Philox call
+    # a trial that stops at two walks or more never runs the two-walk loop
+    most = target_k + len(group) * (mode == "mortal")
+    assert reached == (named if most < 2 else named - {"meet"})
+
+
+def test_coalesce_last_merge_on_power_of_two_or_row_end(monkeypatch, wide):
+    # among these trials one stops at step 64, a power of two inside a
+    # row, and one at step 96, a row's last step; each ends the trajectory
+    # there only when it is a power of two
+    ends = set()
+
+    def rows(end, blocks, _run=simulate._rows):
+        for steps in _run(end, blocks):
+            ends.add(steps[-1])
+            yield steps
+    monkeypatch.setattr(simulate, "_rows", rows)
+    g = generate(FamilySpec("cycle", n=16))
+    seeds = [mix64(28, i) for i in range(24)]
+    cap = default_cap(g)
+    got = _coalesce_batch(g, list(range(16)), frozenset([0]), 1, False,
+                          seeds, cap)
+    want = [_reference_coalescence(g, range(16), None, 1, False, s, cap)
+            for s in seeds]
+    assert [(s.value, s.censored, list(s.trajectory)) for s in got] == want
+    stops = {v for v, _, _ in want}
+    assert 64 in stops and 64 not in ends
+    assert 96 in stops and 96 in ends
+    reached, named = wide
     assert reached == named
 
 
