@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -311,6 +312,11 @@ def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
     return tuple(tails)
 
 
+def _check_counts(steps, trials) -> None:
+    if not all(isinstance(x, Integral) and x >= 1 for x in (steps, trials)):
+        raise InvalidSpec("steps and trials must be integers >= 1")
+
+
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
                         seed: int) -> ConcentrationReport:
     """Empirical check of the visit-count concentration inequality.
@@ -322,12 +328,11 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1), lambda = 1, 2, 3,
     must stay below 2^-lambda plus three binomial standard errors.
     t_hit is ``chain.t_hit(g)``, solved once the inputs are checked.
-    ``steps`` and ``trials`` below 1 raise InvalidSpec.
+    ``steps`` and ``trials`` that are not integers >= 1 raise InvalidSpec.
     """
-    if steps < 1 or trials < 1:
-        raise InvalidSpec("steps and trials must be >= 1")
-    targets = np.asarray(list(target_set), dtype=np.int64)
-    g.check_vertices(targets, "target vertices")
+    _check_counts(steps, trials)
+    targets = np.asarray(g.check_vertices(target_set, "target vertices"),
+                         dtype=np.int64)
     f_values = np.zeros(g.n)
     f_values[targets] = 1.0
     t_plus = max(chain.t_hit(g), steps)
@@ -355,14 +360,13 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     tails at lambda * (2 Upsilon + 1). As in ``check_concentration``,
     t_hit is ``chain.t_hit(g)``, solved once the inputs are checked.
     """
-    members = np.asarray(sorted(set(int(v) for v in target_set)),
+    members = np.asarray(sorted(set(g.check_vertices(target_set,
+                                                     "target vertices"))),
                          dtype=np.int64)
     if not members.size:
         raise InvalidSpec("target set must be non-empty")
-    if steps < 1 or trials < 1:
-        raise InvalidSpec("steps and trials must be >= 1")
-    g.check_vertices(members, "target vertices")
-    g.check_vertices((start,))
+    _check_counts(steps, trials)
+    start, = g.check_vertices((start,))
     t_plus = max(chain.t_hit(g), steps)
     degs = g.degrees[members]
     gamma = float(degs.max() / degs.min())

@@ -86,6 +86,8 @@ class ExperimentConfig:
         for sweep in self.sweeps:
             if sweep.family not in FAMILIES:
                 raise ConfigError(f"unknown family {sweep.family!r}")
+            if not sweep.sizes:
+                raise ConfigError(f"the {sweep.family} sweep has no sizes")
             if list(sweep.sizes) != sorted(set(sweep.sizes)):
                 raise ConfigError("sweep sizes must be strictly increasing")
             for size in sweep.sizes:

@@ -5,8 +5,10 @@ compressed-row adjacency form (``indptr``/``indices`` with sorted neighbor
 lists). Generators cover the standard families (path, cycle, clique, star,
 complete binary tree, hypercube, torus, grid, barbell, random regular) and
 the composite clique/expander family whose coalescence time is much larger
-than its meeting time. All generators are pure functions of (spec, seed)
-with byte-identical output for identical inputs.
+than its meeting time. The path, cycle, hypercube, torus and grid are one
+grid builder's graphs, wrapped or not, as is the barbell's path. All
+generators are pure functions of (spec, seed) with byte-identical output
+for identical inputs.
 
 Building, checking and validating a graph needs numpy alone: connectivity
 and bipartiteness are found by label propagation over the rows, and
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -107,10 +110,15 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def check_vertices(self, vertices, what: str = "start vertices") -> None:
-        """Raise InvalidSpec unless every vertex lies in [0, n)."""
-        if any(not 0 <= v < self.n for v in vertices):
-            raise InvalidSpec(f"{what} must lie in [0, {self.n})")
+    def check_vertices(self, vertices,
+                       what: str = "start vertices") -> list[int]:
+        """``vertices`` as a list of ints; InvalidSpec unless every vertex is
+        an integer (``numbers.Integral``, so never a float) in [0, n)."""
+        vertices = list(vertices)
+        if not all(isinstance(v, Integral) and 0 <= v < self.n
+                   for v in vertices):
+            raise InvalidSpec(f"{what} must be integers in [0, {self.n})")
+        return [int(v) for v in vertices]
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an (m, 2) array with u < v."""
@@ -220,12 +228,9 @@ def validate(g: Graph) -> DiagnosticsReport:
     bipartite = connected and bool(_labels(
         np.concatenate([g.indptr, g.indptr[1:] + g.indices.size]),
         np.concatenate([g.indices + g.n, g.indices])).any())
-    deg_min = int(g.degrees.min())
-    deg_max = int(g.degrees.max())
     return DiagnosticsReport(
-        n=g.n, m=g.m, deg_max=deg_max, deg_min=deg_min,
-        deg_avg=2.0 * g.m / g.n,
-        degree_ratio=deg_max / deg_min if deg_min else math.inf,
+        n=g.n, m=g.m, deg_max=g.deg_max, deg_min=g.deg_min, deg_avg=g.deg_avg,
+        degree_ratio=g.deg_max / g.deg_min if g.deg_min else math.inf,
         connected=connected, bipartite=bipartite,
         symmetric=symmetric, simple=simple)
 
@@ -297,16 +302,6 @@ class FamilySpec:
         return "-".join(parts)
 
 
-def _path_edges(n):
-    i = np.arange(n - 1)
-    return np.column_stack([i, i + 1])
-
-
-def _cycle_edges(n):
-    i = np.arange(n)
-    return np.column_stack([i, (i + 1) % n])
-
-
 def _clique_edges(n):
     iu = np.triu_indices(n, k=1)
     return np.column_stack(iu)
@@ -318,38 +313,23 @@ def _star_edges(n):
 
 
 def _binary_tree_edges(levels):
-    n = 2 ** levels - 1
-    parents = np.arange((n - 1) // 2)
-    left = np.column_stack([parents, 2 * parents + 1])
-    right = np.column_stack([parents, 2 * parents + 2])
-    return np.concatenate([left, right], axis=0)
-
-
-def _hypercube_edges(dim):
-    n = 2 ** dim
-    ids = np.arange(n)
-    chunks = [np.column_stack([ids, ids ^ (1 << b)]) for b in range(dim)]
-    edges = np.concatenate(chunks, axis=0)
-    return edges[edges[:, 0] < edges[:, 1]]
+    # each vertex c >= 1 joins its parent (c - 1) // 2
+    c = np.arange(1, 2 ** levels - 1)
+    return np.column_stack([(c - 1) // 2, c])
 
 
 def _lattice_edges(dim, side, wrap):
-    n = side ** dim
-    ids = np.arange(n)
-    coords = np.empty((dim, n), dtype=np.int64)
-    rem = ids.copy()
-    for d in range(dim - 1, -1, -1):
-        coords[d] = rem % side
-        rem //= side
-    strides = side ** np.arange(dim - 1, -1, -1)
+    """Edges of the grid of side ** dim vertices: vertex sum_d c_d * side**d
+    joins the vertex one step up each axis d, and with ``wrap`` the last
+    vertex of an axis joins its first. The grid families: path (1, n),
+    cycle (1, n) wrapped, hypercube (dim, 2), torus (wrapped) and grid."""
+    ids = np.arange(side ** dim)
     chunks = []
     for d in range(dim):
-        if wrap:
-            nxt = ids + strides[d] * (((coords[d] + 1) % side) - coords[d])
-            chunks.append(np.column_stack([ids, nxt]))
-        else:
-            keep = coords[d] + 1 < side
-            chunks.append(np.column_stack([ids[keep], ids[keep] + strides[d]]))
+        coord = ids // side ** d % side
+        keep = wrap | (coord + 1 < side)
+        nxt = ids + side ** d * ((coord + 1) % side - coord)
+        chunks.append(np.column_stack([ids, nxt])[keep])
     return np.concatenate(chunks, axis=0)
 
 
@@ -358,37 +338,35 @@ def _barbell_edges(n):
     # vertices; the path end vertices attach to one vertex per clique, so
     # every path vertex has degree 2.
     k = n // 4
-    plen = n - 2 * k
     left = _clique_edges(k)
     right = _clique_edges(k) + k
-    path_ids = np.arange(2 * k, 2 * k + plen)
-    chain = np.column_stack([path_ids[:-1], path_ids[1:]])
-    joins = np.array([[0, path_ids[0]], [k, path_ids[-1]]])
+    chain = _lattice_edges(1, n - 2 * k, wrap=False) + 2 * k
+    joins = np.array([[0, 2 * k], [k, n - 1]])
     return np.concatenate([left, right, chain, joins], axis=0)
 
 
 def _random_regular_edges(n, r, rng):
-    # Pairing (configuration) model with whole-sample rejection of loops,
-    # parallel edges and disconnected graphs, up to _RANDOM_REGULAR_TRIES
-    # samples; then switches on the last sample. K_n is the one graph of
-    # degree n - 1, and switches cannot always reach it.
+    # Pairing (configuration) model: up to _RANDOM_REGULAR_TRIES pairings
+    # are drawn, and the first one that Graph.from_edges accepts (no loop,
+    # connected) with n * r / 2 distinct edges is the sample, uniform over
+    # the simple connected r-regular graphs. Then switches on the last
+    # pairing. Over n = 5..40, degrees 3..min(n - 2, 12) and seeds 0..5,
+    # the switches built 0 of 318 graphs of degree 3 or 4, 29 of 102 of
+    # degree 5, 188 of 198 of degree 6 and all 792 of degree 7 to 12;
+    # unlike rejection they have no correction step, and nothing shows
+    # that they sample uniformly. K_n is the one graph of degree n - 1,
+    # and switches cannot always reach it.
     if r == n - 1:
         return _clique_edges(n)
     stubs = np.repeat(np.arange(n), r)
     for _ in range(_RANDOM_REGULAR_TRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            continue
-        canon = np.sort(pairs, axis=1)
-        keyed = canon[:, 0] * n + canon[:, 1]
-        if np.unique(keyed).size != keyed.size:
-            continue
         try:
-            Graph.from_edges(n, canon)
-        except DisconnectedGraph:
-            continue
-        return canon
+            if Graph.from_edges(n, pairs).m == n * r // 2:
+                return pairs
+        except (SelfLoop, DisconnectedGraph):
+            pass
     return _switched_pairing(perm, n, r, rng)
 
 
@@ -408,10 +386,9 @@ def _switched_pairing(perm, n, r, rng):
         bad = [i for i, (u, v) in enumerate(pairs.tolist())
                if u == v or count[key(u, v)] > 1]
         if not bad:
-            edges = np.sort(pairs, axis=1)
             try:
-                Graph.from_edges(n, edges)
-                return edges
+                Graph.from_edges(n, pairs)
+                return pairs
             except DisconnectedGraph:
                 bad = [int(rng.integers(pairs.shape[0]))]
         for i, j in zip(bad, rng.integers(0, perm.size, size=len(bad))):
@@ -558,14 +535,16 @@ def _random_regular(spec, seed):
 
 
 FAMILIES = {
-    "path": Family("n", 2, {}, lambda s, _: (s.n, _path_edges(s.n))),
-    "cycle": Family("n", 3, {}, lambda s, _: (s.n, _cycle_edges(s.n))),
+    "path": Family("n", 2, {}, lambda s, _: (
+        s.n, _lattice_edges(1, s.n, wrap=False))),
+    "cycle": Family("n", 3, {}, lambda s, _: (
+        s.n, _lattice_edges(1, s.n, wrap=True))),
     "clique": Family("n", 2, {}, lambda s, _: (s.n, _clique_edges(s.n))),
     "star": Family("n", 2, {}, lambda s, _: (s.n, _star_edges(s.n))),
     "binary_tree": Family("levels", 2, {}, lambda s, _: (
         2 ** s.levels - 1, _binary_tree_edges(s.levels))),
     "hypercube": Family("dim", 1, {}, lambda s, _: (
-        2 ** s.dim, _hypercube_edges(s.dim))),
+        2 ** s.dim, _lattice_edges(s.dim, 2, wrap=False))),
     "torus": Family("side", 3, {"dim": 2}, lambda s, _: (
         s.side ** s.dim, _lattice_edges(s.dim, s.side, wrap=True))),
     "grid": Family("side", 2, {"dim": 2}, lambda s, _: (
@@ -580,8 +559,9 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
     """Build the graph described by ``spec``.
 
     The one check of a spec: an unknown family, a set field that is not
-    the family's size field or a key of its ``FAMILIES`` defaults, and a
-    missing or out-of-range field are each InvalidSpec.
+    the family's size field or a key of its ``FAMILIES`` defaults, a field
+    other than ``alpha`` that is not an integer (``numbers.Integral``), and
+    a missing or out-of-range field are each InvalidSpec.
     ``seed`` only matters for the families in ``SEEDED_FAMILIES``; the
     others ignore it.
     """
@@ -594,8 +574,10 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
             raise InvalidSpec(f"{spec.family}: bad parameter {name}")
 
     for key in SPEC_PARAMS:
-        need(key, getattr(spec, key) is None or key == row.size
-             or key in row.defaults)
+        val = getattr(spec, key)
+        kind = Real if key == "alpha" else Integral
+        ok = isinstance(val, kind) and (key == row.size or key in row.defaults)
+        need(key, val is None or ok)
     if "dim" in row.defaults:
         need("dim", spec.dim is not None and spec.dim >= 1)
     size = getattr(spec, row.size)

@@ -35,6 +35,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice
+from numbers import Integral
 
 import numpy as np
 
@@ -570,11 +571,11 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):
         if key not in params:
             raise InvalidSpec(f"{kind} trials need params[{key!r}]")
     cap = default_cap(g) if cap is None else cap
-    if cap < 1:
-        raise InvalidSpec("cap must be >= 1")
+    if not isinstance(cap, Integral) or cap < 1:
+        raise InvalidSpec("cap must be an integer >= 1")
     if kind == "meeting":
-        pair = None if drawn else (params["u"], params["v"])
-        g.check_vertices(pair or ())
+        pair = None if drawn else tuple(
+            g.check_vertices((params["u"], params["v"])))
         return partial(_meeting_pairs, g, pair, cap=cap)
     if kind == "voter":
         if params.get("lazy", True) is not True:
@@ -589,16 +590,17 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):
         target_k, mode = params["target_k"], params.get("mode", "total")
         if mode not in ("total", "mortal"):
             raise InvalidSpec(f"unknown stopping mode {mode!r}")
-        if target_k < 1:
-            raise InvalidSpec("target_k must be >= 1")
+        if not isinstance(target_k, Integral) or target_k < 1:
+            raise InvalidSpec("target_k must be an integer >= 1")
     # walk i starts at the i-th distinct start vertex, ascending
-    starts = sorted({int(v) for v in vertices})
-    g.check_vertices(starts)
+    starts = sorted(set(g.check_vertices(vertices)))
     if not starts:
         raise InvalidSpec("start set must be non-empty")
-    immortal = frozenset(int(i) for i in immortal)
-    if not immortal or min(immortal) < 0 or max(immortal) >= len(starts):
+    immortal = list(immortal)
+    if not immortal or not all(isinstance(i, Integral)
+                               and 0 <= i < len(starts) for i in immortal):
         raise InvalidIds("immortal ids must be ids of the start ensemble")
+    immortal = frozenset(int(i) for i in immortal)
     return partial(_coalesce_batch, g, starts, immortal, target_k,
                    mode == "mortal", cap=cap)
 
@@ -614,8 +616,8 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     Censored trials are counted and excluded from the mean.
     """
     run = _batch(kind, g, params, cap)
-    if trials < 2:
-        raise InvalidSpec("trials must be >= 2")
+    if not isinstance(trials, Integral) or trials < 2:
+        raise InvalidSpec("trials must be an integer >= 2")
     seeds = [mix64(master_seed, i) for i in range(trials)]
     if workers is None:
         text = os.environ.get(WORKERS_ENV, "1")
@@ -661,8 +663,8 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     this identity coupling. A trial of either process that hits ``cap``
     raises ``BudgetExceeded``: its capped time is no sample of T^k.
     """
-    if batch_trials < 1:
-        raise InvalidSpec("batch_trials must be >= 1")
+    if not isinstance(batch_trials, Integral) or batch_trials < 1:
+        raise InvalidSpec("batch_trials must be an integer >= 1")
     seeds = [mix64(master_seed, i) for i in range(batch_trials)]
     std, imm = [run(seeds) for run in [_batch("immortal", g, {
         "start_vertices": start_vertices, "immortal_ids": group,

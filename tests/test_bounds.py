@@ -204,7 +204,7 @@ class TestConcentration:
                                             trials=2000, seed=4)
         assert report.ok
 
-    @pytest.mark.parametrize("targets", [[-1], [0, 8]])
+    @pytest.mark.parametrize("targets", [[-1], [0, 8], [2.5], [0, 1.0]])
     def test_rejects_target_outside(self, targets):
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
@@ -212,7 +212,8 @@ class TestConcentration:
                                        seed=1)
 
     @pytest.mark.parametrize("start, targets", [(0, [-1]), (0, [1, 8]),
-                                                (-1, [0]), (8, [0])])
+                                                (-1, [0]), (8, [0]),
+                                                (0.5, [0]), (0, [1.5])])
     def test_collision_rejects_vertex_outside(self, start, targets):
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
@@ -220,8 +221,9 @@ class TestConcentration:
                 g, start, targets, steps=10, trials=8, seed=1)
 
     @pytest.mark.parametrize("steps, trials", [
-        (0, 8), (-3, 8), (10, 0), (10, -5)],
-        ids=["steps-0", "steps--3", "trials-0", "trials--5"])
+        (0, 8), (-3, 8), (10, 0), (10, -5), (2.5, 8), (10, 3.5)],
+        ids=["steps-0", "steps--3", "trials-0", "trials--5", "steps-2.5",
+             "trials-3.5"])
     def test_rejects_steps_or_trials_below_one(self, steps, trials):
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
@@ -229,8 +231,9 @@ class TestConcentration:
                                        seed=1)
 
     @pytest.mark.parametrize("targets, steps, trials", [
-        ([], 10, 8), ([0], 0, 8), ([0], 10, 0)],
-        ids=["empty-targets", "steps-0", "trials-0"])
+        ([], 10, 8), ([0], 0, 8), ([0], 10, 0), ([0], 2.5, 8), ([0], 10, 3.5)],
+        ids=["empty-targets", "steps-0", "trials-0", "steps-2.5",
+             "trials-3.5"])
     def test_collision_rejects_bad_spec(self, targets, steps, trials):
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):

@@ -395,7 +395,7 @@ class TestHitting:
         assert profile.method == "dense"
         assert np.abs(profile.times - column).max() <= 1e-9 * column.max()
 
-    @pytest.mark.parametrize("target", [-1, 8])
+    @pytest.mark.parametrize("target", [-1, 8, 2.5, np.float64(3.0)])
     def test_rejects_target_outside(self, cycle8, target):
         with pytest.raises(InvalidSpec):
             chain.hitting_to(cycle8, target)

@@ -176,6 +176,17 @@ class TestConfig:
         assert "immortal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_sweep_fails_before_run(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\noutdir = {tmp_path / 'out'}\n"
+                        "[sweep:a]\nfamily = cycle\nsizes =\n")
+        with pytest.raises(ConfigError, match="cycle sweep has no sizes"):
+            parse_config(str(path)).validate()
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the cycle sweep has no sizes\n")
+        assert not (tmp_path / "out").exists()
+
     def test_cap_below_one_fails_before_run(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")

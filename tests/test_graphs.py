@@ -21,6 +21,7 @@ from coalwalk.graphs import (
     subgraph,
     validate,
 )
+from coalwalk.seeding import mix64
 from conftest import RAW_ROWS, row_arrays, small_family_specs, unchecked_graph
 
 
@@ -162,6 +163,27 @@ class TestGenerators:
     def test_invalid_specs(self, spec):
         with pytest.raises(InvalidSpec):
             generate(spec, seed=0)
+
+    @pytest.mark.parametrize("spec, key", [
+        (FamilySpec("cycle", n=8.5), "n"),
+        (FamilySpec("path", n=6.0), "n"),
+        (FamilySpec("torus", dim=2, side=4.5), "side"),
+        (FamilySpec("grid", dim=2.0, side=3), "dim"),
+        (FamilySpec("hypercube", dim=3.0), "dim"),
+        (FamilySpec("binary_tree", levels=np.float64(3)), "levels"),
+        (FamilySpec("random_regular", n=12, degree=3.0), "degree"),
+        (FamilySpec("lower_bound", n=16.5, alpha=1.0), "n"),
+        (FamilySpec("lower_bound", n=16, alpha="4"), "alpha"),
+    ], ids=lambda v: v.label() if isinstance(v, FamilySpec) else v)
+    def test_rejects_non_integer_fields(self, spec, key):
+        with pytest.raises(InvalidSpec,
+                           match=rf"^{spec.family}: bad parameter {key}$"):
+            generate(spec, seed=0)
+
+    def test_numpy_integer_fields_accepted(self):
+        g = generate(FamilySpec("torus", dim=np.int64(2), side=np.int32(4)))
+        assert g.indices.tobytes() == generate(
+            FamilySpec("torus", dim=2, side=4)).indices.tobytes()
 
     @pytest.mark.parametrize("spec, key", [
         (FamilySpec("cycle", n=8, degree=5), "degree"),
@@ -364,6 +386,133 @@ def test_from_edges_list_and_array_agree(spec):
         again = Graph.from_edges(g.n, given)
         assert again.indptr.tobytes() == g.indptr.tobytes()
         assert again.indices.tobytes() == g.indices.tobytes()
+
+
+# The formulas the grid builder and the pairing loop replaced, kept as
+# oracles: each family's CSR bytes must equal those of its old edge list.
+
+def _path_oracle(n):
+    i = np.arange(n - 1)
+    return np.column_stack([i, i + 1])
+
+
+def _cycle_oracle(n):
+    i = np.arange(n)
+    return np.column_stack([i, (i + 1) % n])
+
+
+def _hypercube_oracle(dim):
+    ids = np.arange(2 ** dim)
+    edges = np.concatenate([np.column_stack([ids, ids ^ (1 << b)])
+                            for b in range(dim)])
+    return edges[edges[:, 0] < edges[:, 1]]
+
+
+def _binary_tree_oracle(levels):
+    # the left children, then the right children
+    parents = np.arange((2 ** levels - 2) // 2)
+    return np.concatenate([np.column_stack([parents, 2 * parents + 1]),
+                           np.column_stack([parents, 2 * parents + 2])])
+
+
+def _barbell_oracle(n):
+    k = n // 4
+    path_ids = np.arange(2 * k, n)
+    clique = np.column_stack(np.triu_indices(k, k=1))
+    return np.concatenate([
+        clique, clique + k, np.column_stack([path_ids[:-1], path_ids[1:]]),
+        [[0, path_ids[0]], [k, path_ids[-1]]]])
+
+
+def _lattice_oracle(dim, side, wrap):
+    # most significant coordinate first, a branch each for wrap and not
+    n = side ** dim
+    ids = np.arange(n)
+    coords = np.empty((dim, n), dtype=np.int64)
+    rem = ids.copy()
+    for d in range(dim - 1, -1, -1):
+        coords[d] = rem % side
+        rem //= side
+    strides = side ** np.arange(dim - 1, -1, -1)
+    chunks = []
+    for d in range(dim):
+        if wrap:
+            nxt = ids + strides[d] * (((coords[d] + 1) % side) - coords[d])
+            chunks.append(np.column_stack([ids, nxt]))
+        else:
+            keep = coords[d] + 1 < side
+            chunks.append(np.column_stack([ids[keep], ids[keep] + strides[d]]))
+    return np.concatenate(chunks)
+
+
+def _lattice_specs(family, least):
+    return [FamilySpec(family, dim=dim, side=side)
+            for dim, top in ((1, 60), (2, 16), (3, 7))
+            for side in range(least, top + 1)]
+
+
+@pytest.mark.parametrize("specs, oracle", [
+    ([FamilySpec("path", n=n) for n in range(2, 201)],
+     lambda s: (s.n, _path_oracle(s.n))),
+    ([FamilySpec("cycle", n=n) for n in range(3, 201)],
+     lambda s: (s.n, _cycle_oracle(s.n))),
+    ([FamilySpec("hypercube", dim=d) for d in range(1, 12)],
+     lambda s: (2 ** s.dim, _hypercube_oracle(s.dim))),
+    ([FamilySpec("binary_tree", levels=k) for k in range(2, 13)],
+     lambda s: (2 ** s.levels - 1, _binary_tree_oracle(s.levels))),
+    ([FamilySpec("barbell", n=n) for n in range(8, 401, 4)],
+     lambda s: (s.n, _barbell_oracle(s.n))),
+    (_lattice_specs("grid", 2),
+     lambda s: (s.side ** s.dim, _lattice_oracle(s.dim, s.side, False))),
+    (_lattice_specs("torus", 3),
+     lambda s: (s.side ** s.dim, _lattice_oracle(s.dim, s.side, True))),
+], ids=["path", "cycle", "hypercube", "binary_tree", "barbell", "grid",
+        "torus"])
+def test_generators_match_earlier_formulas(specs, oracle):
+    for spec in specs:
+        g = generate(spec)
+        want = Graph.from_edges(*oracle(spec))
+        assert g.indptr.tobytes() == want.indptr.tobytes(), spec.label()
+        assert g.indices.tobytes() == want.indices.tobytes(), spec.label()
+
+
+def _pairing_oracle(n, r, rng):
+    """The pairing loop with its three hand-written checks (a loop, a
+    repeated edge, a split graph); True beside the edges when they came
+    from the switches."""
+    from coalwalk import graphs
+
+    stubs = np.repeat(np.arange(n), r)
+    for _ in range(graphs._RANDOM_REGULAR_TRIES):
+        perm = rng.permutation(stubs)
+        pairs = perm.reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            continue
+        canon = np.sort(pairs, axis=1)
+        keyed = canon[:, 0] * n + canon[:, 1]
+        if np.unique(keyed).size != keyed.size:
+            continue
+        try:
+            Graph.from_edges(n, canon)
+        except DisconnectedGraph:
+            continue
+        return canon, False
+    return graphs._switched_pairing(perm, n, r, rng), True
+
+
+@pytest.mark.parametrize("n, r, seed, switched", [
+    (12, 3, 0, False), (12, 3, 5, False), (30, 4, 0, False),
+    (30, 4, 7, False), (8, 3, 183, False), (8, 5, 0, True),
+    (16, 8, 0, True), (16, 8, 1, True),
+])
+def test_random_regular_matches_three_check_loop(n, r, seed, switched):
+    edges, went = _pairing_oracle(n, r, np.random.default_rng(
+        mix64(seed, n, r)))
+    assert went == switched
+    g = generate(FamilySpec("random_regular", n=n, degree=r), seed=seed)
+    want = Graph.from_edges(n, edges)
+    assert g.indptr.tobytes() == want.indptr.tobytes()
+    assert g.indices.tobytes() == want.indices.tobytes()
 
 
 def _raw_rows(n, edges):

@@ -297,7 +297,7 @@ class TestImmortal:
         with pytest.raises(BudgetExceeded):
             paired_batch_means(g, range(64), [0, 1], 2, 4, 3, cap=5)
 
-    @pytest.mark.parametrize("batch_trials", [0, -1])
+    @pytest.mark.parametrize("batch_trials", [0, -1, 3.5])
     def test_paired_rejects_empty_batch(self, cycle16, batch_trials):
         with pytest.raises(InvalidSpec):
             paired_batch_means(cycle16, range(16), [0, 1], 2, batch_trials,
@@ -313,6 +313,11 @@ class TestEstimate:
     def test_trials_floor(self, k2):
         with pytest.raises(InvalidSpec):
             estimate("meeting", k2, {"u": 0, "v": 1}, 1, master_seed=1)
+
+    @pytest.mark.parametrize("trials", [3.5, 4.0])
+    def test_trials_must_be_an_integer(self, k2, trials):
+        with pytest.raises(InvalidSpec, match="trials must be an integer"):
+            estimate("meeting", k2, {"u": 0, "v": 1}, trials, master_seed=1)
 
     def test_all_censored(self, cycle16):
         with pytest.raises(AllCensored):
@@ -396,8 +401,14 @@ class TestStartRange:
         lambda g: simulate_immortal(g, [0, 3, 16], [0], 1, 5),
         lambda g: estimate("meeting", g, {"u": -1, "v": 3}, 10, 1),
         lambda g: estimate("meeting", g, {"u": 0, "v": 16}, 10, 1),
+        lambda g: simulate_meeting(g, 0.5, 3, 5),
+        lambda g: simulate_coalescence(g, [0, 3.7], 5),
+        lambda g: simulate_immortal(g, [0, np.float64(3), 5], [0], 1, 5),
+        lambda g: estimate("meeting", g, {"u": 0, "v": 3.0}, 10, 1),
     ], ids=["meeting-neg", "meeting-n", "coalescence-neg", "coalescence-big",
-            "immortal-neg", "immortal-n", "estimate-neg", "estimate-n"])
+            "immortal-neg", "immortal-n", "estimate-neg", "estimate-n",
+            "meeting-float", "coalescence-float", "immortal-float",
+            "estimate-float"])
     def test_rejected(self, cycle16, monkeypatch, call):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew uniforms for an invalid start")
@@ -452,6 +463,15 @@ IMMORTAL = {"start_vertices": range(16), "immortal_ids": [1, 2],
     ("meeting", {"v": 3}, None, InvalidSpec, "'u'"),
     ("immortal", {"start_vertices": [0, 1]}, None, InvalidSpec, "'target_k'"),
     ("walk", {}, None, InvalidSpec, "'walk'"),
+    ("meeting", {"u": 0.5, "v": 3}, None, InvalidSpec, "integers"),
+    ("coalescence", {"start_vertices": [0, 3.7]}, None, InvalidSpec,
+     "integers"),
+    ("immortal", {**IMMORTAL, "target_k": 1.5}, None, InvalidSpec,
+     "target_k"),
+    ("immortal", {**IMMORTAL, "immortal_ids": [1.0]}, None, InvalidIds,
+     "immortal ids"),
+    ("meeting", {"u": 0, "v": 8}, 2.5, InvalidSpec, "cap"),
+    ("coalescence", {}, 100.0, InvalidSpec, "cap"),
 ])
 def test_estimate_rejects_before_any_draw_or_worker(
         cycle16, monkeypatch, kind, params, cap, error, match, workers):
