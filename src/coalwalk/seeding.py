@@ -15,7 +15,9 @@ rounds with an id list of its own per trial. A call for at most two ids
 stops the last round at the two words it reads. The tests hold both, bit for
 bit, to the reference: a fresh ``np.random.Philox`` keyed by
 ``mix64(seed)`` at counter ``[0, 0, 0, step]``, whose first ``count``
-doubles are the uniforms of walk ids 0..count-1.
+doubles are the uniforms of walk ids 0..count-1. The evaluator's constants
+are 0-d uint64 arrays, only for call cost: numpy takes one as an operand
+faster than a scalar, and the bits are unchanged.
 
 The one draw outside the step stream is the pair of start vertices of a
 stationary meeting trial: ids 0 and 1 at step 0 under the key
@@ -50,26 +52,52 @@ def mix64(*parts: int) -> int:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
 
-def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
-    """High word of the 128-bit product ``m * x``.
+def _u64(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array: a ufunc call takes one as an operand
+    a few hundred ns faster than a numpy or Python scalar, on the same bits."""
+    return np.array(value, dtype=np.uint64)
+
+
+_LO32 = _u64(0xFFFFFFFF)
+_SHIFT32 = _u64(32)
+_SHIFT11 = _u64(11)
+# each multiplier with its low and high 32-bit halves
+_MUL0, _MUL1 = ((_u64(m), _u64(m & 0xFFFFFFFF), _u64(m >> 32))
+                for m in _PHILOX_M)
+# the key words of round r: r * W mod 2**64
+_ROUND_KEYS = tuple((_u64(r * _PHILOX_W[0] & _MASK64),
+                     _u64(r * _PHILOX_W[1] & _MASK64))
+                    for r in range(_PHILOX_ROUNDS))
+
+
+def _mulhi(mul: tuple, x: np.ndarray) -> np.ndarray:
+    """High word of the 128-bit product ``m * x``, for ``mul = (m, m_lo,
+    m_hi)`` as in ``_MUL0``.
 
     numpy has no 64x64->128 multiply, so the high word is assembled from
     32-bit halves; no partial sum exceeds 64 bits.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    _, m_lo, m_hi = mul
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
     t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
     u = x_lo * m_hi + (t & _LO32)
     return x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(mul: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit product ``m * x``."""
-    return _mulhi(m, x), x * np.uint64(m)
+    return _mulhi(mul, x), x * mul[0]
+
+
+def _steps(steps) -> np.ndarray:
+    """The steps as uint64 counter words. A ``range``, as ``_rows`` in
+    simulate yields, goes through ``np.arange``, far cheaper than
+    ``np.asarray`` on one."""
+    if isinstance(steps, range):
+        return np.arange(steps.start, steps.stop, steps.step, dtype=np.uint64)
+    return np.asarray(steps, dtype=np.uint64)
 
 
 def philox_keys(seeds) -> np.ndarray:
@@ -84,21 +112,17 @@ def _philox_words(key0: np.ndarray, c0: np.ndarray, c3: np.ndarray,
     axis. Words 0 and 1 read only c1 and c2 of the round before the last
     and not the last round's c0 product, so at width 2 those two rounds
     skip the products they would not use."""
-    key1 = 0
-    c1 = c2 = np.zeros(1, dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = key0 + np.uint64(_PHILOX_W[0])
-            key1 = (key1 + _PHILOX_W[1]) & _MASK64
+    c1 = c2 = np.zeros(1, dtype=np.uint64)  # ndim 1, so no op gives a scalar
+    for r, (w0, w1) in enumerate(_ROUND_KEYS):
+        k0 = key0 + w0
         if width == 2 and r == _PHILOX_ROUNDS - 2:
-            c1, c2 = (c2 * np.uint64(_PHILOX_M[1]),
-                      _mulhi(_PHILOX_M[0], c0) ^ c3 ^ np.uint64(key1))
+            c1, c2 = c2 * _MUL1[0], _mulhi(_MUL0, c0) ^ c3 ^ w1
             continue
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        hi1, lo1 = _mulhilo(_MUL1, c2)
         if width == 2 and r == _PHILOX_ROUNDS - 1:
-            return np.stack(np.broadcast_arrays(hi1 ^ c1 ^ key0, lo1), axis=-1)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ np.uint64(key1), lo0
+            return np.stack(np.broadcast_arrays(hi1 ^ c1 ^ k0, lo1), axis=-1)
+        hi0, lo0 = _mulhilo(_MUL0, c0)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ w1, lo0
     return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
 
 
@@ -113,13 +137,13 @@ def philox_uniforms(keys: np.ndarray, steps, count: int) -> np.ndarray:
     shape (len(keys), len(steps), blocks).
     """
     key0 = np.asarray(keys, dtype=np.uint64)[:, None, None]
-    steps = np.asarray(steps, dtype=np.uint64)
+    steps = _steps(steps)
     blocks = (count + 3) // 4
     width = 2 if count <= 2 else 4  # words read of each block
     words = _philox_words(key0, np.arange(1, blocks + 1, dtype=np.uint64),
                           steps[None, :, None], width)
     words = words.reshape(key0.shape[0], steps.size, width * blocks)
-    return (words[..., :count] >> np.uint64(11)) * 2.0 ** -53
+    return (words[..., :count] >> _SHIFT11) * 2.0 ** -53
 
 
 def philox_uniforms_ragged(keys: np.ndarray, steps, ids) -> np.ndarray:
@@ -133,11 +157,11 @@ def philox_uniforms_ragged(keys: np.ndarray, steps, ids) -> np.ndarray:
     owner = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
     span = int(flat.max(initial=0) >> 2) + 1
     pairs, inverse = np.unique(owner * span + (flat >> 2), return_inverse=True)
-    steps = np.asarray(steps, dtype=np.uint64)
+    steps = _steps(steps)
     words = _philox_words(np.asarray(keys, dtype=np.uint64)[pairs // span],
-                          (pairs % span).astype(np.uint64) + np.uint64(1),
+                          (pairs % span + 1).astype(np.uint64),
                           steps[:, None]).reshape(steps.size, -1)
-    return (words[:, 4 * inverse + (flat & 3)] >> np.uint64(11)) * 2.0 ** -53
+    return (words[:, 4 * inverse + (flat & 3)] >> _SHIFT11) * 2.0 ** -53
 
 
 class StepStream:

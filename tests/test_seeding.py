@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from coalwalk import seeding
 from coalwalk.seeding import (
     StepStream,
     _philox_words,
@@ -73,3 +76,53 @@ def test_step_stream_matches_step_uniforms(width):
     for step in (1, 2, 7, 2**32, 2**63, 2):  # revisits step 2 after a jump
         assert np.array_equal(stream.uniforms(step, width),
                               step_uniforms(2**63 + 17, step, width))
+
+
+@pytest.mark.parametrize("steps", [
+    range(1, 2), range(1, 4097), range(2**63 - 3, 2**63 + 3),
+    range(2**64 - 4, 2**64),  # its last step is 2**64 - 1
+], ids=["one", "4096", "across-2**63", "to-2**64-1"])
+def test_philox_range_steps_match_list_steps(steps):
+    keys = philox_keys(SEEDS[:2])
+    assert np.array_equal(philox_uniforms(keys, steps, 3),
+                          philox_uniforms(keys, list(steps), 3))
+    ids = [(0, 5), (2,)]
+    assert np.array_equal(philox_uniforms_ragged(keys, steps, ids),
+                          philox_uniforms_ragged(keys, list(steps), ids))
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_philox_constants_are_0d_uint64():
+    # numpy takes a 0-d array operand faster than a numpy or Python scalar;
+    # every constant the rounds read must stay one. _PHILOX_ROUNDS only
+    # counts rounds in Python.
+    readers = (seeding._mulhi, seeding._mulhilo, seeding._philox_words,
+               philox_uniforms, philox_uniforms_ragged)
+    names = {name for f in readers for name in f.__code__.co_names
+             if hasattr(seeding, name) and name != "_PHILOX_ROUNDS"}
+    constants = {name: getattr(seeding, name) for name in names
+                 if not callable(getattr(seeding, name))
+                 and not inspect.ismodule(getattr(seeding, name))}
+    assert set(constants) == {"_LO32", "_SHIFT32", "_SHIFT11", "_MUL0",
+                              "_MUL1", "_ROUND_KEYS"}
+    for name, value in constants.items():
+        for leaf in _leaves(value):
+            assert isinstance(leaf, np.ndarray), name
+            assert leaf.ndim == 0 and leaf.dtype == np.uint64, name
+    assert (int(seeding._LO32), int(seeding._SHIFT32),
+            int(seeding._SHIFT11)) == (2**32 - 1, 32, 11)
+    for (m, m_lo, m_hi), want in zip((seeding._MUL0, seeding._MUL1),
+                                     seeding._PHILOX_M):
+        assert int(m) == want == int(m_hi) << 32 | int(m_lo)
+        assert int(m_lo) < 2**32 and int(m_hi) < 2**32
+    assert len(seeding._ROUND_KEYS) == seeding._PHILOX_ROUNDS
+    for r, words in enumerate(seeding._ROUND_KEYS):
+        assert [int(w) for w in words] == [
+            r * w % 2**64 for w in seeding._PHILOX_W]
