@@ -26,6 +26,10 @@ with no float math: numpy turns each row's uniforms into cells of the
 residual grid, on which every degree's neighbour rank is constant, by a
 bucket table with a few gathers per uniform (``_cells``), and a walk moves
 by two list lookups in tables cached on the graph (``_move_tables``).
+Two lazy walks both stay on a quarter of the steps and cannot meet there,
+so the meeting batch drops those steps of each row in numpy, and its trials
+loop over the rest. ``_meet`` returns the index of the first co-location in
+the cells it is given, and its caller maps that back to a step.
 The start pairs of stationary meeting trials come from one Philox call for
 the whole batch (``_meeting_pairs``).
 """
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice
 from numbers import Integral
+from operator import length_hint
 
 import numpy as np
 
@@ -212,15 +217,17 @@ def _rows(end: int, blocks):
         width *= 2
 
 
-def _meet(moves, rank_of, x, y, steps, xs, ys):
-    """``(t, x, y)``: two walks from x and y step on the cells ``xs`` and
-    ``ys`` at ``steps`` until the first step t at which they co-locate, or
-    t is None at the end of ``steps``; x and y are then their vertices."""
-    for t, cx, cy in zip(steps, xs, ys):
+def _meet(moves, rank_of, x, y, xs, ys):
+    """``(j, x, y)``: two walks from x and y step on the cells of the lists
+    ``xs`` and ``ys`` until they first co-locate, on cell j, or j is None
+    at the lists' end; x and y are then their vertices. j is read from what
+    is left of ``ys``, so the loop keeps no counter."""
+    rest = iter(ys)
+    for cx, cy in zip(xs, rest):
         x = moves[x][rank_of[x][cx]]
         y = moves[y][rank_of[y][cy]]
         if x == y:
-            return t, x, y
+            return len(ys) - 1 - length_hint(rest), x, y
     return None, x, y
 
 
@@ -255,14 +262,22 @@ def _meeting_batch(g: Graph, starts, seeds, cap: int) -> list[SimSample]:
         for steps in _rows(cap, lambda: len(live)):
             cells = _cells(table, philox_uniforms(
                 keys[[i for i, _, _ in live]], steps, 2))
+            xs, ys = cells[:, :, 0], cells[:, :, 1]
+            # both walks stay (cell -1) on a quarter of the steps, where
+            # they cannot meet: trial k loops over the others only, at the
+            # flat (trial, step) indices kept[cut[k]:cut[k + 1]]
+            kept = np.flatnonzero(np.maximum(xs, ys) >= 0)
+            cut = kept.searchsorted(
+                np.arange(len(live) + 1) * len(steps)).tolist()
+            xs, ys = xs.take(kept).tolist(), ys.take(kept).tolist()
             still = []
-            for (i, x, y), xs, ys in zip(live, cells[:, :, 0].tolist(),
-                                         cells[:, :, 1].tolist()):
-                t, x, y = _meet(moves, rank_of, x, y, steps, xs, ys)
-                if t is None:
+            for (i, x, y), a, b in zip(live, cut, cut[1:]):
+                j, x, y = _meet(moves, rank_of, x, y, xs[a:b], ys[a:b])
+                if j is None:
                     still.append((i, x, y))
                 else:
-                    samples[i] = SimSample(t, False, seeds[i])
+                    samples[i] = SimSample(steps[kept[a + j] % len(steps)],
+                                           False, seeds[i])
             live = still
         for i, _, _ in live:
             samples[i] = SimSample(cap, True, seeds[i])
@@ -389,9 +404,10 @@ def _coalesce_batch(g: Graph, starts: list[int], immortal: frozenset,
                 since, k = tail.start, 0  # first unlogged step, next index
                 while k < len(tail):
                     if len(ids) == 2:
-                        t, *pos = _meet(moves, rank_of, *pos, tail[k:],
+                        j, *pos = _meet(moves, rank_of, *pos,
                                         cells[k:, cols[0]].tolist(),
                                         cells[k:, cols[1]].tolist())
+                        t = None if j is None else tail[k + j]
                     else:
                         for t, row in zip(tail[k:], islice(rows, k, None)):
                             for j, c in enumerate(cols):
@@ -627,6 +643,8 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
             workers = 0
         if workers < 1:
             raise InvalidSpec(f"{WORKERS_ENV}={text!r} is not an integer >= 1")
+    elif not isinstance(workers, Integral) or workers < 1:
+        raise InvalidSpec(f"workers={workers!r} is not an integer >= 1")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -281,7 +281,8 @@ def test_criterion_10_determinism(tmp_path):
             result = run(parse_config(str(cfg)))
         finally:
             os.environ.pop("COALWALK_WORKERS", None)
-        outputs.append(open(result["csv"], "rb").read())
+        with open(result["csv"], "rb") as handle:
+            outputs.append(handle.read())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
     assert verdict(10, ok, f"pipeline CSVs byte-identical across worker "
                            f"counts ({len(outputs[0])} bytes)")

@@ -250,7 +250,7 @@ class TestConfig:
     def test_readme_example_parses(self, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), os.pardir,
                               "README.md")
-        text = open(readme).read()
+        text = Path(readme).read_text()
         start = text.index("```ini\n") + len("```ini\n")
         path = tmp_path / "readme.ini"
         path.write_text(text[start:text.index("```", start)])
@@ -317,7 +317,7 @@ class TestConfig:
     def test_meeting_limit_accepted_at_the_fixed_cap(self, tmp_path,
                                                      config_file):
         path = tmp_path / "limit.ini"
-        path.write_text(open(config_file).read().replace(
+        path.write_text(Path(config_file).read_text().replace(
             "outdir", f"meeting_limit = {chain._MEETING_LIMIT}\noutdir"))
         assert parse_config(str(path)) == parse_config(config_file)
 
@@ -327,7 +327,7 @@ class TestRun:
         result = run(parse_config(config_file))
         assert result["explicit_ok"]
         assert len(result["records"]) == 2
-        record = json.loads(open(result["records"][0]).read())
+        record = json.loads(Path(result["records"][0]).read_text())
         assert {"spec", "measured", "bound_report", "estimates"} <= set(record)
         with open(result["csv"]) as handle:
             rows = list(csv.DictReader(handle))
@@ -347,7 +347,7 @@ class TestRun:
                 result = run(parse_config(str(path)))
             finally:
                 os.environ.pop("COALWALK_WORKERS", None)
-            outs.append(open(result["csv"], "rb").read())
+            outs.append(Path(result["csv"]).read_bytes())
         assert outs[0] == outs[1]
 
     def test_blas_thread_count_moves_exact_rows_only(self, tmp_path):
@@ -439,7 +439,8 @@ class TestCommands:
         code = main(["verify", "--family", "clique", "--n", "8",
                      "--csv", csv_path])
         assert code == 0
-        assert open(csv_path).readline().startswith("name,lhs,rel")
+        with open(csv_path) as handle:
+            assert handle.readline().startswith("name,lhs,rel")
 
     def test_all_command(self, config_file, capsys):
         assert main(["all", "--config", config_file]) == 0

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from coalwalk import seeding
+from coalwalk.bounds import check_concentration
+from coalwalk.errors import InvalidSpec
+from coalwalk.graphs import FamilySpec, generate, lower_bound_graph
 from coalwalk.seeding import (
     StepStream,
     _philox_words,
@@ -12,6 +15,7 @@ from coalwalk.seeding import (
     philox_uniforms,
     philox_uniforms_ragged,
 )
+from coalwalk.simulate import estimate, paired_batch_means
 from philox_reference import step_uniforms
 
 SEEDS = [0, 1, 2**63 + 17, 2**64 - 1]
@@ -68,6 +72,30 @@ def test_philox_words_width_two_is_first_two_words(n_keys, n_steps):
 
 def test_philox_keys_are_mix64():
     assert philox_keys(SEEDS).tolist() == [mix64(s) for s in SEEDS]
+
+
+CYCLE8 = generate(FamilySpec("cycle", n=8))
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.7, 3.0, np.float64(3.9), "4", None])
+@pytest.mark.parametrize("call", [
+    lambda seed: estimate("meeting", CYCLE8, {"u": 0, "v": 4}, 4, seed),
+    lambda seed: generate(FamilySpec("random_regular", n=10, degree=3),
+                          seed=seed),
+    lambda seed: check_concentration(CYCLE8, [0], 4, 16, seed),
+    lambda seed: paired_batch_means(CYCLE8, range(8), [1], 2, 2, seed),
+    lambda seed: lower_bound_graph(64, 1.0, seed),
+], ids=["estimate", "generate", "check_concentration", "paired_batch_means",
+        "lower_bound_graph"])
+def test_seed_that_is_no_integer_is_rejected(call, seed):
+    """Every seed passes through ``mix64``, which takes integers only
+    (``numbers.Integral``): a float seed is an error, never truncated."""
+    with pytest.raises(InvalidSpec, match="seed must be an integer"):
+        call(seed)
+
+
+def test_mix64_takes_numpy_integers():
+    assert mix64(np.uint64(2**64 - 1), np.int64(-3)) == mix64(2**64 - 1, -3)
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 512])

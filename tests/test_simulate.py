@@ -68,7 +68,7 @@ def wide(request, monkeypatch):
 
 @pytest.fixture
 def meets(monkeypatch):
-    """The (t, x, y) that each call of the shared meeting loop returns."""
+    """The (j, x, y) that each call of the shared meeting loop returns."""
     calls = []
 
     def spy(*args, _run=simulate._meet):
@@ -289,7 +289,7 @@ class TestImmortal:
         reached, named = wide
         assert reached == named
         if "meet" in named:
-            assert sum(t is not None for t, _, _ in meets) > len(seeds)
+            assert sum(j is not None for j, _, _ in meets) > len(seeds)
 
     def test_paired_censored_trial_raises(self):
         # a capped time is no sample: it must not be averaged in
@@ -489,6 +489,22 @@ def test_estimate_rejects_before_any_draw_or_worker(
         estimate(kind, cycle16, params, 10, 1, cap=cap, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
+def test_estimate_rejects_bad_workers_before_any_draw(
+        cycle16, monkeypatch, workers):
+    """An explicit ``workers`` follows the COALWALK_WORKERS rule: a value
+    that is not an integer of at least 1 raises InvalidSpec before any
+    Philox draw or worker pool."""
+    import concurrent.futures
+
+    def fail(*args, **kwargs):
+        raise AssertionError("drew uniforms or built a pool for bad workers")
+    monkeypatch.setattr(simulate, "philox_uniforms", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    with pytest.raises(InvalidSpec, match="workers="):
+        estimate("meeting", cycle16, {"u": 0, "v": 8}, 10, 1, workers=workers)
+
+
 def test_params_read_by_each_kind(cycle16):
     """The keys a kind reads keep their meaning: ``stationary: False`` reads
     ``u`` and ``v``, ``lazy: True`` is the default, and ``start_vertices``
@@ -522,6 +538,34 @@ def _reference_meeting(g, u, v, seed, cap):
     return cap, True
 
 
+def _assert_each_meeting_found_once(meets, samples):
+    """A trial stops at its meeting, so the shared loop returns a cell
+    index once per met sample (value > 0), at two equal vertices."""
+    found = [(x, y) for j, x, y in meets if j is not None]
+    assert len(found) == sum(s.value > 0 and not s.censored for s in samples)
+    assert all(x == y for x, y in found)
+
+
+def test_meet_returns_cell_index_of_first_co_location():
+    """``_meet`` on cycle-8, where moves[x] holds x's two neighbours in
+    ascending order, then x: cell 0 steps to the first, cell 1 to the
+    second and the stay cell -1 to x itself."""
+    _, rank_of, moves = _move_tables(generate(FamilySpec("cycle", n=8)))
+    assert moves[0] == [1, 7, 0] and moves[2] == [1, 3, 2]
+
+    def meet(x, y, xs, ys):
+        return simulate._meet(moves, rank_of, x, y, xs, ys)
+    # 0 and 2 go to (0, 3), (1, 2), (2, 2): the first co-location is at
+    # cell 2, and the cells after it are not read
+    assert meet(0, 2, [-1, 0, 1, 0, 1], [1, 0, -1, 1, 1]) == (2, 2, 2)
+    # no co-location: None, with the walks' last vertices
+    assert meet(0, 4, [0, -1], [-1, 1]) == (None, 1, 5)
+    # a row where both walks stay throughout keeps no cell
+    assert meet(0, 4, [], []) == (None, 0, 4)
+    # a co-location on the last cell
+    assert meet(0, 2, [0, -1], [-1, 0]) == (1, 1, 1)
+
+
 def test_meeting_batch_matches_reference_loop(meets):
     # irregular degrees, same-vertex starts, censoring off a row boundary,
     # and more trials than one chunk
@@ -534,9 +578,7 @@ def test_meeting_batch_matches_reference_loop(meets):
     assert [(s.value, s.censored) for s in samples] == want
     assert [s.seed for s in samples] == seeds
     assert any(c for _, c in want) and any(v == 0 for v, _ in want)
-    # every meeting is found by the shared loop
-    assert sorted(t for t, _, _ in meets if t is not None) == sorted(
-        v for v, c in want if v and not c)
+    _assert_each_meeting_found_once(meets, samples)
 
 
 def _threshold_graph(n):
@@ -559,8 +601,7 @@ def test_meeting_batch_high_degree_matches_reference_loop(g, trials, meets):
     samples = _meeting_batch(g, starts, seeds, cap=200)
     assert [(s.value, s.censored) for s in samples] == [
         _reference_meeting(g, u, v, s, 200) for (u, v), s in zip(starts, seeds)]
-    assert sorted(t for t, _, _ in meets if t is not None) == sorted(
-        s.value for s in samples if s.value and not s.censored)
+    _assert_each_meeting_found_once(meets, samples)
 
 
 def test_largest_uniform_rank_stays_below_degree():
