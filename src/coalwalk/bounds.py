@@ -312,9 +312,11 @@ def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
     return tuple(tails)
 
 
-def _check_counts(steps, trials) -> None:
+def _check_counts(steps, trials, seed) -> None:
     if not all(isinstance(x, Integral) and x >= 1 for x in (steps, trials)):
         raise InvalidSpec("steps and trials must be integers >= 1")
+    if not isinstance(seed, Integral):
+        raise InvalidSpec(f"a seed must be an integer, not {seed!r}")
 
 
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
@@ -328,9 +330,10 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     lambda * (16 * max(t_hit, steps) * mean_pi(f) + 1), lambda = 1, 2, 3,
     must stay below 2^-lambda plus three binomial standard errors.
     t_hit is ``chain.t_hit(g)``, solved once the inputs are checked.
-    ``steps`` and ``trials`` that are not integers >= 1 raise InvalidSpec.
+    ``steps`` and ``trials`` that are not integers >= 1, and a ``seed``
+    that is not an integer, raise InvalidSpec.
     """
-    _check_counts(steps, trials)
+    _check_counts(steps, trials, seed)
     targets = np.asarray(g.check_vertices(target_set, "target vertices"),
                          dtype=np.int64)
     f_values = np.zeros(g.n)
@@ -365,7 +368,7 @@ def check_collision_concentration(g: Graph, start: int, target_set,
                          dtype=np.int64)
     if not members.size:
         raise InvalidSpec("target set must be non-empty")
-    _check_counts(steps, trials)
+    _check_counts(steps, trials, seed)
     start, = g.check_vertices((start,))
     t_plus = max(chain.t_hit(g), steps)
     degs = g.degrees[members]

@@ -17,7 +17,6 @@ symmetry by comparing the sorted keys of the entries both ways.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Iterable, NamedTuple
@@ -39,8 +38,13 @@ VERTEX_TRANSITIVE = frozenset({"cycle", "clique", "hypercube", "torus"})
 SEEDED_FAMILIES = frozenset({"random_regular", "lower_bound"})
 # lower_bound_graph builds with alpha' = max(alpha, _ALPHA_FLOOR).
 _ALPHA_FLOOR = 4.0
-# Random-generator budgets: pairing-model samples, sweeps of a repair.
-_RANDOM_REGULAR_TRIES = 1000
+# Pairings random_regular draws before GenerationFailure. At the largest
+# admitted d = min(degree, n - 1 - degree), 6, a pairing is simple about
+# once in 33 000 tries at n = 13 (the least n with d = 6), 23 500 at n = 15
+# and 9 500 at n = 40, so 10**6 tries all fail with probability about
+# e^-30 = 1e-13. At d = 7 a try would be about 25 times rarer again.
+_RANDOM_REGULAR_TRIES = 10**6
+# Sweeps of random transpositions that repair one bipartite matching.
 _REPAIR_SWEEPS = 500
 
 
@@ -346,63 +350,32 @@ def _barbell_edges(n):
 
 
 def _random_regular_edges(n, r, rng):
-    # Pairing (configuration) model: up to _RANDOM_REGULAR_TRIES pairings
-    # are drawn, and the first one that Graph.from_edges accepts (no loop,
-    # connected) with n * r / 2 distinct edges is the sample, uniform over
-    # the simple connected r-regular graphs. Then switches on the last
-    # pairing. Over n = 5..40, degrees 3..min(n - 2, 12) and seeds 0..5,
-    # the switches built 0 of 318 graphs of degree 3 or 4, 29 of 102 of
-    # degree 5, 188 of 198 of degree 6 and all 792 of degree 7 to 12;
-    # unlike rejection they have no correction step, and nothing shows
-    # that they sample uniformly. K_n is the one graph of degree n - 1,
-    # and switches cannot always reach it.
-    if r == n - 1:
-        return _clique_edges(n)
-    stubs = np.repeat(np.arange(n), r)
+    # Pairing (configuration) model at d = min(r, n - 1 - r): a pairing of
+    # the n * d stubs with no loop and no repeated edge is uniform over the
+    # simple d-regular graphs, since each has (d!)^n pairings, and taking
+    # the complement when d < r maps them one to one onto the r-regular
+    # graphs (d = 0 gives K_n). A try that is not simple, or whose r-regular
+    # graph is disconnected, is drawn again, so the sample is uniform over
+    # the simple connected r-regular graphs.
+    d = min(r, n - 1 - r)
+    stubs = np.repeat(np.arange(n), d)
     for _ in range(_RANDOM_REGULAR_TRIES):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        x, y = pairs.T
+        keys = np.sort(np.minimum(x, y) * n + np.maximum(x, y))
+        if np.any(x == y) or np.any(np.diff(keys) == 0):
+            continue
+        if d < r:
+            every = _clique_edges(n)
+            pairs = every[~np.isin(every[:, 0] * n + every[:, 1], keys)]
         try:
-            if Graph.from_edges(n, pairs).m == n * r // 2:
-                return pairs
-        except (SelfLoop, DisconnectedGraph):
+            Graph.from_edges(n, pairs)
+            return pairs
+        except DisconnectedGraph:
             pass
-    return _switched_pairing(perm, n, r, rng)
-
-
-def _switched_pairing(perm, n, r, rng):
-    """Edges of a simple connected graph made from the pairing ``perm`` by
-    degree-preserving switches, in sweeps as ``_bipartite_regular_edges``
-    repairs a matching: each bad pair (a loop, a repeated edge, or any one
-    pair while the graph is disconnected) swaps its second stub with a
-    random stub, kept only if neither new pair is a loop or an edge
-    already present."""
-    def key(u, v):
-        return min(u, v) * n + max(u, v)
-
-    pairs = perm.reshape(-1, 2)
-    count = Counter(key(u, v) for u, v in pairs.tolist())
-    for _ in range(_REPAIR_SWEEPS):
-        bad = [i for i, (u, v) in enumerate(pairs.tolist())
-               if u == v or count[key(u, v)] > 1]
-        if not bad:
-            try:
-                Graph.from_edges(n, pairs)
-                return pairs
-            except DisconnectedGraph:
-                bad = [int(rng.integers(pairs.shape[0]))]
-        for i, j in zip(bad, rng.integers(0, perm.size, size=len(bad))):
-            (a, b), c, d = pairs[i].tolist(), int(perm[j]), int(perm[j ^ 1])
-            old, new = (key(a, b), key(c, d)), (key(a, c), key(b, d))
-            count.subtract(old)
-            ok = (a != c and b != d and new[0] != new[1]
-                  and not count[new[0]] and not count[new[1]])
-            if ok:
-                perm[2 * i + 1], perm[j] = perm[j], perm[2 * i + 1]
-            count.update(new if ok else old)
-    raise GenerationFailure(f"random_regular(n={n}, r={r}) failed after "
-                            f"{_RANDOM_REGULAR_TRIES} tries and "
-                            f"{_REPAIR_SWEEPS} sweeps of switches")
+    raise GenerationFailure(f"random_regular(n={n}, degree={r}): no simple "
+                            f"connected pairing in {_RANDOM_REGULAR_TRIES} "
+                            f"tries")
 
 
 def _bipartite_regular_edges(s, r, rng):
@@ -587,6 +560,11 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
         need("degree", spec.degree is not None and 3 <= spec.degree < spec.n)
         if (spec.n * spec.degree) % 2 != 0:
             raise InvalidSpec("random_regular: n*degree must be even")
+        if min(spec.degree, spec.n - 1 - spec.degree) > 6:
+            raise InvalidSpec(
+                f"random_regular: degree {spec.degree} on {spec.n} vertices "
+                f"is not sampled; the admissible degrees are 3..6 and "
+                f"{spec.n - 7}..{spec.n - 1}")
     if spec.family == "lower_bound":
         need("alpha", spec.alpha is not None and spec.alpha >= 1)
         return lower_bound_graph(spec.n, spec.alpha, seed)

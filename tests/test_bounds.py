@@ -184,6 +184,10 @@ class TestMeasure:
         assert json.loads(json.dumps(mq.to_dict()))["n"] == 8
 
 
+def _no_solve(g):
+    raise AssertionError("t_hit was solved before the inputs were checked")
+
+
 class TestConcentration:
     def test_zero_function_trivially_passes(self):
         g = generate(FamilySpec("cycle", n=16))
@@ -220,25 +224,31 @@ class TestConcentration:
             bounds.check_collision_concentration(
                 g, start, targets, steps=10, trials=8, seed=1)
 
-    @pytest.mark.parametrize("steps, trials", [
-        (0, 8), (-3, 8), (10, 0), (10, -5), (2.5, 8), (10, 3.5)],
+    @pytest.mark.parametrize("steps, trials, seed", [
+        (0, 8, 1), (-3, 8, 1), (10, 0, 1), (10, -5, 1), (2.5, 8, 1),
+        (10, 3.5, 1), (10, 8, 1.5)],
         ids=["steps-0", "steps--3", "trials-0", "trials--5", "steps-2.5",
-             "trials-3.5"])
-    def test_rejects_steps_or_trials_below_one(self, steps, trials):
+             "trials-3.5", "seed-1.5"])
+    def test_rejects_steps_or_trials_below_one(self, steps, trials, seed,
+                                               monkeypatch):
+        monkeypatch.setattr(chain, "t_hit", _no_solve)
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_concentration(g, [0], steps=steps, trials=trials,
-                                       seed=1)
+                                       seed=seed)
 
-    @pytest.mark.parametrize("targets, steps, trials", [
-        ([], 10, 8), ([0], 0, 8), ([0], 10, 0), ([0], 2.5, 8), ([0], 10, 3.5)],
+    @pytest.mark.parametrize("targets, steps, trials, seed", [
+        ([], 10, 8, 1), ([0], 0, 8, 1), ([0], 10, 0, 1), ([0], 2.5, 8, 1),
+        ([0], 10, 3.5, 1), ([0], 10, 8, 1.5)],
         ids=["empty-targets", "steps-0", "trials-0", "steps-2.5",
-             "trials-3.5"])
-    def test_collision_rejects_bad_spec(self, targets, steps, trials):
+             "trials-3.5", "seed-1.5"])
+    def test_collision_rejects_bad_spec(self, targets, steps, trials, seed,
+                                        monkeypatch):
+        monkeypatch.setattr(chain, "t_hit", _no_solve)
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_collision_concentration(
-                g, 0, targets, steps=steps, trials=trials, seed=1)
+                g, 0, targets, steps=steps, trials=trials, seed=seed)
 
     def test_collision_variant(self):
         g = generate(FamilySpec("cycle", n=32))

@@ -66,6 +66,7 @@ INVALID_SPECS = [
     FamilySpec("random_regular", n=9, degree=3),
     FamilySpec("random_regular", n=12, degree=2),
     FamilySpec("random_regular", n=6, degree=6),
+    FamilySpec("random_regular", n=16, degree=8),
     FamilySpec("random_regular", n=12),
     FamilySpec("lower_bound", n=64),
     FamilySpec("lower_bound", n=64, alpha=0.5),

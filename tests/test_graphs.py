@@ -1,7 +1,10 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from coalwalk.errors import (
     DisconnectedGraph,
@@ -95,20 +98,19 @@ class TestGenerators:
         assert g.deg_min == g.deg_max
 
     def test_pairing_model_retry_budget(self, monkeypatch):
-        # one pairing, never simple at degree 5 on 8 vertices here, and no
-        # sweep of switches after it
+        # one pairing, not simple at degree 6 on 20 vertices here
         from coalwalk import graphs
         monkeypatch.setattr(graphs, "_RANDOM_REGULAR_TRIES", 1)
-        monkeypatch.setattr(graphs, "_REPAIR_SWEEPS", 0)
         rng = np.random.default_rng(0)
-        with pytest.raises(GenerationFailure, match="0 sweeps"):
-            graphs._random_regular_edges(8, 5, rng)
+        with pytest.raises(GenerationFailure, match="in 1 tries$"):
+            graphs._random_regular_edges(20, 6, rng)
 
     @pytest.mark.parametrize("n", [8, 10, 12])
-    def test_random_regular_switches_after_pairings_fail(self, n):
-        # at degree 5 about half the seeds see 1000 pairings with a loop or
-        # a repeated edge (seeds 0, 1, 3 at n = 8; 2, 3 at 10; 1, 2 at 12);
-        # the switches on the last one give the graph
+    def test_random_regular_builds_where_1000_pairings_failed(self, n):
+        # about half these seeds draw 1000 5-regular pairings without a
+        # simple one (seeds 0, 1, 3 at n = 8; 2, 3 at 10; 1, 2 at 12); the
+        # graph is the complement of a 2- or 4-regular pairing at n = 8 and
+        # 10, and a later 5-regular pairing at n = 12
         spec = FamilySpec("random_regular", n=n, degree=5)
         built = [generate(spec, seed=seed) for seed in range(4)]
         for seed, g in enumerate(built):
@@ -124,23 +126,33 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n, seed", [(9, 1), (11, 0), (14, 3)])
     def test_random_regular_at_degree_n_minus_1_is_the_clique(self, n, seed):
-        # switches cannot always clear the last repeated edge of K_n
+        # the complement of the empty pairing (d = 0)
         g = generate(FamilySpec("random_regular", n=n, degree=n - 1),
                      seed=seed)
         clique = generate(FamilySpec("clique", n=n))
         assert g.indptr.tobytes() == clique.indptr.tobytes()
         assert g.indices.tobytes() == clique.indices.tobytes()
 
-    def test_switches_connect_two_cliques(self):
-        # the pairing of two disjoint K6 is simple, 5-regular, disconnected
-        from coalwalk import graphs
-        edges = np.concatenate([np.column_stack(np.triu_indices(6, 1)) + k
-                                for k in (0, 6)])
-        perm = edges.reshape(-1).copy()
-        got = graphs._switched_pairing(perm, 12, 5,
-                                       np.random.default_rng(3))
-        g = Graph.from_edges(12, got)
-        assert validate(g).ok and g.deg_min == g.deg_max == 5
+    @pytest.mark.parametrize("n, seed", [(32, 2), (36, 0), (36, 2), (40, 0),
+                                         (40, 1), (40, 2)])
+    def test_random_regular_at_degree_n_minus_2(self, n, seed):
+        # the complement of a perfect matching (d = 1)
+        spec = FamilySpec("random_regular", n=n, degree=n - 2)
+        g = generate(spec, seed=seed)
+        assert validate(g).ok and g.deg_min == g.deg_max == n - 2
+        again = generate(spec, seed=seed)
+        assert g.indptr.tobytes() == again.indptr.tobytes()
+        assert g.indices.tobytes() == again.indices.tobytes()
+
+    @pytest.mark.parametrize("n, r, admissible", [
+        (16, 7, "3..6 and 9..15"), (16, 8, "3..6 and 9..15"),
+        (22, 14, "3..6 and 15..21")])
+    def test_random_regular_refuses_degrees_it_cannot_sample(self, n, r,
+                                                             admissible):
+        # min(r, n - 1 - r) >= 7: a pairing is simple too rarely to draw
+        with pytest.raises(InvalidSpec,
+                           match=f"admissible degrees are {admissible}$"):
+            generate(FamilySpec("random_regular", n=n, degree=r), seed=0)
 
     def test_determinism_byte_identical(self):
         spec = FamilySpec("random_regular", n=30, degree=4)
@@ -477,42 +489,96 @@ def test_generators_match_earlier_formulas(specs, oracle):
 
 
 def _pairing_oracle(n, r, rng):
-    """The pairing loop with its three hand-written checks (a loop, a
-    repeated edge, a split graph); True beside the edges when they came
-    from the switches."""
+    """The pairing loop at d = min(r, n - 1 - r) with its three
+    hand-written checks (a loop, a repeated edge, a split graph), the
+    complement read from a dense adjacency matrix when d < r; True beside
+    the edges when they are a complement."""
     from coalwalk import graphs
 
-    stubs = np.repeat(np.arange(n), r)
+    d = min(r, n - 1 - r)
+    stubs = np.repeat(np.arange(n), d)
     for _ in range(graphs._RANDOM_REGULAR_TRIES):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
+        pairs = rng.permutation(stubs).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
         canon = np.sort(pairs, axis=1)
         keyed = canon[:, 0] * n + canon[:, 1]
         if np.unique(keyed).size != keyed.size:
             continue
+        if d < r:
+            adj = ~np.eye(n, dtype=bool)
+            adj[canon[:, 0], canon[:, 1]] = False
+            canon = np.argwhere(np.triu(adj))
         try:
             Graph.from_edges(n, canon)
         except DisconnectedGraph:
             continue
-        return canon, False
-    return graphs._switched_pairing(perm, n, r, rng), True
+        return canon, d < r
+    raise AssertionError(f"no simple connected pairing at ({n}, {r})")
 
 
-@pytest.mark.parametrize("n, r, seed, switched", [
-    (12, 3, 0, False), (12, 3, 5, False), (30, 4, 0, False),
-    (30, 4, 7, False), (8, 3, 183, False), (8, 5, 0, True),
-    (16, 8, 0, True), (16, 8, 1, True),
+@pytest.mark.parametrize("n, r, seed, path", [
+    (12, 3, 0, "pairing"), (12, 3, 5, "pairing"), (30, 4, 0, "pairing"),
+    (30, 4, 7, "pairing"), (8, 3, 183, "pairing"), (8, 5, 0, "complement"),
+    (32, 30, 2, "complement"), (16, 8, 0, "refused"),
 ])
-def test_random_regular_matches_three_check_loop(n, r, seed, switched):
-    edges, went = _pairing_oracle(n, r, np.random.default_rng(
+def test_random_regular_matches_three_check_loop(n, r, seed, path):
+    spec = FamilySpec("random_regular", n=n, degree=r)
+    if path == "refused":
+        with pytest.raises(InvalidSpec):
+            generate(spec, seed=seed)
+        return
+    edges, complement = _pairing_oracle(n, r, np.random.default_rng(
         mix64(seed, n, r)))
-    assert went == switched
-    g = generate(FamilySpec("random_regular", n=n, degree=r), seed=seed)
+    assert complement == (path == "complement")
+    g = generate(spec, seed=seed)
     want = Graph.from_edges(n, edges)
     assert g.indptr.tobytes() == want.indptr.tobytes()
     assert g.indices.tobytes() == want.indices.tobytes()
+
+
+def _adjacency(g):
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    adj[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1
+    return adj
+
+
+# Uniformity: every p-value must exceed this, fixed before any run.
+_P_MIN = 1e-3
+
+
+def test_random_regular_6_3_is_uniform():
+    # complement path (d = 2): the 70 labelled cubic graphs on 6 vertices
+    # (10 copies of K33 and 60 prisms), each about 40 times in 2800 seeds
+    spec = FamilySpec("random_regular", n=6, degree=3)
+    seen = Counter(generate(spec, seed=seed).indices.tobytes()
+                   for seed in range(2800))
+    assert len(seen) == 70
+    assert chisquare(list(seen.values())).pvalue > _P_MIN
+
+
+def test_random_regular_8_3_is_uniform():
+    # rejection path (d = 3): the 5 connected cubic graphs on 8 vertices,
+    # told apart by their adjacency spectra. Five distinct spectra are five
+    # pairwise non-isomorphic graphs; their labelled counts 8!/|Aut| sum to
+    # 19320, all the labelled connected cubic graphs on 8 vertices, so they
+    # are every class and each spectrum holds exactly one
+    spec = FamilySpec("random_regular", n=8, degree=3)
+    adjs = np.array([_adjacency(generate(spec, seed=seed))
+                     for seed in range(1600)])
+    spectra = [tuple(row) for row in np.round(np.linalg.eigvalsh(adjs), 6)]
+    seen = Counter(spectra)
+    assert len(seen) == 5
+    perms = np.array(list(itertools.permutations(range(8))))
+    labelled = []
+    for key in seen:
+        adj = adjs[spectra.index(key)]
+        aut = np.all(adj[perms[:, :, None], perms[:, None, :]] == adj,
+                     axis=(1, 2)).sum()
+        labelled.append(math.factorial(8) // int(aut))
+    assert sorted(labelled) == [840, 2520, 2520, 3360, 10080]
+    expected = 1600 * np.array(labelled) / 19320
+    assert chisquare(list(seen.values()), expected).pvalue > _P_MIN
 
 
 def _raw_rows(n, edges):
