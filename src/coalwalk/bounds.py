@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -116,18 +116,11 @@ class MeasuredQuantities:
     vertex_transitive: bool = False
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n, "family": self.family, "t_hit": self.t_hit,
-            "t_mix": self.t_mix, "t_mix_method": self.t_mix_method,
-            "t_sep": self.t_sep, "lambda2": self.lambda2,
-            "pi_norm_sq": self.pi_norm_sq, "pi_min": self.pi_min,
-            "c_max": self.collision.c_max, "c_min": self.collision.c_min,
-            "r_max": self.collision.r_max,
-            "t_mix_used_for_collisions": self.collision.t_mix_used,
-            "degree_ratio": self.degree_ratio,
-            "t_meet": self.t_meet, "t_meet_pi": self.t_meet_pi,
-            "vertex_transitive": self.vertex_transitive,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name
+               not in ("collision", "t_mix_bracket", "t_coal_estimate")}
+        out.update(c_max=self.collision.c_max, c_min=self.collision.c_min,
+                   r_max=self.collision.r_max,
+                   t_mix_used_for_collisions=self.collision.t_mix_used)
         if self.t_mix_bracket is not None:
             out["t_mix_bracket"] = list(self.t_mix_bracket)
         if self.t_coal_estimate is not None:
@@ -161,7 +154,7 @@ def measure(g: Graph, *,
         t_mix=mix.value, t_mix_method=mix.method, t_mix_bracket=mix.bracket,
         t_sep=t_sep,
         lambda2=chain.spectral(g).lambda2,
-        pi_norm_sq=float(pi @ pi), pi_min=float(pi.min()),
+        pi_norm_sq=cs.pi_norm_sq, pi_min=float(pi.min()),
         collision=cs, degree_ratio=g.deg_max / g.deg_min,
         t_meet=t_meet, t_meet_pi=t_meet_pi,
         t_coal_estimate=t_coal_estimate,
@@ -216,13 +209,12 @@ class BoundReport:
         return json.dumps(self.to_rows(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
+        """``to_rows`` as CSV: floats by repr, a None ``passed`` empty."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "lhs", "rel", "rhs", "explicit", "passed"])
-        for c in self.checks:
-            writer.writerow([c.name, repr(c.lhs), c.relation, repr(c.rhs),
-                             c.explicit,
-                             "" if c.passed is None else c.passed])
+        writer = csv.DictWriter(buf, ["name", "lhs", "rel", "rhs", "explicit",
+                                      "passed"], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.to_rows())
         return buf.getvalue()
 
 
@@ -299,9 +291,12 @@ class ConcentrationReport:
         return self.mean_ok and all(t.ok for t in self.tails)
 
 
-def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
-    """Tail frequencies of ``sums`` at lambda * (scale + 1), lambda in
-    _LAMBDAS, each required below 2^-lambda plus three binomial stderrs."""
+def _report(sums: np.ndarray, bound: float,
+            scale: float) -> ConcentrationReport:
+    """The report on ``sums`` (a row of walks per start): the worst mean of
+    a row against ``bound``, and the tail frequencies at lambda * (scale +
+    1), lambda in _LAMBDAS, each required below 2^-lambda plus three
+    binomial stderrs."""
     tails = []
     for lam in _LAMBDAS:
         threshold = lam * (scale + 1.0)
@@ -309,7 +304,10 @@ def _tails(sums: np.ndarray, scale: float) -> tuple[TailCheck, ...]:
         stderr = math.sqrt(max(freq * (1 - freq), 0.0) / sums.size)
         limit = 2.0 ** (-lam) + 3.0 * stderr
         tails.append(TailCheck(lam, threshold, freq, limit, freq <= limit))
-    return tuple(tails)
+    worst_mean = float(sums.mean(axis=-1).max())
+    return ConcentrationReport(mean_bound=bound, worst_mean=worst_mean,
+                               mean_ok=worst_mean <= bound,
+                               tails=tuple(tails), walks=sums.size)
 
 
 def _check_counts(steps, trials, seed) -> None:
@@ -340,16 +338,10 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     f_values[targets] = 1.0
     t_plus = max(chain.t_hit(g), steps)
     f_bar = float(f_values @ chain.stationary(g))
-    mean_bound = 8.0 * t_plus * f_bar
-
     sums = _walk_sums(g, range(g.n), [mix64(seed, s) for s in range(g.n)],
                       steps, max(trials // g.n, 2),
                       np.broadcast_to(f_values, (steps, g.n)))
-    worst_mean = float(sums.mean(axis=1).max())
-    return ConcentrationReport(mean_bound=mean_bound, worst_mean=worst_mean,
-                               mean_ok=worst_mean <= mean_bound,
-                               tails=_tails(sums, 16.0 * t_plus * f_bar),
-                               walks=sums.size)
+    return _report(sums, 8.0 * t_plus * f_bar, 16.0 * t_plus * f_bar)
 
 
 def check_collision_concentration(g: Graph, start: int, target_set,
@@ -384,9 +376,5 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     for t in range(steps):
         rows[t] = row * mask
         row = chain.lazy_step(g, row)
-    sums = _walk_sums(g, [start], [seed], steps, trials, rows)[0]
-    return ConcentrationReport(mean_bound=upsilon,
-                               worst_mean=float(sums.mean()),
-                               mean_ok=float(sums.mean()) <= upsilon,
-                               tails=_tails(sums, 2.0 * upsilon),
-                               walks=sums.size)
+    sums = _walk_sums(g, [start], [seed], steps, trials, rows)
+    return _report(sums, upsilon, 2.0 * upsilon)

@@ -118,6 +118,8 @@ class Graph:
                        what: str = "start vertices") -> list[int]:
         """``vertices`` as a list of ints; InvalidSpec unless every vertex is
         an integer (``numbers.Integral``, so never a float) in [0, n)."""
+        if not np.iterable(vertices):
+            raise InvalidSpec(f"{what} must be a collection of vertex ids")
         vertices = list(vertices)
         if not all(isinstance(v, Integral) and 0 <= v < self.n
                    for v in vertices):
@@ -193,6 +195,14 @@ def _labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 def _is_connected(g: Graph) -> bool:
     """One component when each row is read as undirected edges both ways."""
     return not _labels(g.indptr, g.indices).any()
+
+
+def _joins(n: int, edges: np.ndarray) -> bool:
+    """Whether the (m, 2) ``edges``, read both ways, join all n vertices into
+    one component: ``_labels`` on their rows sorted by the first column."""
+    edges = edges[np.argsort(edges[:, 0])]
+    return not _labels(np.searchsorted(edges[:, 0], np.arange(n + 1)),
+                       edges[:, 1]).any()
 
 
 @dataclass(frozen=True)
@@ -287,23 +297,20 @@ class FamilySpec:
     degree: int | None = None
     alpha: float | None = None
 
+    def _given(self) -> dict:
+        """The SPEC_PARAMS fields that are set, in label order."""
+        return {key: getattr(self, key) for key in SPEC_PARAMS
+                if getattr(self, key) is not None}
+
     def to_dict(self) -> dict:
-        out = {"family": self.family}
-        for key in SPEC_PARAMS:
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
+        out = {"family": self.family, **self._given()}
         if self.family == "lower_bound":
             out["alpha_floor"] = _ALPHA_FLOOR
         return out
 
     def label(self) -> str:
-        parts = [self.family]
-        for key in SPEC_PARAMS:
-            val = getattr(self, key)
-            if val is not None:
-                parts.append(f"{key}{val}")
-        return "-".join(parts)
+        return "-".join([self.family, *(f"{key}{val}" for key, val
+                                        in self._given().items())])
 
 
 def _clique_edges(n):
@@ -355,8 +362,8 @@ def _random_regular_edges(n, r, rng):
     # simple d-regular graphs, since each has (d!)^n pairings, and taking
     # the complement when d < r maps them one to one onto the r-regular
     # graphs (d = 0 gives K_n). A try that is not simple, or whose r-regular
-    # graph is disconnected, is drawn again, so the sample is uniform over
-    # the simple connected r-regular graphs.
+    # edges do not join all n vertices (``_joins``: no Graph is built for
+    # it), is drawn again: uniform over the simple connected ones.
     d = min(r, n - 1 - r)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_RANDOM_REGULAR_TRIES):
@@ -368,11 +375,8 @@ def _random_regular_edges(n, r, rng):
         if d < r:
             every = _clique_edges(n)
             pairs = every[~np.isin(every[:, 0] * n + every[:, 1], keys)]
-        try:
-            Graph.from_edges(n, pairs)
+        if _joins(n, pairs):
             return pairs
-        except DisconnectedGraph:
-            pass
     raise GenerationFailure(f"random_regular(n={n}, degree={r}): no simple "
                             f"connected pairing in {_RANDOM_REGULAR_TRIES} "
                             f"tries")
@@ -413,7 +417,10 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
     expander vertices. alpha' = max(alpha, _ALPHA_FLOOR) with the floor
     fixed at 4: the theoretical floor constant is far too conservative at
     these sizes. All fractional sizes round up, making the construction
-    reproducible bit for bit.
+    reproducible bit for bit. The cliques, their hub edges and the meta are
+    built once; an attempt draws the expander, accepted when its own edges
+    join all its vertices (``_joins``): a connected expander makes the whole
+    graph connected. Then it draws the hub's expander vertices.
     """
     if alpha < 1:
         raise InvalidSpec("lower_bound: alpha must be >= 1")
@@ -431,37 +438,30 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
     if hub_fanout < 1 or hub_fanout > 2 * side:
         raise InvalidSpec("lower_bound: hub fanout out of range")
 
+    g2_base = kappa * clique_size
+    hub = g2_base + 2 * side
+    proto = _clique_edges(clique_size)
+    cliques = [proto + i * clique_size for i in range(kappa)]
+    clique_hub = np.column_stack([np.arange(kappa) * clique_size,
+                                  np.full(kappa, hub, dtype=np.int64)])
+    meta = {
+        "family": "lower_bound", "n_param": n, "alpha": float(alpha),
+        "alpha_effective": alpha_eff, "kappa": kappa,
+        "clique_size": clique_size, "g2_side": side, "g2_degree": r,
+        "g2_range": (g2_base, g2_base + 2 * side), "hub": hub,
+        "hub_g2_fanout": hub_fanout, "seed": seed,
+    }
     for attempt in range(50):
         rng = np.random.default_rng(mix64(seed, attempt))
-        g2_base = kappa * clique_size
-        hub = g2_base + 2 * side
-        total = hub + 1
-
-        proto = _clique_edges(clique_size)
-        chunks = [proto + i * clique_size for i in range(kappa)]
-        g2_edges = _bipartite_regular_edges(side, r, rng) + g2_base
-        chunks.append(g2_edges)
-        designated = np.arange(kappa) * clique_size
-        chunks.append(np.column_stack(
-            [designated, np.full(kappa, hub, dtype=np.int64)]))
+        g2_edges = _bipartite_regular_edges(side, r, rng)
+        if not _joins(2 * side, g2_edges):
+            continue
         g2_hub = g2_base + np.sort(rng.choice(2 * side, size=hub_fanout,
                                               replace=False))
-        chunks.append(np.column_stack(
-            [g2_hub, np.full(hub_fanout, hub, dtype=np.int64)]))
-        edges = np.concatenate(chunks, axis=0)
-
-        meta = {
-            "family": "lower_bound", "n_param": n, "alpha": float(alpha),
-            "alpha_effective": alpha_eff, "kappa": kappa,
-            "clique_size": clique_size, "g2_side": side, "g2_degree": r,
-            "g2_range": (g2_base, g2_base + 2 * side), "hub": hub,
-            "hub_g2_fanout": hub_fanout, "seed": seed,
-        }
-        try:
-            Graph.from_edges(2 * side, g2_edges - g2_base)  # g2 connected
-            return Graph.from_edges(total, edges, meta=meta)
-        except DisconnectedGraph:
-            continue
+        edges = np.concatenate([*cliques, g2_edges + g2_base, clique_hub,
+                                np.column_stack([g2_hub, np.full(
+                                    hub_fanout, hub, dtype=np.int64)])])
+        return Graph.from_edges(hub + 1, edges, meta=meta)
     raise GenerationFailure("lower_bound: no connected instance in 50 attempts")
 
 

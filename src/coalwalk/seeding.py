@@ -96,11 +96,6 @@ def _mulhi(mul: tuple, x: np.ndarray) -> np.ndarray:
     return x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
 
 
-def _mulhilo(mul: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product ``m * x``."""
-    return _mulhi(mul, x), x * mul[0]
-
-
 def _steps(steps) -> np.ndarray:
     """The steps as uint64 counter words. A ``range``, as ``_rows`` in
     simulate yields, goes through ``np.arange``, far cheaper than
@@ -128,11 +123,10 @@ def _philox_words(key0: np.ndarray, c0: np.ndarray, c3: np.ndarray,
         if width == 2 and r == _PHILOX_ROUNDS - 2:
             c1, c2 = c2 * _MUL1[0], _mulhi(_MUL0, c0) ^ c3 ^ w1
             continue
-        hi1, lo1 = _mulhilo(_MUL1, c2)
+        x0, x1 = _mulhi(_MUL1, c2) ^ c1 ^ k0, c2 * _MUL1[0]
         if width == 2 and r == _PHILOX_ROUNDS - 1:
-            return np.stack(np.broadcast_arrays(hi1 ^ c1 ^ k0, lo1), axis=-1)
-        hi0, lo0 = _mulhilo(_MUL0, c0)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ w1, lo0
+            return np.stack(np.broadcast_arrays(x0, x1), axis=-1)
+        c0, c1, c2, c3 = x0, x1, _mulhi(_MUL0, c0) ^ c3 ^ w1, c0 * _MUL0[0]
     return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
 
 

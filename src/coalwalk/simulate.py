@@ -612,7 +612,7 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):
     starts = sorted(set(g.check_vertices(vertices)))
     if not starts:
         raise InvalidSpec("start set must be non-empty")
-    immortal = list(immortal)
+    immortal = list(immortal) if np.iterable(immortal) else []
     if not immortal or not all(isinstance(i, Integral)
                                and 0 <= i < len(starts) for i in immortal):
         raise InvalidIds("immortal ids must be ids of the start ensemble")

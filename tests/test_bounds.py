@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coalwalk import bounds, chain
+from coalwalk import bounds, chain, simulate
 from coalwalk.chain import CollisionStats
 from coalwalk.errors import InvalidSpec, MissingQuantity
 from coalwalk.graphs import FamilySpec, generate
@@ -140,6 +140,29 @@ class TestVerifyRelations:
         assert report.to_json().startswith("[")
 
 
+    def test_csv_bytes_match_writer_loop(self):
+        # the former csv.writer loop, kept as the oracle of to_csv's bytes
+        import csv
+        import io
+
+        report = bounds.BoundReport()
+        report.add_explicit("holds", 1e-05, "<=", 0.30000000000000004)
+        report.add_explicit("fails", 0.30000000000000004, "<=", 1e-05,
+                            note="bracketed t_mix")
+        report.add_explicit("lower", 2.5, ">=", 1 / 3)
+        report.add_ratio("ratio, quoted", 1e300, 7.0)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["name", "lhs", "rel", "rhs", "explicit", "passed"])
+        for c in report.checks:
+            writer.writerow([c.name, repr(c.lhs), c.relation, repr(c.rhs),
+                             c.explicit, "" if c.passed is None else c.passed])
+        assert [c.passed for c in report.checks] == [True, False, True, None]
+        assert report.to_csv() == buf.getvalue()
+        assert bounds.BoundReport().to_csv() == (
+            "name,lhs,rel,rhs,explicit,passed\n")
+
+
 class TestMeasure:
     def test_skips_meeting_above_limit(self, monkeypatch):
         monkeypatch.setattr(chain, "_MEETING_LIMIT", 10)
@@ -183,6 +206,26 @@ class TestMeasure:
         _, mq = k8_measured
         assert json.loads(json.dumps(mq.to_dict()))["n"] == 8
 
+    def test_to_dict_keys(self, k8_measured):
+        _, mq = k8_measured
+        keys = {"n", "family", "t_hit", "t_mix", "t_mix_method", "t_sep",
+                "lambda2", "pi_norm_sq", "pi_min", "c_max", "c_min", "r_max",
+                "t_mix_used_for_collisions", "degree_ratio", "t_meet",
+                "t_meet_pi", "vertex_transitive"}
+        plain = dataclasses.replace(mq, t_mix_bracket=None)
+        assert len(keys) == 17 and set(plain.to_dict()) == keys
+        est = simulate.estimate("coalescence", generate(FamilySpec(
+            "clique", n=8)), {}, 4, 1)
+        full = dataclasses.replace(mq, t_mix_bracket=(3, 5),
+                                   t_coal_estimate=est).to_dict()
+        assert set(full) == keys | {"t_mix_bracket", "t_coal_mean",
+                                    "t_coal_stderr"}
+        assert full["t_mix_bracket"] == [3, 5]
+        assert (full["t_coal_mean"], full["t_coal_stderr"]) == (
+            est.mean, est.stderr)
+        assert full["c_max"] == mq.collision.c_max
+        assert full["t_mix_used_for_collisions"] == mq.collision.t_mix_used
+
 
 def _no_solve(g):
     raise AssertionError("t_hit was solved before the inputs were checked")
@@ -208,12 +251,44 @@ class TestConcentration:
                                             trials=2000, seed=4)
         assert report.ok
 
+    @pytest.mark.parametrize("family, check, worst, bound", [
+        ("cycle", "plain", "0x1.0e66666666666p+4", "0x1.7ffffffffffc2p+9"),
+        ("cycle", "collision", "0x1.91e535f17b2bbp+1",
+         "0x1.fffffffffffadp+8"),
+        ("star", "plain", "0x1.699999999999ap+4", "0x1.03ffffffffffdp+10"),
+        ("star", "collision", "0x1.57a23f42ac7bap+3",
+         "0x1.f01fffffffffbp+16")])
+    def test_reports_keep_their_bits(self, family, check, worst, bound):
+        # float.hex of both checks as first recorded, before they shared
+        # one report builder
+        g = generate(FamilySpec(family, n=64))
+        if check == "plain":
+            report = bounds.check_concentration(g, [0, 1, 5], steps=40,
+                                                trials=640, seed=11)
+        else:
+            report = bounds.check_collision_concentration(
+                g, 0, [0, 1, 5], steps=40, trials=500, seed=11)
+        assert (report.worst_mean.hex(), report.mean_bound.hex()) == (
+            worst, bound)
+        assert [t.frequency.hex() for t in report.tails] == ["0x0.0p+0"] * 3
+        assert report.walks == (640 if check == "plain" else 500)
+
     @pytest.mark.parametrize("targets", [[-1], [0, 8], [2.5], [0, 1.0]])
     def test_rejects_target_outside(self, targets):
         g = generate(FamilySpec("cycle", n=8))
         with pytest.raises(InvalidSpec):
             bounds.check_concentration(g, targets, steps=10, trials=8,
                                        seed=1)
+
+    @pytest.mark.parametrize("check", ["plain", "collision"])
+    def test_rejects_a_target_set_that_is_no_collection(self, check):
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(InvalidSpec, match="collection"):
+            if check == "plain":
+                bounds.check_concentration(g, 3, steps=10, trials=8, seed=1)
+            else:
+                bounds.check_collision_concentration(g, 0, 3, steps=10,
+                                                     trials=8, seed=1)
 
     @pytest.mark.parametrize("start, targets", [(0, [-1]), (0, [1, 8]),
                                                 (-1, [0]), (8, [0]),

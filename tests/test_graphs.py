@@ -15,6 +15,7 @@ from coalwalk.errors import (
 )
 from coalwalk.graphs import (
     FAMILIES,
+    SPEC_PARAMS,
     FamilySpec,
     Graph,
     generate,
@@ -255,6 +256,60 @@ class TestLowerBoundFamily:
         report = lower_bound_report(g)
         assert 0.5 <= report["g2_lambda2"] < 1.0  # lazy walk: >= 1/2
         assert report["degree_ratio"] <= 4.0
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda s, n=n, r=r: generate(FamilySpec("random_regular", n=n,
+                                              degree=r), seed=s)
+      for n, r in [(12, 5), (6, 3), (20, 17)]],
+    lambda s: generate(FamilySpec("random_regular", n=8, degree=3),
+                       seed=183 + s),
+    lambda s: lower_bound_graph(64, 4, seed=s)],
+    ids=["rr-12-5-direct", "rr-6-3-complement", "rr-20-17-complement",
+         "rr-8-3-redraw", "lower_bound-64-4"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_graph_built_per_generated_graph(monkeypatch, make, seed):
+    # connectivity is judged on the drawn edges (graphs._joins), so the
+    # returned graph is the only Graph built, and it is still validated;
+    # seed 183 at (8, 3) redraws a disconnected pairing first
+    built, init = [], Graph.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Graph, "__init__", spy)
+    g = make(seed)
+    assert built == [g]
+
+
+def _spec_dict_loop(spec):
+    out = {"family": spec.family}
+    for key in SPEC_PARAMS:
+        val = getattr(spec, key)
+        if val is not None:
+            out[key] = val
+    if spec.family == "lower_bound":
+        out["alpha_floor"] = 4.0
+    return out
+
+
+def _spec_label_loop(spec):
+    parts = [spec.family]
+    for key in SPEC_PARAMS:
+        val = getattr(spec, key)
+        if val is not None:
+            parts.append(f"{key}{val}")
+    return "-".join(parts)
+
+
+@pytest.mark.parametrize("spec", [
+    *[FamilySpec(family, **row.defaults, **{row.size: row.least})
+      for family, row in FAMILIES.items()],
+    FamilySpec("lower_bound", n=1024, alpha=16.0)], ids=lambda s: s.label())
+def test_spec_label_and_dict_match_field_loops(spec):
+    assert spec.label() == _spec_label_loop(spec)
+    assert list(spec.to_dict().items()) == list(
+        _spec_dict_loop(spec).items())
 
 
 class TestEdgeList:
@@ -678,3 +733,34 @@ class TestConnectivity:
     @pytest.mark.parametrize("name", list(RAW_ROWS))
     def test_raw_rows(self, name):
         self.check(*row_arrays(RAW_ROWS[name]))
+
+    def test_joins_matches_from_edges(self):
+        # 10^4 random edge arrays on 2..9 vertices: repeated edges, rows
+        # given one way only (u < v) or both, and the last vertex isolated
+        from coalwalk import graphs
+
+        rng = np.random.default_rng(32)
+        seen = Counter()
+        for _ in range(10**4):
+            n = int(rng.integers(2, 10))
+            isolated = rng.random() < 0.2
+            edges = rng.integers(0, n - isolated,
+                                 size=(int(rng.integers(0, 3 * n)), 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            one_way = rng.random() < 0.5
+            if one_way:
+                edges = np.sort(edges, axis=1)
+            try:
+                Graph.from_edges(n, edges)
+                joined = True
+            except DisconnectedGraph:
+                joined = False
+            assert graphs._joins(n, edges) == joined
+            repeated = len(np.unique(np.sort(edges, axis=1), axis=0)) < len(
+                edges)
+            seen[joined, repeated, one_way, isolated] += 1
+        assert all(seen[joined, repeated, one_way, False]
+                   for joined in (True, False) for repeated in (True, False)
+                   for one_way in (True, False))
+        assert sum(seen[False, r, w, True] for r in (True, False)
+                   for w in (True, False)) > 1000

@@ -1,6 +1,6 @@
 """The Monte Carlo path, graph validation and the dense exact solvers run
 on numpy alone; scipy loads for pairwise mixing and the sparse meeting
-branch."""
+branch. The names the benchmark tracer wraps all resolve."""
 import json
 import os
 import subprocess
@@ -23,7 +23,9 @@ def loaded():
 
 gs = [graphs.generate(graphs.FamilySpec("cycle", n=16)),
       graphs.generate(graphs.FamilySpec("torus", dim=3, side=4)),
-      graphs.lower_bound_graph(64, 1.0, seed=3)]
+      graphs.lower_bound_graph(64, 1.0, seed=3),
+      graphs.generate(graphs.FamilySpec("random_regular", n=12, degree=5),
+                      seed=4)]
 params = {"meeting": {"stationary": True}, "coalescence": {}, "voter": {},
           "immortal": {"start_vertices": [0, 1, 2, 3, 4, 5],
                        "immortal_ids": [0, 1], "target_k": 2}}
@@ -85,3 +87,17 @@ def test_monte_carlo_path_loads_no_scipy():
         "dense": ["dense", chain.meeting_exact(cycle).t_meet.hex()]}
     assert out["mix"] == chain.mixing_time(cycle).value
     assert out["sparse"] == ["sparse", chain.meeting_exact(torus).t_meet.hex()]
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracing.py wraps these by name; a deleted one must fail here
+    # rather than in a later traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracing
+    from coalwalk import seeding
+
+    assert tracing.TARGETS
+    for module, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
+    assert callable(getattr(seeding.StepStream, "uniforms", None))

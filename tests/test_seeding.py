@@ -131,7 +131,7 @@ def test_philox_constants_are_0d_uint64():
     # numpy takes a 0-d array operand faster than a numpy or Python scalar;
     # every constant the rounds read must stay one. _PHILOX_ROUNDS only
     # counts rounds in Python.
-    readers = (seeding._mulhi, seeding._mulhilo, seeding._philox_words,
+    readers = (seeding._mulhi, seeding._philox_words,
                philox_uniforms, philox_uniforms_ragged)
     names = {name for f in readers for name in f.__code__.co_names
              if hasattr(seeding, name) and name != "_PHILOX_ROUNDS"}

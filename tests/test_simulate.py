@@ -472,6 +472,11 @@ IMMORTAL = {"start_vertices": range(16), "immortal_ids": [1, 2],
      "immortal ids"),
     ("meeting", {"u": 0, "v": 8}, 2.5, InvalidSpec, "cap"),
     ("coalescence", {}, 100.0, InvalidSpec, "cap"),
+    ("coalescence", {"start_vertices": 3}, None, InvalidSpec, "collection"),
+    ("immortal", {**IMMORTAL, "immortal_ids": 0}, None, InvalidIds,
+     "immortal ids"),
+    ("immortal", {**IMMORTAL, "immortal_ids": None}, None, InvalidIds,
+     "immortal ids"),
 ])
 def test_estimate_rejects_before_any_draw_or_worker(
         cycle16, monkeypatch, kind, params, cap, error, match, workers):
