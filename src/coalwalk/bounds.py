@@ -14,13 +14,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import chain
 from .chain import CollisionStats
-from .errors import InvalidSpec, MissingQuantity, TooLarge
+from .errors import InvalidSpec, MissingQuantity, TooLarge, is_integer
 from .graphs import Graph, VERTEX_TRANSITIVE
 from .seeding import mix64
 from .simulate import Estimate, _walk_sums
@@ -173,7 +172,6 @@ class BoundCheck:
     rhs: float
     explicit: bool
     passed: bool | None  # None marks asymptotic ratio-only rows
-    note: str = ""
 
     @property
     def ratio(self) -> float:
@@ -184,14 +182,13 @@ class BoundCheck:
 class BoundReport:
     checks: list[BoundCheck] = field(default_factory=list)
 
-    def add_explicit(self, name, lhs, relation, rhs, note=""):
+    def add_explicit(self, name, lhs, relation, rhs):
         self.checks.append(BoundCheck(name, float(lhs), relation, float(rhs),
-                                      True, bool(_holds(lhs, relation, rhs)),
-                                      note))
+                                      True, bool(_holds(lhs, relation, rhs))))
 
-    def add_ratio(self, name, lhs, rhs, note=""):
+    def add_ratio(self, name, lhs, rhs):
         self.checks.append(BoundCheck(name, float(lhs), "ratio", float(rhs),
-                                      False, None, note))
+                                      False, None))
 
     @property
     def all_explicit_passed(self) -> bool:
@@ -224,17 +221,15 @@ def verify_relations(g: Graph, mq: MeasuredQuantities) -> BoundReport:
     Asymptotic expressions are appended as ratio rows when their inputs
     are available. When the mixing time was only bracketed, each check
     uses the bracket side that keeps it conservative (never a false
-    failure) and says so in its note.
+    failure).
     """
     report = BoundReport()
     mix_lo, mix_hi = ((mq.t_mix, mq.t_mix) if mq.t_mix_bracket is None
                       else mq.t_mix_bracket)
-    bracket_note = "" if mq.t_mix_bracket is None else "bracketed t_mix"
 
     report.add_explicit("hit_vs_pi_min", mq.t_hit, ">=",
                         2.0 / mq.pi_min - 2.0)
-    report.add_explicit("sep_vs_mix", mq.t_sep, "<=", 4.0 * mix_hi,
-                        note=bracket_note)
+    report.add_explicit("sep_vs_mix", mq.t_sep, "<=", 4.0 * mix_hi)
     if mq.t_meet is not None:
         if mq.t_meet_pi is None:
             raise MissingQuantity("t_meet present but t_meet_pi missing")
@@ -242,10 +237,10 @@ def verify_relations(g: Graph, mq: MeasuredQuantities) -> BoundReport:
                             bound_meet_hit(mq.t_hit))
         report.add_explicit(
             "meet_sandwich_lower", sandwich_avgmeet(mix_lo, mq.t_meet_pi)[0],
-            "<=", mq.t_meet, note=bracket_note)
+            "<=", mq.t_meet)
         report.add_explicit(
             "meet_sandwich_upper", mq.t_meet, "<=",
-            sandwich_avgmeet(mix_hi, mq.t_meet_pi)[1], note=bracket_note)
+            sandwich_avgmeet(mix_hi, mq.t_meet_pi)[1])
         coll_lo, coll_hi = bound_meet_interval(mq.collision)
         report.add_explicit("collision_lower", coll_lo, "<=", mq.t_meet_pi)
         report.add_explicit("collision_upper", mq.t_meet, "<=", coll_hi)
@@ -311,9 +306,9 @@ def _report(sums: np.ndarray, bound: float,
 
 
 def _check_counts(steps, trials, seed) -> None:
-    if not all(isinstance(x, Integral) and x >= 1 for x in (steps, trials)):
+    if not all(is_integer(x) and x >= 1 for x in (steps, trials)):
         raise InvalidSpec("steps and trials must be integers >= 1")
-    if not isinstance(seed, Integral):
+    if not is_integer(seed):
         raise InvalidSpec(f"a seed must be an integer, not {seed!r}")
 
 

@@ -227,22 +227,13 @@ def fit_scaling(series, model: str = "n^a") -> ScalingFit:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_sq = 1.0 - ss_res / ss_tot if ss_tot else 1.0
     dof = len(pts) - 2
-    sigma_sq = ss_res / dof if dof else 0.0
-    slope_se = math.sqrt(sigma_sq / float(((x - x.mean()) ** 2).sum()))
+    slope_se = math.sqrt(ss_res / dof / float(((x - x.mean()) ** 2).sum()))
     return ScalingFit(model, float(slope), slope_se, min(max(r_sq, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
@@ -308,7 +299,7 @@ def run(config: ExperimentConfig) -> dict:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(_fmt, row) for row in rows)
+    writer.writerows(rows)  # None as an empty field, a float by repr
     csv_path = os.path.join(config.outdir, "results.csv")
     _atomic_write(csv_path, buf.getvalue())
     return {"csv": csv_path, "records": record_paths,
@@ -419,10 +410,8 @@ def _cmd_scale(args) -> int:
     by_sweep: dict[tuple[str, str], list] = {}
     with open(result["csv"]) as handle:
         for row in csv.DictReader(handle):
-            key = (row["family"], row["quantity"])
-            if row["value"]:
-                by_sweep.setdefault(key, []).append(
-                    (int(row["n"]), float(row["value"])))
+            by_sweep.setdefault((row["family"], row["quantity"]), []).append(
+                (int(row["n"]), float(row["value"])))
     # skip a series fit_scaling rejects, and fail if it rejects all
     unfit = InsufficientPoints("the sweep has no series to fit")
     for (family, quantity), series in by_sweep.items():

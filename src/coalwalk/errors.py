@@ -1,4 +1,12 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit, and the integer test of inputs."""
+
+from numbers import Integral
+
+
+def is_integer(value, kind=Integral) -> bool:
+    """True when ``value`` is a ``kind`` (by default ``numbers.Integral``, so
+    never a float) and not a bool, which ``numbers`` counts as an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class CoalwalkError(Exception):

@@ -29,6 +29,7 @@ from .errors import (
     InvalidSpec,
     ParseError,
     SelfLoop,
+    is_integer,
 )
 from .seeding import mix64
 
@@ -117,12 +118,11 @@ class Graph:
     def check_vertices(self, vertices,
                        what: str = "start vertices") -> list[int]:
         """``vertices`` as a list of ints; InvalidSpec unless every vertex is
-        an integer (``numbers.Integral``, so never a float) in [0, n)."""
+        an integer (``errors.is_integer``: no float, no bool) in [0, n)."""
         if not np.iterable(vertices):
             raise InvalidSpec(f"{what} must be a collection of vertex ids")
         vertices = list(vertices)
-        if not all(isinstance(v, Integral) and 0 <= v < self.n
-                   for v in vertices):
+        if not all(is_integer(v) and 0 <= v < self.n for v in vertices):
             raise InvalidSpec(f"{what} must be integers in [0, {self.n})")
         return [int(v) for v in vertices]
 
@@ -430,13 +430,11 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
     g2_target = math.ceil(n / math.sqrt(alpha_eff))
     side = math.ceil(g2_target / 2)
     r = kappa
-    hub_fanout = math.ceil(math.sqrt(n / alpha_eff))
-    if clique_size < 3 or side < 3 or r < 3:
+    hub_fanout = math.ceil(math.sqrt(n / alpha_eff))  # in [1, 2 * side]
+    if clique_size < 3 or side < 3:
         raise InvalidSpec("lower_bound: n too small, a component collapsed")
     if r > side:
         raise InvalidSpec("lower_bound: expander degree exceeds side size")
-    if hub_fanout < 1 or hub_fanout > 2 * side:
-        raise InvalidSpec("lower_bound: hub fanout out of range")
 
     g2_base = kappa * clique_size
     hub = g2_base + 2 * side
@@ -533,7 +531,7 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
 
     The one check of a spec: an unknown family, a set field that is not
     the family's size field or a key of its ``FAMILIES`` defaults, a field
-    other than ``alpha`` that is not an integer (``numbers.Integral``), and
+    that fails ``errors.is_integer`` (for ``alpha``, of kind ``Real``), and
     a missing or out-of-range field are each InvalidSpec.
     ``seed`` only matters for the families in ``SEEDED_FAMILIES``; the
     others ignore it.
@@ -549,7 +547,7 @@ def generate(spec: FamilySpec, seed: int = 0) -> Graph:
     for key in SPEC_PARAMS:
         val = getattr(spec, key)
         kind = Real if key == "alpha" else Integral
-        ok = isinstance(val, kind) and (key == row.size or key in row.defaults)
+        ok = is_integer(val, kind) and (key == row.size or key in row.defaults)
         need(key, val is None or ok)
     if "dim" in row.defaults:
         need("dim", spec.dim is not None and spec.dim >= 1)

@@ -28,11 +28,10 @@ mix64(seed, 1))).choice(n, 2, p=pi)``.
 from __future__ import annotations
 
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, is_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,12 +41,12 @@ def mix64(*parts: int) -> int:
     """Mix integers into one 64-bit value (splitmix64 finalizer chain).
 
     Every seed passes through here, so a part that is not an integer
-    (``numbers.Integral``: never a float, which would be truncated) raises
-    InvalidSpec.
+    (``errors.is_integer``: never a float, which would be truncated, nor a
+    bool) raises InvalidSpec.
     """
     acc = _GOLDEN
     for part in parts:
-        if not isinstance(part, Integral):
+        if not is_integer(part):
             raise InvalidSpec(f"a seed must be an integer, not {part!r}")
         acc = (acc + (int(part) & _MASK64) + _GOLDEN) & _MASK64
         z = acc

@@ -39,13 +39,13 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice
-from numbers import Integral
 from operator import length_hint
 
 import numpy as np
 
 from .chain import stationary
-from .errors import AllCensored, BudgetExceeded, InvalidIds, InvalidSpec
+from .errors import (AllCensored, BudgetExceeded, InvalidIds, InvalidSpec,
+                     is_integer)
 from .graphs import Graph
 from .seeding import (mix64, philox_keys, philox_uniforms,
                       philox_uniforms_ragged)
@@ -587,7 +587,7 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):
         if key not in params:
             raise InvalidSpec(f"{kind} trials need params[{key!r}]")
     cap = default_cap(g) if cap is None else cap
-    if not isinstance(cap, Integral) or cap < 1:
+    if not is_integer(cap) or cap < 1:
         raise InvalidSpec("cap must be an integer >= 1")
     if kind == "meeting":
         pair = None if drawn else tuple(
@@ -606,15 +606,15 @@ def _batch(kind: str, g: Graph, params: dict | None, cap: int | None):
         target_k, mode = params["target_k"], params.get("mode", "total")
         if mode not in ("total", "mortal"):
             raise InvalidSpec(f"unknown stopping mode {mode!r}")
-        if not isinstance(target_k, Integral) or target_k < 1:
+        if not is_integer(target_k) or target_k < 1:
             raise InvalidSpec("target_k must be an integer >= 1")
     # walk i starts at the i-th distinct start vertex, ascending
     starts = sorted(set(g.check_vertices(vertices)))
     if not starts:
         raise InvalidSpec("start set must be non-empty")
     immortal = list(immortal) if np.iterable(immortal) else []
-    if not immortal or not all(isinstance(i, Integral)
-                               and 0 <= i < len(starts) for i in immortal):
+    if not immortal or not all(is_integer(i) and 0 <= i < len(starts)
+                               for i in immortal):
         raise InvalidIds("immortal ids must be ids of the start ensemble")
     immortal = frozenset(int(i) for i in immortal)
     return partial(_coalesce_batch, g, starts, immortal, target_k,
@@ -632,7 +632,7 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
     Censored trials are counted and excluded from the mean.
     """
     run = _batch(kind, g, params, cap)
-    if not isinstance(trials, Integral) or trials < 2:
+    if not is_integer(trials) or trials < 2:
         raise InvalidSpec("trials must be an integer >= 2")
     seeds = [mix64(master_seed, i) for i in range(trials)]
     if workers is None:
@@ -643,7 +643,7 @@ def estimate(kind: str, g: Graph, params: dict | None, trials: int,
             workers = 0
         if workers < 1:
             raise InvalidSpec(f"{WORKERS_ENV}={text!r} is not an integer >= 1")
-    elif not isinstance(workers, Integral) or workers < 1:
+    elif not is_integer(workers) or workers < 1:
         raise InvalidSpec(f"workers={workers!r} is not an integer >= 1")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -681,7 +681,7 @@ def paired_batch_means(g: Graph, start_vertices, immortal_ids, target_k: int,
     this identity coupling. A trial of either process that hits ``cap``
     raises ``BudgetExceeded``: its capped time is no sample of T^k.
     """
-    if not isinstance(batch_trials, Integral) or batch_trials < 1:
+    if not is_integer(batch_trials) or batch_trials < 1:
         raise InvalidSpec("batch_trials must be an integer >= 1")
     seeds = [mix64(master_seed, i) for i in range(batch_trials)]
     std, imm = [run(seeds) for run in [_batch("immortal", g, {

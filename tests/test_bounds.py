@@ -147,8 +147,7 @@ class TestVerifyRelations:
 
         report = bounds.BoundReport()
         report.add_explicit("holds", 1e-05, "<=", 0.30000000000000004)
-        report.add_explicit("fails", 0.30000000000000004, "<=", 1e-05,
-                            note="bracketed t_mix")
+        report.add_explicit("fails", 0.30000000000000004, "<=", 1e-05)
         report.add_explicit("lower", 2.5, ">=", 1 / 3)
         report.add_ratio("ratio, quoted", 1e300, 7.0)
         buf = io.StringIO()

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -378,6 +379,32 @@ class TestRun:
             else:
                 assert a[:4] == b[:4] and a[5:] == b[5:]
                 assert abs(float(a[4]) - float(b[4])) <= 1e-12 * abs(float(a[4]))
+
+    def test_benchmark_sweep_bytes_pinned(self, tmp_path):
+        """``perfbench/sweep.ini`` at master seed 12345, one BLAS thread and
+        one worker: ``results.csv`` and its 14 JSON records, read in name
+        order, keep these sha256 digests. The benchmark's own golden pins
+        the CSV at two BLAS threads (``bfc127822d645f95...``). A change that
+        moves a float on purpose re-records both digests here and lists the
+        moved rows in ``CHANGES.md``."""
+        root = Path(coalwalk.__file__).resolve().parents[2]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", COALWALK_WORKERS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "coalwalk", "all", "--config",
+             str(root / "perfbench" / "sweep.ini"), "--seed", "12345",
+             "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        records = sorted(tmp_path.glob("*.json"))
+        assert len(records) == 14
+        csv_bytes = (tmp_path / "results.csv").read_bytes()
+        json_bytes = b"".join(path.read_bytes() for path in records)
+        assert hashlib.sha256(csv_bytes).hexdigest() == (
+            "199824bc599a2279df5bf1b7bc6c40a21d958c81cbc72c4083747a82f8177023")
+        assert hashlib.sha256(json_bytes).hexdigest() == (
+            "6c6dc01dfd99209f427f801d71571432c5723c2cb9ddd41fd518ea5f81b0ff3d")
 
 
 

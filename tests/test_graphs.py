@@ -242,10 +242,17 @@ class TestLowerBoundFamily:
         assert a.indices.tobytes() == b.indices.tobytes()
 
     @pytest.mark.parametrize("n,alpha", [(64, 1), (256, 4), (256, 16),
-                                         (1024, 1), (1024, 16)])
+                                         (1024, 1), (1024, 16), (9, 1),
+                                         (16, 1), (36, 12)])
     def test_almost_regular(self, n, alpha):
+        # n = 9 is the least size lower_bound_graph admits and 16 the least
+        # generate admits; at (36, 12) the expander degree kappa equals its
+        # side. The hub's fan-out lies in [1, 2 * side] at every admitted n.
         g = lower_bound_graph(n, alpha, seed=1)
         assert g.deg_max / g.deg_min <= 4.0
+        meta = g.meta
+        assert 1 <= meta["hub_g2_fanout"] <= 2 * meta["g2_side"]
+        assert g.degrees[meta["hub"]] == meta["kappa"] + meta["hub_g2_fanout"]
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidSpec):

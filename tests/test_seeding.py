@@ -5,7 +5,7 @@ import pytest
 
 from coalwalk import seeding
 from coalwalk.bounds import check_concentration
-from coalwalk.errors import InvalidSpec
+from coalwalk.errors import InvalidIds, InvalidSpec
 from coalwalk.graphs import FamilySpec, generate, lower_bound_graph
 from coalwalk.seeding import (
     StepStream,
@@ -96,6 +96,39 @@ def test_seed_that_is_no_integer_is_rejected(call, seed):
 
 def test_mix64_takes_numpy_integers():
     assert mix64(np.uint64(2**64 - 1), np.int64(-3)) == mix64(2**64 - 1, -3)
+
+
+IMMORTAL = {"start_vertices": range(8), "immortal_ids": [0], "target_k": 2}
+
+
+@pytest.mark.parametrize("error, call", [
+    (InvalidSpec, lambda: CYCLE8.check_vertices([0, True])),
+    (InvalidSpec, lambda: generate(FamilySpec("torus", dim=True, side=5))),
+    (InvalidSpec, lambda: generate(FamilySpec("lower_bound", n=64,
+                                              alpha=True))),
+    (InvalidSpec, lambda: mix64(True)),
+    (InvalidSpec, lambda: estimate("coalescence", CYCLE8, {}, 4, 1,
+                                   cap=True)),
+    (InvalidSpec, lambda: estimate("immortal", CYCLE8,
+                                   {**IMMORTAL, "target_k": True}, 4, 1)),
+    (InvalidIds, lambda: estimate("immortal", CYCLE8,
+                                  {**IMMORTAL, "immortal_ids": [True]}, 4, 1)),
+    (InvalidSpec, lambda: estimate("coalescence", CYCLE8, {}, 4, 1,
+                                   workers=True)),
+    (InvalidSpec, lambda: paired_batch_means(CYCLE8, range(8), [1], 2, True,
+                                             1)),
+    (InvalidSpec, lambda: check_concentration(CYCLE8, [0], steps=True,
+                                              trials=True, seed=1)),
+    (InvalidSpec, lambda: check_concentration(CYCLE8, [0], 4, 16, True)),
+], ids=["check_vertices", "spec-dim", "spec-alpha", "mix64", "cap",
+        "target_k", "immortal_ids", "workers", "batch_trials",
+        "steps-trials", "concentration-seed"])
+def test_a_bool_is_no_integer(error, call):
+    """``numbers`` counts a bool as an integer; every integer input check
+    (``errors.is_integer``) rejects it. ``estimate``'s trials get no row:
+    True is below its floor of 2."""
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 512])
