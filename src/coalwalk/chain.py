@@ -13,10 +13,10 @@ find t by doubling along it, then binary lifting: about 2 log2 t dense
 n x n products per search, and the squarings are paid once per graph.
 
 Collision statistics step the rows of P^t transposed, X <- P^T X with a
-sparse P^T, in contiguous blocks of start vertices that run in threads,
-at most one per usable CPU. Each start's sums take the same float
-operations in the same order in any block, so the values do not depend on
-the CPU count.
+sparse P^T, in contiguous blocks of start vertices, at most one per
+usable CPU: block 0 on the calling thread, the others in a thread pool.
+Each start's sums take the same float operations in the same order in
+any block, so the values do not depend on the CPU count.
 
 P is built once, dense, from the graph's rows in numpy
 (``_dense_transition``), so hitting, separation, spectral, bracket mixing
@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetExceeded, LengthMismatch, TooLarge
+from .errors import (BudgetExceeded, InvalidSpec, LengthMismatch, TooLarge,
+                     is_integer)
 from .graphs import Graph
 
 if TYPE_CHECKING:
@@ -393,11 +394,10 @@ def _collision_block(Pt: sp.csr_matrix, lo: int, hi: int,
     Column j of X is the row p^t(lo + j, .), stepped as X <- P^T X.
     """
     X = np.eye(Pt.shape[0], hi - lo, -lo)
-    sq_sums = np.zeros(hi - lo)
-    returns = np.zeros(hi - lo)
-    for t in range(window):
-        if t:
-            X = Pt @ X
+    sq_sums = np.ones(hi - lo)  # the t = 0 terms: X has unit columns
+    returns = np.ones(hi - lo)
+    for _ in range(window - 1):
+        X = Pt @ X
         sq_sums += np.einsum("ij,ij->j", X, X)
         returns += X[lo:hi].diagonal()
     return sq_sums, returns
@@ -406,29 +406,28 @@ def _collision_block(Pt: sp.csr_matrix, lo: int, hi: int,
 def collision_stats(g: Graph, t_mix_value: int) -> CollisionStats:
     """Accumulate sum_t sum_v p^t(u,v)^2 and sum_t p^t(u,u) for t < t_mix.
 
-    The window is ``t_mix_value`` steps, at least one; callers pass
-    ``mixing_time(g).value``.
+    The window is ``t_mix_value`` steps, an integer >= 1 (else
+    InvalidSpec); callers pass ``mixing_time(g).value``.
     The rows p^t(u, .) are kept transposed, as the columns of X, and
     stepped as X <- P^T X with P^T a CSR copy of the dense P. The start
     vertices are split into contiguous blocks of at least _COLLISION_GRAIN,
-    one per usable CPU at most, and each block runs its whole window in a
-    thread of its own. Every start sees the same float operations in the
-    same order whatever its block, so the result does not depend on the
-    CPU count.
+    one per usable CPU at most. Block 0 runs on the calling thread and the
+    rest in a pool, so one block starts no thread. Every start sees the
+    same float operations in the same order whatever its block, so the
+    result does not depend on the CPU count.
     """
     import scipy.sparse as sp
 
-    window = max(int(t_mix_value), 1)
+    if not is_integer(t_mix_value) or t_mix_value < 1:
+        raise InvalidSpec("collision window must be an integer >= 1")
+    window = int(t_mix_value)
     Pt = sp.csr_matrix(_dense_transition(g).T)
     count = max(1, min(_usable_cpus(), g.n // _COLLISION_GRAIN))
-    if count == 1:
-        parts = [_collision_block(Pt, 0, g.n, window)]
-    else:
-        edges = [g.n * k // count for k in range(count + 1)]
-        with ThreadPoolExecutor(count) as pool:
-            parts = list(pool.map(
-                lambda lo, hi: _collision_block(Pt, lo, hi, window),
-                edges[:-1], edges[1:]))
+    edges = [g.n * k // count for k in range(count + 1)]
+    with ThreadPoolExecutor(count) as pool:
+        rest = pool.map(lambda lo, hi: _collision_block(Pt, lo, hi, window),
+                        edges[1:-1], edges[2:])
+        parts = [_collision_block(Pt, 0, edges[1], window), *rest]
     sq_sums, returns = map(np.concatenate, zip(*parts))
     pi = stationary(g)
     return CollisionStats(

@@ -428,12 +428,10 @@ def _cmd_scale(args) -> int:
 
 def _cmd_all(args) -> int:
     config = parse_config(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.outdir is not None:
-        config.outdir = args.outdir
+    for flag, field in [("seed", "master_seed"), ("trials", "trials"),
+                        ("outdir", "outdir")]:
+        if getattr(args, flag) is not None:
+            setattr(config, field, getattr(args, flag))
     result = run(config)
     print(json.dumps(result, indent=2))
     return 0 if result["explicit_ok"] else 2
@@ -491,7 +489,3 @@ def main(argv=None) -> int:
     except CoalwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

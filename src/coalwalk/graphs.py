@@ -89,14 +89,15 @@ class Graph:
                    meta: dict | None = None) -> "Graph":
         """Build a graph from an (m, 2) integer array or (u, v) pairs.
 
-        Duplicate edges and orientations are merged; self-loops are
-        rejected rather than silently dropped.
+        Duplicate edges and orientations are merged. A float, bool or out of
+        range id is a ParseError; a self-loop is a SelfLoop, never dropped.
         """
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise ParseError("vertex id out of range 0..n-1")
+        arr = np.asarray(edges if isinstance(edges, np.ndarray)
+                         else list(edges))
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                         or arr.max() >= n):
+            raise ParseError("vertex ids must be integers in 0..n-1")
+        arr = arr.astype(np.int64, copy=False).reshape(-1, 2)
         if arr.size and np.any(arr[:, 0] == arr[:, 1]):
             raise SelfLoop("edge list contains a self-loop")
         # each edge both ways as the key u * n + v, sorted, duplicates
@@ -422,8 +423,10 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
     join all its vertices (``_joins``): a connected expander makes the whole
     graph connected. Then it draws the hub's expander vertices.
     """
-    if alpha < 1:
-        raise InvalidSpec("lower_bound: alpha must be >= 1")
+    if not (is_integer(n) and is_integer(alpha, Real)
+            and n >= 1 and alpha >= 1):  # NaN fails alpha >= 1
+        raise InvalidSpec("lower_bound: n must be an integer and alpha a "
+                          "real, both >= 1")
     alpha_eff = max(float(alpha), _ALPHA_FLOOR)
     kappa = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     clique_size = kappa
@@ -465,7 +468,8 @@ def lower_bound_graph(n: int, alpha: float, seed: int) -> Graph:
 
 def subgraph(g: Graph, vertices: np.ndarray) -> Graph:
     """Induced subgraph on the given vertices, relabeled 0..k-1."""
-    vertices = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
+    vertices = np.asarray(sorted(set(g.check_vertices(vertices, "vertices"))),
+                          dtype=np.int64)
     lookup = -np.ones(g.n, dtype=np.int64)
     lookup[vertices] = np.arange(vertices.size)
     edges = g.edge_array()

@@ -113,6 +113,27 @@ class TestVerifyRelations:
         assert not report.all_explicit_passed
         assert any(c.name == "meet_vs_hit" for c in report.failures())
 
+    def test_bracketed_mixing_time_takes_the_conservative_side(
+            self, k8_measured):
+        # sep_vs_mix and the sandwich's upper end read the bracket's upper
+        # end, its lower end the bracket's lower end; hi / e exceeds
+        # t_meet_pi, so reading hi there would move the lower end
+        g, mq = k8_measured
+        lo, hi = 1, 10 ** 4
+        assert hi / math.e > mq.t_meet_pi
+        bracketed = dataclasses.replace(mq, t_mix=hi, t_mix_method="bracket",
+                                        t_mix_bracket=(lo, hi))
+        checks = {c.name: c for c in
+                  bounds.verify_relations(g, bracketed).checks}
+        assert checks["sep_vs_mix"].rhs == 4.0 * hi
+        assert checks["meet_sandwich_upper"].rhs == bounds.sandwich_avgmeet(
+            hi, mq.t_meet_pi)[1]
+        assert checks["meet_sandwich_lower"].lhs == bounds.sandwich_avgmeet(
+            lo, mq.t_meet_pi)[0]
+        assert checks["meet_sandwich_lower"].lhs != bounds.sandwich_avgmeet(
+            hi, mq.t_meet_pi)[0]
+        assert checks["meet_sandwich_lower"].passed
+
     def test_missing_quantity(self, k8_measured):
         g, mq = k8_measured
         broken = dataclasses.replace(mq, t_meet_pi=None)

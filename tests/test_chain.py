@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -558,6 +560,34 @@ def test_collision_stats_matches_step_loop(spec, monkeypatch):
             edges = [lo for lo, _ in sorted(spans)] + [g.n]
             assert len(spans) == min(k, g.n // 2)
             assert sorted(spans) == list(zip(edges, edges[1:]))
+
+
+def test_collision_block_zero_runs_on_the_caller(monkeypatch):
+    """Block 0 runs on the calling thread and every other block in a pool
+    thread; a one-block call submits no task, so it starts no thread."""
+    g = generate(FamilySpec("cycle", n=12))
+    threads = {}
+    chain_block = chain._collision_block
+
+    def block(Pt, lo, hi, window):
+        threads[lo] = threading.current_thread()
+        return chain_block(Pt, lo, hi, window)
+
+    def no_submit(*args, **kwargs):
+        raise AssertionError("a one-block call submitted a task")
+
+    monkeypatch.setattr(chain, "_collision_block", block)
+    monkeypatch.setattr(chain, "_COLLISION_GRAIN", 2)
+    for k in (3, 1):
+        monkeypatch.setattr(chain, "_usable_cpus", lambda: k)
+        threads.clear()
+        if k == 1:
+            monkeypatch.setattr(ThreadPoolExecutor, "submit", no_submit)
+        chain.collision_stats(g, 4)
+        assert sorted(threads) == [12 * j // k for j in range(k)]
+        assert threads.pop(0) is threading.current_thread()
+        assert not any(t is threading.current_thread()
+                       for t in threads.values())
 
 
 def kron_meeting_solve(g, solve):

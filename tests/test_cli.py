@@ -95,6 +95,11 @@ class TestFitScaling:
         assert fit.ratio_min == pytest.approx(3.0)
         assert fit.ratio_spread == pytest.approx(1.0)
 
+    def test_unknown_model(self):
+        series = [(n, float(n * n)) for n in (8, 16, 32, 64)]
+        with pytest.raises(ConfigError, match="unknown scaling model 'x'"):
+            fit_scaling(series, model="x")
+
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
             fit_scaling([(8, 1.0), (16, 2.0), (32, 3.0)])
@@ -132,6 +137,27 @@ class TestConfig:
         config = ExperimentConfig(sweeps=[SweepSpec("mystery", (8,))])
         with pytest.raises(ConfigError):
             config.validate()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"sweeps": []}, "config defines no sweeps"),
+        ({"quantities": ("exact", "plot")}, "unknown quantity group 'plot'"),
+        ({"quantities": ("simulate",), "trials": 1, "master_seed": 1},
+         "trials >= 2"),
+    ], ids=["no-sweeps", "unknown-quantity", "one-trial"])
+    def test_validate_rejects(self, fields, message):
+        config = ExperimentConfig(
+            **{"sweeps": [SweepSpec("cycle", (8,))], **fields})
+        with pytest.raises(ConfigError, match=message):
+            config.validate()
+
+    @pytest.mark.parametrize("body", ["family = cycle\n", "sizes = 8 16\n"],
+                             ids=["no-sizes", "no-family"])
+    def test_sweep_needs_family_and_sizes(self, tmp_path, body):
+        path = tmp_path / "exp.ini"
+        path.write_text("[sweep:a]\n" + body)
+        with pytest.raises(ConfigError,
+                           match=r"\[sweep:a\] needs 'family' and 'sizes'"):
+            parse_config(str(path))
 
     @pytest.mark.parametrize("kind", ["immortal", "coalesce", ""])
     def test_unknown_sim_kind(self, kind):
@@ -419,6 +445,19 @@ class TestCommands:
         assert main(["exact", "--family", "clique", "--n", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["measured"]["t_hit"] == pytest.approx(6.0)
+
+    def test_gen_and_exact_write_their_output_files(self, tmp_path, capsys):
+        edges, record = tmp_path / "cycle.txt", tmp_path / "clique.json"
+        assert main(["gen", "--family", "cycle", "--n", "6",
+                     "-o", str(edges)]) == 0
+        assert main(["exact", "--family", "clique", "--n", "4",
+                     "--output", str(record)]) == 0
+        assert capsys.readouterr().out == ""
+        assert edges.read_text() == generate(
+            FamilySpec("cycle", n=6)).to_edge_list()
+        assert json.loads(record.read_text())["measured"]["t_hit"] == (
+            pytest.approx(6.0))
+        assert sorted(os.listdir(tmp_path)) == ["clique.json", "cycle.txt"]
 
     def test_simulate_requires_seed(self, capsys):
         code = main(["simulate", "--family", "cycle", "--n", "8",

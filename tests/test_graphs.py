@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from coalwalk import chain
 from coalwalk.errors import (
     DisconnectedGraph,
     GenerationFailure,
@@ -258,6 +259,15 @@ class TestLowerBoundFamily:
         with pytest.raises(InvalidSpec):
             lower_bound_graph(8, 1, seed=0)
 
+    def test_expander_degree_above_side_rejected(self):
+        # n = 64, alpha = 64: kappa = 8 cliques, expander side 4 < degree 8
+        with pytest.raises(InvalidSpec, match="expander degree exceeds side"):
+            lower_bound_graph(64, 64, seed=0)
+
+    def test_report_needs_a_lower_bound_graph(self):
+        with pytest.raises(InvalidSpec, match="not a lower_bound graph"):
+            lower_bound_report(generate(FamilySpec("cycle", n=8)))
+
     def test_report_includes_expander_eigenvalue(self):
         g = lower_bound_graph(64, 1, seed=5)
         report = lower_bound_report(g)
@@ -331,6 +341,14 @@ class TestEdgeList:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             load_edge_list("0 1\n2 3")
+
+    def test_blank_lines_skipped(self):
+        g = load_edge_list("\n0 1\n\n   \n1 2\n\t\n2 0\n\n")
+        assert (g.n, g.m) == (3, 3)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ParseError, match="line 2: negative vertex id"):
+            load_edge_list("0 1\n-1 2\n")
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -418,6 +436,38 @@ def test_one_vertex_graph_rejected(build):
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         Graph.from_edges(3, [(0, 5)])
+
+
+CYCLE6 = generate(FamilySpec("cycle", n=6))
+
+
+@pytest.mark.parametrize("error, call", [
+    (InvalidSpec, lambda: subgraph(CYCLE6, [-1, 0])),
+    (InvalidSpec, lambda: subgraph(CYCLE6, [0.9, 1.2])),
+    (InvalidSpec, lambda: subgraph(CYCLE6, [0, 7])),
+    (ParseError, lambda: Graph.from_edges(3, [(0, 1.7), (1, 2)])),
+    (ParseError, lambda: Graph.from_edges(3, np.array([[0.0, 1.0],
+                                                       [1.0, 2.0]]))),
+    (ParseError, lambda: Graph.from_edges(2, np.array([[False, True]]))),
+    (InvalidSpec, lambda: chain.collision_stats(CYCLE6, 2.9)),
+    (InvalidSpec, lambda: chain.collision_stats(CYCLE6, True)),
+    (InvalidSpec, lambda: chain.collision_stats(CYCLE6, -5)),
+    (InvalidSpec, lambda: chain.collision_stats(CYCLE6, 0)),
+    (InvalidSpec, lambda: lower_bound_graph(64.5, 4, 0)),
+    (InvalidSpec, lambda: lower_bound_graph(0, 4, 0)),
+    (InvalidSpec, lambda: lower_bound_graph(64, True, 0)),
+    (InvalidSpec, lambda: lower_bound_graph(64, math.nan, 0)),
+], ids=["subgraph-negative", "subgraph-float", "subgraph-above-n",
+        "from_edges-float-pair", "from_edges-float-array",
+        "from_edges-bool-array", "window-float", "window-bool",
+        "window-negative", "window-zero", "lower_bound-float-n",
+        "lower_bound-zero-n", "lower_bound-bool-alpha",
+        "lower_bound-nan-alpha"])
+def test_ids_windows_and_sizes_are_checked_not_coerced(error, call):
+    """A vertex id, collision window or lower_bound size that is not an
+    integer in range is refused, never truncated, wrapped or clamped."""
+    with pytest.raises(error):
+        call()
 
 
 def test_pickle_round_trip_skips_validation(monkeypatch):

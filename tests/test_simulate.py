@@ -477,6 +477,8 @@ IMMORTAL = {"start_vertices": range(16), "immortal_ids": [1, 2],
      "immortal ids"),
     ("immortal", {**IMMORTAL, "immortal_ids": None}, None, InvalidIds,
      "immortal ids"),
+    ("immortal", {**IMMORTAL, "mode": "all"}, None, InvalidSpec,
+     "unknown stopping mode 'all'"),
 ])
 def test_estimate_rejects_before_any_draw_or_worker(
         cycle16, monkeypatch, kind, params, cap, error, match, workers):
