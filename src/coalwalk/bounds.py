@@ -296,7 +296,7 @@ def _report(sums: np.ndarray, bound: float,
     for lam in _LAMBDAS:
         threshold = lam * (scale + 1.0)
         freq = float((sums >= threshold).mean())
-        stderr = math.sqrt(max(freq * (1 - freq), 0.0) / sums.size)
+        stderr = math.sqrt(freq * (1 - freq) / sums.size)
         limit = 2.0 ** (-lam) + 3.0 * stderr
         tails.append(TailCheck(lam, threshold, freq, limit, freq <= limit))
     worst_mean = float(sums.mean(axis=-1).max())
@@ -305,11 +305,17 @@ def _report(sums: np.ndarray, bound: float,
                                tails=tuple(tails), walks=sums.size)
 
 
-def _check_counts(steps, trials, seed) -> None:
+def _indicator(g: Graph, target_set, steps, trials, seed) -> np.ndarray:
+    """The 0/1 indicator of ``target_set`` on V, once ``steps`` and
+    ``trials`` are found integers >= 1, ``seed`` an integer and every
+    target a vertex (``Graph.check_vertices``); InvalidSpec otherwise."""
     if not all(is_integer(x) and x >= 1 for x in (steps, trials)):
         raise InvalidSpec("steps and trials must be integers >= 1")
     if not is_integer(seed):
         raise InvalidSpec(f"a seed must be an integer, not {seed!r}")
+    mask = np.zeros(g.n)
+    mask[g.check_vertices(target_set, "target vertices")] = 1.0
+    return mask
 
 
 def check_concentration(g: Graph, target_set, steps: int, trials: int,
@@ -326,11 +332,7 @@ def check_concentration(g: Graph, target_set, steps: int, trials: int,
     ``steps`` and ``trials`` that are not integers >= 1, and a ``seed``
     that is not an integer, raise InvalidSpec.
     """
-    _check_counts(steps, trials, seed)
-    targets = np.asarray(g.check_vertices(target_set, "target vertices"),
-                         dtype=np.int64)
-    f_values = np.zeros(g.n)
-    f_values[targets] = 1.0
+    f_values = _indicator(g, target_set, steps, trials, seed)
     t_plus = max(chain.t_hit(g), steps)
     f_bar = float(f_values @ chain.stationary(g))
     sums = _walk_sums(g, range(g.n), [mix64(seed, s) for s in range(g.n)],
@@ -350,12 +352,10 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     tails at lambda * (2 Upsilon + 1). As in ``check_concentration``,
     t_hit is ``chain.t_hit(g)``, solved once the inputs are checked.
     """
-    members = np.asarray(sorted(set(g.check_vertices(target_set,
-                                                     "target vertices"))),
-                         dtype=np.int64)
+    mask = _indicator(g, target_set, steps, trials, seed)
+    members = np.flatnonzero(mask)
     if not members.size:
         raise InvalidSpec("target set must be non-empty")
-    _check_counts(steps, trials, seed)
     start, = g.check_vertices((start,))
     t_plus = max(chain.t_hit(g), steps)
     degs = g.degrees[members]
@@ -366,8 +366,6 @@ def check_collision_concentration(g: Graph, start: int, target_set,
     rows = np.zeros((steps, g.n))
     row = np.zeros(g.n)
     row[start] = 1.0
-    mask = np.zeros(g.n)
-    mask[members] = 1.0
     for t in range(steps):
         rows[t] = row * mask
         row = chain.lazy_step(g, row)

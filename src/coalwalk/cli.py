@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, chain
-from .errors import CoalwalkError, ConfigError, InsufficientPoints
+from .errors import (CoalwalkError, ConfigError, InsufficientPoints,
+                     InvalidSpec, is_integer)
 from .graphs import (FAMILIES, SEEDED_FAMILIES, SPEC_PARAMS, FamilySpec,
                      generate, load_edge_list, validate)
 from .seeding import mix64
@@ -107,9 +108,9 @@ class ExperimentConfig:
                 if getattr(self, key) is not None:
                     raise ConfigError(f"[experiment] {key} is read only when "
                                       "quantities include simulate")
-        elif self.trials is None or self.trials < 2:
-            raise ConfigError("Monte Carlo quantities need trials >= 2")
-        elif self.cap is not None and self.cap < 1:
+        elif not (is_integer(self.trials) and self.trials >= 2):
+            raise ConfigError("Monte Carlo runs need integer trials >= 2")
+        elif not (self.cap is None or is_integer(self.cap) and self.cap >= 1):
             raise ConfigError("cap must be >= 1")
         elif self.master_seed is None:
             raise ConfigError("a master seed is mandatory for Monte Carlo runs")
@@ -202,15 +203,19 @@ def fit_scaling(series, model: str = "n^a") -> ScalingFit:
     ``"n^a"`` regresses ln T on ln n and reports the exponent with its
     standard error and R^2. ``"n*log n"`` has no free exponent, so the
     spread of T / (n ln n) over the sweep is reported instead. Either
-    model needs 4 points or more, at 2 distinct sizes or more.
+    model needs 4 points or more, at 2 distinct sizes or more, and finite
+    positive values (else InsufficientPoints); every size must be an
+    integer >= 2 (else InvalidSpec).
     """
-    pts = [(int(n), float(v)) for n, v in series]
+    pts = [(n, float(v)) for n, v in series]
+    if not all(is_integer(n) and n >= 2 for n, _ in pts):
+        raise InvalidSpec("scaling fit sizes must be integers >= 2")
     if len(pts) < 4:
         raise InsufficientPoints("scaling fits need at least 4 sizes")
     if len({n for n, _ in pts}) < 2:
         raise InsufficientPoints("scaling fits need at least 2 distinct sizes")
-    if any(v <= 0 for _, v in pts):
-        raise InsufficientPoints("scaling fits need positive values")
+    if not all(0 < v < math.inf for _, v in pts):
+        raise InsufficientPoints("scaling fits need finite positive values")
     ns = np.array([n for n, _ in pts], dtype=float)
     vals = np.array([v for _, v in pts])
     if model == "n*log n":

@@ -76,6 +76,13 @@ class Graph:
                  meta: dict | None = None):
         if len(indptr) < 3:
             raise InvalidSpec("graph needs at least two vertices")
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        if (indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu"
+                or indptr[0] != 0 or indptr[-1] != indices.size
+                or np.any(indptr[1:] < indptr[:-1]) or indices.size and not
+                0 <= indices.min() <= indices.max() < indptr.size - 1):
+            raise InvalidSpec("indptr must be integers ascending from 0 to "
+                              "len(indices), indices integers in [0, n)")
         self.__setstate__({"indptr": indptr, "indices": indices,
                            "meta": meta})
         if self.deg_min < 1:
@@ -92,6 +99,8 @@ class Graph:
         Duplicate edges and orientations are merged. A float, bool or out of
         range id is a ParseError; a self-loop is a SelfLoop, never dropped.
         """
+        if not is_integer(n):
+            raise InvalidSpec(f"n must be an integer, not {n!r}")
         arr = np.asarray(edges if isinstance(edges, np.ndarray)
                          else list(edges))
         if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0

@@ -345,6 +345,18 @@ class TestConcentration:
             bounds.check_collision_concentration(
                 g, 0, targets, steps=steps, trials=trials, seed=seed)
 
+    @pytest.mark.parametrize("targets, steps, seed, message", [
+        ([], 0, 1, "steps and trials"), ([8], 10, 1.5, "seed")],
+        ids=["counts-before-empty-set", "seed-before-bad-target"])
+    def test_collision_checks_counts_before_targets(self, targets, steps,
+                                                    seed, message,
+                                                    monkeypatch):
+        monkeypatch.setattr(chain, "t_hit", _no_solve)
+        g = generate(FamilySpec("cycle", n=8))
+        with pytest.raises(InvalidSpec, match=message):
+            bounds.check_collision_concentration(
+                g, 0, targets, steps=steps, trials=8, seed=seed)
+
     def test_collision_variant(self):
         g = generate(FamilySpec("cycle", n=32))
         report = bounds.check_collision_concentration(

@@ -2,6 +2,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,6 +110,22 @@ class TestFitScaling:
             with pytest.raises(InsufficientPoints):
                 fit_scaling([(8, 1.0), (8, 1.0), (8, 2.0), (8, 3.0)],
                             model=model)
+
+    @pytest.mark.parametrize("series, model, error", [
+        ([(8.7, 1.0), (16, 2.0), (32, 3.0), (64, 4.0)], "n^a", InvalidSpec),
+        ([(True, 1.0), (16, 2.0), (32, 3.0), (64, 4.0)], "n^a", InvalidSpec),
+        ([(0, 1.0), (16, 2.0), (32, 3.0), (64, 4.0)], "n^a", InvalidSpec),
+        ([(1, 1.0), (16, 2.0), (32, 3.0), (64, 4.0)], "n*log n",
+         InvalidSpec),
+        ([(8, math.inf), (16, 2.0), (32, 3.0), (64, 4.0)], "n^a",
+         InsufficientPoints),
+        ([(8, math.nan), (16, 2.0), (32, 3.0), (64, 4.0)], "n^a",
+         InsufficientPoints),
+    ], ids=["size-8.7", "size-true", "size-0", "size-1-nlogn", "value-inf",
+            "value-nan"])
+    def test_refuses_bad_points(self, series, model, error):
+        with pytest.raises(error):
+            fit_scaling(series, model=model)
 
 
 class TestConfig:
@@ -222,6 +239,22 @@ class TestConfig:
             parse_config(str(path)).validate()
         assert main(["all", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "error: cap must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"trials": 2.5}, "integer trials >= 2"),
+        ({"trials": 10, "cap": 2.5}, "cap must be >= 1"),
+        ({"trials": 10, "cap": True}, "cap must be >= 1"),
+    ], ids=["trials-2.5", "cap-2.5", "cap-true"])
+    def test_counts_that_are_no_integers_fail_before_run(self, tmp_path,
+                                                         fields, message):
+        config = ExperimentConfig(
+            sweeps=[SweepSpec("cycle", (8,))], master_seed=1,
+            quantities=("simulate",), outdir=str(tmp_path / "out"), **fields)
+        with pytest.raises(ConfigError, match=message):
+            config.validate()
+        with pytest.raises(ConfigError, match=message):
+            run(config)
         assert not (tmp_path / "out").exists()
 
     def test_simulate_kinds_are_the_config_kinds(self, capsys):

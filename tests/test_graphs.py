@@ -433,6 +433,21 @@ def test_one_vertex_graph_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 1, 2], [1.7, 0.2]),
+    ([0, 1, 2], [True, False]),
+    ([0, 1, 2], [1, -2]),
+    ([0, 1, 2], [1, 5]),
+    ([0, 1, 2], [1, 0, 1, 0]),
+    ([0, 2, 1, 2], [1, 2]),
+    ([1, 2, 3], [1, 0]),
+], ids=["float-ids", "bool-ids", "negative-id", "id-past-n",
+        "indices-past-indptr", "indptr-descends", "indptr-not-from-0"])
+def test_raw_arrays_refused(indptr, indices):
+    with pytest.raises(InvalidSpec, match="indptr must be integers"):
+        Graph(np.array(indptr), np.array(indices))
+
+
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         Graph.from_edges(3, [(0, 5)])
@@ -449,6 +464,9 @@ CYCLE6 = generate(FamilySpec("cycle", n=6))
     (ParseError, lambda: Graph.from_edges(3, np.array([[0.0, 1.0],
                                                        [1.0, 2.0]]))),
     (ParseError, lambda: Graph.from_edges(2, np.array([[False, True]]))),
+    (InvalidSpec, lambda: Graph.from_edges(3.0, [(0, 1), (1, 2)])),
+    (InvalidSpec, lambda: Graph.from_edges(2.5, [(0, 1)])),
+    (InvalidSpec, lambda: Graph.from_edges(True, [(0, 1)])),
     (InvalidSpec, lambda: chain.collision_stats(CYCLE6, 2.9)),
     (InvalidSpec, lambda: chain.collision_stats(CYCLE6, True)),
     (InvalidSpec, lambda: chain.collision_stats(CYCLE6, -5)),
@@ -459,13 +477,15 @@ CYCLE6 = generate(FamilySpec("cycle", n=6))
     (InvalidSpec, lambda: lower_bound_graph(64, math.nan, 0)),
 ], ids=["subgraph-negative", "subgraph-float", "subgraph-above-n",
         "from_edges-float-pair", "from_edges-float-array",
-        "from_edges-bool-array", "window-float", "window-bool",
+        "from_edges-bool-array", "from_edges-float-n", "from_edges-n-2.5",
+        "from_edges-bool-n", "window-float", "window-bool",
         "window-negative", "window-zero", "lower_bound-float-n",
         "lower_bound-zero-n", "lower_bound-bool-alpha",
         "lower_bound-nan-alpha"])
 def test_ids_windows_and_sizes_are_checked_not_coerced(error, call):
-    """A vertex id, collision window or lower_bound size that is not an
-    integer in range is refused, never truncated, wrapped or clamped."""
+    """A vertex id, vertex count, collision window or lower_bound size that
+    is not an integer in range is refused, never truncated, wrapped or
+    clamped."""
     with pytest.raises(error):
         call()
 
