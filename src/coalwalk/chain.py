@@ -12,26 +12,21 @@ share one ladder of squarings [P, P^2, P^4, ...] cached on the graph and
 find t by doubling along it, then binary lifting: about 2 log2 t dense
 n x n products per search, and the squarings are paid once per graph.
 
-Collision statistics step the rows of P^t transposed, X <- P^T X with a
-sparse P^T, in contiguous blocks of start vertices, at most one per
-usable CPU: block 0 on the calling thread, the others in a thread pool.
-Each start's sums take the same float operations in the same order in
-any block, so the values do not depend on the CPU count.
+Collision statistics step the rows of P^t for every start at once,
+X <- P^T X with a sparse P^T, up to n = 256. Above it they sum, as
+geometric series, the powers of the eigenvalues of one ``eigh`` of
+S = D^{1/2} P D^{-1/2}, whatever the window.
 
 P is built once, dense, from the graph's rows in numpy
-(``_dense_transition``), so hitting, separation, spectral, bracket mixing
-and the dense meeting solve need no scipy. It loads inside the three
-callers that do: scipy.sparse for the CSR copies of that dense P in
-collision statistics and the sparse meeting branch (with its LU solver),
+(``_dense_transition``), so all but three callers need no scipy. It loads
+inside those: scipy.sparse for the CSR copies of that dense P in the
+collision step loop and the sparse meeting branch (with its LU solver),
 and scipy.spatial for the pairwise mixing distance.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,18 +34,11 @@ from .errors import (BudgetExceeded, InvalidSpec, LengthMismatch, TooLarge,
                      is_integer)
 from .graphs import Graph
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 INV_E = 1.0 / math.e
-_REFINE_TOL = 1e-10  # hitting_to refines once above this residual times n
-_PAIRWISE_LIMIT = 256  # mixing_time: largest n with the exact pairwise value
+_PAIRWISE_LIMIT = 256  # largest n: pairwise mixing, collision step loop
 _PER_TARGET_LIMIT = 128  # hitting_matrix: largest n solved target by target
 _MEETING_LIMIT = 100  # meeting_exact: largest n of the product-chain solve
 _MAX_STEPS = 10 ** 8  # mixing_time, separation_time: largest t searched
-# Fewest start vertices in a collision_stats block. Blocks of one column
-# would let einsum reduce in another order, so this stays at 2 or more.
-_COLLISION_GRAIN = 128
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +63,13 @@ def _dense_transition(g: Graph) -> np.ndarray:
         mat.reshape(-1)[::g.n + 1] += 0.5
         g._cache["P_dense"] = mat
     return mat
+
+
+def _symmetric(g: Graph) -> np.ndarray:
+    """S = D^{1/2} P D^{-1/2}, dense and symmetric; built on each call."""
+    dinv = 1.0 / np.sqrt(g.degrees)
+    return 0.5 * np.eye(g.n) + 0.5 * (
+        dinv[:, None] * _dense_rows(g, 1.0) * dinv[None, :])
 
 
 def stationary(g: Graph) -> np.ndarray:
@@ -205,12 +200,9 @@ def spectral(g: Graph) -> SpectralSummary:
     """Second-largest eigenvalue of the lazy walk.
 
     One dense symmetric eigensolve (``eigvalsh``) of the similarity
-    transform D^{1/2} P D^{-1/2}; being direct, it reports residual 0.
+    transform ``_symmetric(g)``; being direct, it reports residual 0.
     """
-    dinv = 1.0 / np.sqrt(g.degrees)
-    sym = 0.5 * np.eye(g.n) + 0.5 * (
-        dinv[:, None] * _dense_rows(g, 1.0) * dinv[None, :])
-    eigs = np.linalg.eigvalsh(sym)
+    eigs = np.linalg.eigvalsh(_symmetric(g))
     lam2 = float(eigs[-2])
     lam2 = min(max(lam2, 0.0), 1.0)
     return SpectralSummary(lam2, 1.0 - lam2, "dense", 0.0)
@@ -232,9 +224,8 @@ class HittingProfile:
 def hitting_to(g: Graph, target: int) -> HittingProfile:
     """Solve (I - P restricted to V minus {target}) h = 1.
 
-    One dense LU solve, refined once when its max residual exceeds
-    1e-10 * n; the refined solve is kept only when its residual is lower.
-    ``residual`` is the max residual of the times returned.
+    One dense LU solve; ``residual`` is the max residual |A h - 1| of the
+    times returned.
     """
     g.check_vertices((target,), "target")
     others = np.flatnonzero(np.arange(g.n) != target)
@@ -243,11 +234,6 @@ def hitting_to(g: Graph, target: int) -> HittingProfile:
     A = np.eye(g.n - 1) - P[np.ix_(others, others)]
     h = np.linalg.solve(A, rhs)
     resid = np.abs(A @ h - rhs).max()
-    if resid > _REFINE_TOL * g.n:
-        refined = h + np.linalg.solve(A, rhs - A @ h)
-        refined_resid = np.abs(A @ refined - rhs).max()
-        if refined_resid < resid:
-            h, resid = refined, refined_resid
     full = np.zeros(g.n)
     full[others] = h
     return HittingProfile(target, full, float(resid), "dense")
@@ -374,32 +360,45 @@ class CollisionStats:
     pi_norm_sq: float
     t_mix_used: int
 
-    def __post_init__(self):
-        if self.c_min > self.c_max + 1e-12:
-            raise ValueError("c_min exceeds c_max")
 
+def _collision_loop(g: Graph, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window sums of sum_v p^t(u,v)^2 and p^t(u,u) for every start u,
+    stepped: column u of X is the row p^t(u, .), and X <- P^T X with P^T a
+    CSR copy of the dense P."""
+    import scipy.sparse as sp
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _collision_block(Pt: sp.csr_matrix, lo: int, hi: int,
-                     window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window sums of sum_v p^t(u,v)^2 and p^t(u,u) for lo <= u < hi.
-
-    Column j of X is the row p^t(lo + j, .), stepped as X <- P^T X.
-    """
-    X = np.eye(Pt.shape[0], hi - lo, -lo)
-    sq_sums = np.ones(hi - lo)  # the t = 0 terms: X has unit columns
-    returns = np.ones(hi - lo)
+    Pt = sp.csr_matrix(_dense_transition(g).T)
+    X = np.eye(g.n)
+    sq_sums = np.ones(g.n)  # the t = 0 terms: X has unit columns
+    returns = np.ones(g.n)
     for _ in range(window - 1):
         X = Pt @ X
         sq_sums += np.einsum("ij,ij->j", X, X)
-        returns += X[lo:hi].diagonal()
+        returns += X.diagonal()
+    return sq_sums, returns
+
+
+def _window_sum(x: np.ndarray, window: int) -> np.ndarray:
+    """sum_{t < window} x^t for each x in [0, 1], as
+    -expm1(window log x) / (1 - x): 1 at x = 0, window at x = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 1.0, window,
+                        -np.expm1(window * np.log(x)) / (1.0 - x))
+
+
+def _collision_closed_form(g: Graph,
+                           window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of ``_collision_loop`` from S = Phi diag(lam) Phi^T, lam
+    clipped to [0, 1]: sum_v p^t(u,v)^2 = sum_kl Phi_uk Phi_ul G_kl
+    (lam_k lam_l)^t / pi(u) with G = Phi^T diag(pi) Phi, and p^t(u, u) =
+    sum_k Phi_uk^2 lam_k^t, each power summed as a geometric series."""
+    lam, phi = np.linalg.eigh(_symmetric(g))
+    lam = np.clip(lam, 0.0, 1.0)
+    pi = stationary(g)
+    G = phi.T @ (pi[:, None] * phi)
+    G *= _window_sum(np.outer(lam, lam), window)
+    sq_sums = np.einsum("uk,uk->u", phi, phi @ G) / pi
+    returns = (phi * phi) @ _window_sum(lam, window)
     return sq_sums, returns
 
 
@@ -408,27 +407,17 @@ def collision_stats(g: Graph, t_mix_value: int) -> CollisionStats:
 
     The window is ``t_mix_value`` steps, an integer >= 1 (else
     InvalidSpec); callers pass ``mixing_time(g).value``.
-    The rows p^t(u, .) are kept transposed, as the columns of X, and
-    stepped as X <- P^T X with P^T a CSR copy of the dense P. The start
-    vertices are split into contiguous blocks of at least _COLLISION_GRAIN,
-    one per usable CPU at most. Block 0 runs on the calling thread and the
-    rest in a pool, so one block starts no thread. Every start sees the
-    same float operations in the same order whatever its block, so the
-    result does not depend on the CPU count.
+    Graphs with n <= _PAIRWISE_LIMIT (256) step the rows of P^t
+    (``_collision_loop``); larger ones take the closed form of one
+    ``eigh`` (``_collision_closed_form``), whose cost does not grow with
+    the window. The tests hold the two to 1e-10 relative.
     """
-    import scipy.sparse as sp
-
     if not is_integer(t_mix_value) or t_mix_value < 1:
         raise InvalidSpec("collision window must be an integer >= 1")
     window = int(t_mix_value)
-    Pt = sp.csr_matrix(_dense_transition(g).T)
-    count = max(1, min(_usable_cpus(), g.n // _COLLISION_GRAIN))
-    edges = [g.n * k // count for k in range(count + 1)]
-    with ThreadPoolExecutor(count) as pool:
-        rest = pool.map(lambda lo, hi: _collision_block(Pt, lo, hi, window),
-                        edges[1:-1], edges[2:])
-        parts = [_collision_block(Pt, 0, edges[1], window), *rest]
-    sq_sums, returns = map(np.concatenate, zip(*parts))
+    sums = (_collision_loop if g.n <= _PAIRWISE_LIMIT
+            else _collision_closed_form)
+    sq_sums, returns = sums(g, window)
     pi = stationary(g)
     return CollisionStats(
         c_max=float(sq_sums.max()), c_min=float(sq_sums.min()),

@@ -111,7 +111,7 @@ class ExperimentConfig:
         elif not (is_integer(self.trials) and self.trials >= 2):
             raise ConfigError("Monte Carlo runs need integer trials >= 2")
         elif not (self.cap is None or is_integer(self.cap) and self.cap >= 1):
-            raise ConfigError("cap must be >= 1")
+            raise ConfigError("cap must be an integer >= 1")
         elif self.master_seed is None:
             raise ConfigError("a master seed is mandatory for Monte Carlo runs")
 

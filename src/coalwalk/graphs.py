@@ -51,7 +51,8 @@ _REPAIR_SWEEPS = 500
 
 class Graph:
     """Immutable simple undirected connected graph (compressed rows) on
-    n >= 2 vertices, so m >= 1 and every degree is at least 1.
+    n >= 2 vertices, so m >= 1 and every degree is at least 1. Rows that
+    are unsorted, not simple or not symmetric are InvalidSpec.
 
     Attributes
     ----------
@@ -85,6 +86,8 @@ class Graph:
                               "len(indices), indices integers in [0, n)")
         self.__setstate__({"indptr": indptr, "indices": indices,
                            "meta": meta})
+        if not all(_row_flags(self)):
+            raise InvalidSpec("rows must be sorted, simple and symmetric")
         if self.deg_min < 1:
             raise DisconnectedGraph("graph has an isolated vertex")
         if not _is_connected(self):
@@ -233,18 +236,24 @@ class DiagnosticsReport:
         return self.connected and self.symmetric and self.simple
 
 
+def _row_flags(g: Graph) -> tuple[bool, bool]:
+    """(symmetric, simple) of the rows, from the keys u * n + v of their
+    entries u -> v: sorted rows without repeats make the keys ascend
+    strictly, and each entry needs its v -> u, repeats counted."""
+    src = np.repeat(np.arange(g.n), g.degrees)
+    keys = src * g.n + g.indices
+    simple = bool(np.all(keys[1:] > keys[:-1]) and np.all(src != g.indices))
+    symmetric = np.array_equal(keys if simple else np.sort(keys),
+                               np.sort(g.indices * g.n + src))
+    return symmetric, simple
+
+
 def validate(g: Graph) -> DiagnosticsReport:
     """Recompute structural diagnostics from the raw arrays.
 
     Never raises; failures are carried in the report flags.
     """
-    src = np.repeat(np.arange(g.n), g.degrees)
-    keys = src * g.n + g.indices
-    # each entry u -> v needs an entry v -> u, repeats counted
-    symmetric = np.array_equal(np.sort(keys),
-                               np.sort(g.indices * g.n + src))
-    # sorted rows without repeats make the keys u * n + v strictly ascend
-    simple = bool(np.all(np.diff(keys) > 0) and not np.any(src == g.indices))
+    symmetric, simple = _row_flags(g)
     connected = _is_connected(g)
     # a connected graph is bipartite iff its bipartite double cover, u and
     # u + n for each vertex u and an edge u - (v + n) for each edge u - v,

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -383,6 +381,7 @@ class TestHitting:
             others = np.arange(g.n) != target
             A = np.eye(g.n - 1) - P[np.ix_(others, others)]
             resid = np.abs(A @ profile.times[others] - 1.0).max()
+            assert profile.residual == resid
             assert resid <= 1e-9 * g.n
 
     def test_hit_lower_bound_pi_min(self, small_graph):
@@ -442,31 +441,6 @@ class TestMeeting:
         g = generate(FamilySpec("cycle", n=chain._MEETING_LIMIT + 1))
         with pytest.raises(TooLarge):
             chain.meeting_exact(g)
-
-    def test_hitting_to_refinement(self, monkeypatch):
-        """At a refinement tolerance of 0 the solve takes its refinement
-        step: the times move by solver rounding only, and the better of the
-        two solves is kept, its residual reported."""
-        g = generate(FamilySpec("lower_bound", n=16, alpha=1.0), seed=3)
-        plain = chain.hitting_to(g, 5)
-        assert plain.residual > 0.0
-        solves = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: solves.append(1) or solve(a, b))
-        monkeypatch.setattr(chain, "_REFINE_TOL", 0.0)
-        refined = chain.hitting_to(g, 5)
-        assert len(solves) == 2
-        np.testing.assert_allclose(refined.times, plain.times, rtol=1e-12,
-                                   atol=0.0)
-        others = np.arange(g.n) != 5
-        A = np.eye(g.n - 1) - chain._dense_transition(g)[np.ix_(others,
-                                                                others)]
-        assert refined.residual == np.abs(A @ refined.times[others] - 1).max()
-        first = plain.times[others]
-        second = first + solve(A, 1 - A @ first)
-        assert refined.residual == min(plain.residual,
-                                       np.abs(A @ second - 1).max())
 
 
 @pytest.mark.parametrize("cls, fields", [
@@ -535,59 +509,42 @@ def step_loop_collision(g, window):
     FamilySpec("barbell", n=64),
     FamilySpec("binary_tree", levels=9),
 ], ids=lambda s: s.label())
-def test_collision_stats_matches_step_loop(spec, monkeypatch):
+def test_collision_stats_matches_step_loop(spec):
+    """The serial step loop against the rows @ P oracle, bit for bit:
+    through collision_stats up to n = 256, and called directly above."""
     g = generate(spec, seed=11)
     t_mix = chain.mixing_time(g).value
-    spans = []
-    chain_block = chain._collision_block
-
-    def block(Pt, lo, hi, window):
-        spans.append((lo, hi))
-        return chain_block(Pt, lo, hi, window)
-
-    monkeypatch.setattr(chain, "_collision_block", block)
-    monkeypatch.setattr(chain, "_COLLISION_GRAIN", 2)
-    counts = (1, 2, 3, 5)
-    assert any(g.n % min(k, g.n // 2) for k in counts)  # an uneven split
     for window in sorted({1, 2, t_mix}):
         want = [x.hex() for x in step_loop_collision(g, window)]
-        for k in counts:
-            monkeypatch.setattr(chain, "_usable_cpus", lambda: k)
-            spans.clear()
+        if g.n <= chain._PAIRWISE_LIMIT:
             stats = chain.collision_stats(g, t_mix_value=window)
-            got = [stats.c_max.hex(), stats.c_min.hex(), stats.r_max.hex()]
-            assert got == want, (window, k)
-            edges = [lo for lo, _ in sorted(spans)] + [g.n]
-            assert len(spans) == min(k, g.n // 2)
-            assert sorted(spans) == list(zip(edges, edges[1:]))
+            got = [stats.c_max, stats.c_min, stats.r_max]
+        else:
+            sq_sums, returns = chain._collision_loop(g, window)
+            got = [sq_sums.max(), sq_sums.min(), returns.max()]
+        assert [float(x).hex() for x in got] == want, window
 
 
-def test_collision_block_zero_runs_on_the_caller(monkeypatch):
-    """Block 0 runs on the calling thread and every other block in a pool
-    thread; a one-block call submits no task, so it starts no thread."""
-    g = generate(FamilySpec("cycle", n=12))
-    threads = {}
-    chain_block = chain._collision_block
-
-    def block(Pt, lo, hi, window):
-        threads[lo] = threading.current_thread()
-        return chain_block(Pt, lo, hi, window)
-
-    def no_submit(*args, **kwargs):
-        raise AssertionError("a one-block call submitted a task")
-
-    monkeypatch.setattr(chain, "_collision_block", block)
-    monkeypatch.setattr(chain, "_COLLISION_GRAIN", 2)
-    for k in (3, 1):
-        monkeypatch.setattr(chain, "_usable_cpus", lambda: k)
-        threads.clear()
-        if k == 1:
-            monkeypatch.setattr(ThreadPoolExecutor, "submit", no_submit)
-        chain.collision_stats(g, 4)
-        assert sorted(threads) == [12 * j // k for j in range(k)]
-        assert threads.pop(0) is threading.current_thread()
-        assert not any(t is threading.current_thread()
-                       for t in threads.values())
+@pytest.mark.parametrize("spec", small_family_specs() + [
+    FamilySpec("binary_tree", levels=9),  # bipartite: eigenvalue 0
+    FamilySpec("lower_bound", n=340, alpha=4.0),
+    FamilySpec("cycle", n=301),
+    FamilySpec("star", n=300),
+], ids=lambda s: s.label())
+def test_collision_closed_form_matches_loop(spec):
+    """The eigendecomposition sums against the step loop, start by start,
+    within 1e-10 relative; collision_stats takes them above n = 256."""
+    g = generate(spec, seed=11)
+    t_mix = chain.mixing_time(g).value
+    for window in sorted({1, 2, t_mix}):
+        loop = chain._collision_loop(g, window)
+        closed = chain._collision_closed_form(g, window)
+        for want, got in zip(loop, closed):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        if g.n > chain._PAIRWISE_LIMIT:
+            stats = chain.collision_stats(g, t_mix_value=window)
+            assert (stats.c_max, stats.c_min, stats.r_max) == (
+                closed[0].max(), closed[0].min(), closed[1].max())
 
 
 def kron_meeting_solve(g, solve):

@@ -235,16 +235,17 @@ class TestConfig:
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out")
                         .replace("outdir", "cap = 0\noutdir"))
-        with pytest.raises(ConfigError, match="cap must be >= 1"):
+        with pytest.raises(ConfigError, match="cap must be an integer >= 1"):
             parse_config(str(path)).validate()
         assert main(["all", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "error: cap must be >= 1\n"
+        assert (capsys.readouterr().err
+                == "error: cap must be an integer >= 1\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fields, message", [
         ({"trials": 2.5}, "integer trials >= 2"),
-        ({"trials": 10, "cap": 2.5}, "cap must be >= 1"),
-        ({"trials": 10, "cap": True}, "cap must be >= 1"),
+        ({"trials": 10, "cap": 2.5}, "cap must be an integer >= 1"),
+        ({"trials": 10, "cap": True}, "cap must be an integer >= 1"),
     ], ids=["trials-2.5", "cap-2.5", "cap-true"])
     def test_counts_that_are_no_integers_fail_before_run(self, tmp_path,
                                                          fields, message):

@@ -395,8 +395,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("name", list(RAW_FLAGS))
     def test_flags_of_raw_rows(self, name):
-        """Rows given straight to Graph(indptr, indices), past from_edges."""
-        report = validate(Graph(*row_arrays(RAW_ROWS[name])))
+        """Rows set straight into the graph arrays, as unpickling does;
+        Graph(indptr, indices) refuses every one of them."""
+        report = validate(unchecked_graph(*row_arrays(RAW_ROWS[name])))
         assert (report.connected, report.bipartite, report.symmetric,
                 report.simple) == self.RAW_FLAGS[name]
         assert not report.ok
@@ -445,6 +446,19 @@ def test_one_vertex_graph_rejected(build):
         "indices-past-indptr", "indptr-descends", "indptr-not-from-0"])
 def test_raw_arrays_refused(indptr, indices):
     with pytest.raises(InvalidSpec, match="indptr must be integers"):
+        Graph(np.array(indptr), np.array(indices))
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 1, 2, 3], [1, 2, 0]),
+    ([0, 2, 4, 6], [0, 1, 0, 2, 1, 2]),
+    ([0, 2, 3, 4], [1, 1, 0, 0]),
+    ([0, 2, 3, 4], [2, 1, 0, 0]),
+], ids=["directed-3-cycle", "self-loops", "repeated-neighbour", "unsorted"])
+def test_rows_not_simple_and_symmetric_refused(indptr, indices):
+    """Rows in range but not those of a simple undirected graph: the
+    directed 3-cycle would have pi summing to 1.5."""
+    with pytest.raises(InvalidSpec, match="sorted, simple and symmetric"):
         Graph(np.array(indptr), np.array(indices))
 
 
@@ -766,6 +780,9 @@ class TestConnectivity:
             assert not report.bipartite
         if n < 2:
             with pytest.raises(InvalidSpec, match="at least two vertices"):
+                Graph(indptr, indices)
+        elif not (report.symmetric and report.simple):
+            with pytest.raises(InvalidSpec, match="simple and symmetric"):
                 Graph(indptr, indices)
         elif raw.deg_min < 1 or not expect:
             with pytest.raises(DisconnectedGraph):

@@ -1,5 +1,6 @@
-"""The Monte Carlo path, graph validation and the dense exact solvers run
-on numpy alone; scipy loads for pairwise mixing and the sparse meeting
+"""The Monte Carlo path, graph validation, the dense exact solvers and the
+closed-form collision sums (n > 256) run on numpy alone; scipy loads for
+pairwise mixing, the collision step loop (n <= 256) and the sparse meeting
 branch. The names the benchmark tracer wraps all resolve."""
 import json
 import os
@@ -44,7 +45,10 @@ for argv in (["gen", "--family", "torus", "--dim", "3", "--side", "4"],
             assert done.code == 0, done.code
 monte_carlo = loaded()
 lb, tree = gs[2], graphs.generate(graphs.FamilySpec("binary_tree", levels=9))
-numpy_only = {"lambda2": chain.spectral(lb).lambda2.hex(),
+coll = chain.collision_stats(tree, chain.mixing_time(tree).value)
+numpy_only = {"collision": [coll.c_max.hex(), coll.c_min.hex(),
+                            coll.r_max.hex()],
+              "lambda2": chain.spectral(lb).lambda2.hex(),
               "ok": graphs.validate(lb).ok,
               "g2_lambda2": graphs.lower_bound_report(lb)["g2_lambda2"].hex(),
               "t_hit": chain.t_hit(tree).hex(),
@@ -77,7 +81,9 @@ def test_monte_carlo_path_loads_no_scipy():
     torus = generate(FamilySpec("torus", dim=3, side=4))
     lb = lower_bound_graph(64, 1.0, seed=3)
     tree = generate(FamilySpec("binary_tree", levels=9))
+    coll = chain.collision_stats(tree, chain.mixing_time(tree).value)
     assert out["numpy_only"] == {
+        "collision": [coll.c_max.hex(), coll.c_min.hex(), coll.r_max.hex()],
         "lambda2": chain.spectral(lb).lambda2.hex(),
         "ok": True,
         "g2_lambda2": lower_bound_report(lb)["g2_lambda2"].hex(),
