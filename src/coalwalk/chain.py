@@ -13,15 +13,15 @@ find t by doubling along it, then binary lifting: about 2 log2 t dense
 n x n products per search, and the squarings are paid once per graph.
 
 Collision statistics step the rows of P^t for every start at once,
-X <- P^T X with a sparse P^T, up to n = 256. Above it they sum, as
-geometric series, the powers of the eigenvalues of one ``eigh`` of
-S = D^{1/2} P D^{-1/2}, whatever the window.
+X <- P^T X with a sparse P^T, while that takes at most _LOOP_WORK
+multiply-adds; above it they sum, as geometric series, the powers of the
+eigenvalues of one ``eigh`` of S = D^{1/2} P D^{-1/2}, whatever the window.
 
 P is built once, dense, from the graph's rows in numpy
 (``_dense_transition``), so all but three callers need no scipy. It loads
 inside those: scipy.sparse for the CSR copies of that dense P in the
-collision step loop and the sparse meeting branch (with its LU solver),
-and scipy.spatial for the pairwise mixing distance.
+collision step loop (not its closed form) and the sparse meeting branch
+(with its LU solver), and scipy.spatial for the pairwise mixing distance.
 """
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ from .errors import (BudgetExceeded, InvalidSpec, LengthMismatch, TooLarge,
 from .graphs import Graph
 
 INV_E = 1.0 / math.e
-_PAIRWISE_LIMIT = 256  # largest n: pairwise mixing, collision step loop
+_PAIRWISE_LIMIT = 256  # mixing_time: largest n of the pairwise distance
+_LOOP_WORK = 2 ** 24  # collision_stats: most multiply-adds of the step loop
 _PER_TARGET_LIMIT = 128  # hitting_matrix: largest n solved target by target
 _MEETING_LIMIT = 100  # meeting_exact: largest n of the product-chain solve
 _MAX_STEPS = 10 ** 8  # mixing_time, separation_time: largest t searched
@@ -407,15 +408,16 @@ def collision_stats(g: Graph, t_mix_value: int) -> CollisionStats:
 
     The window is ``t_mix_value`` steps, an integer >= 1 (else
     InvalidSpec); callers pass ``mixing_time(g).value``.
-    Graphs with n <= _PAIRWISE_LIMIT (256) step the rows of P^t
-    (``_collision_loop``); larger ones take the closed form of one
-    ``eigh`` (``_collision_closed_form``), whose cost does not grow with
-    the window. The tests hold the two to 1e-10 relative.
+    The rows of P^t are stepped (``_collision_loop``) when that takes at
+    most _LOOP_WORK (2^24) multiply-adds, window * (n + 2m) * n; above it
+    the sums come from the closed form of one ``eigh``
+    (``_collision_closed_form``), whose cost does not grow with the
+    window. The tests hold the two to 1e-10 relative.
     """
     if not is_integer(t_mix_value) or t_mix_value < 1:
         raise InvalidSpec("collision window must be an integer >= 1")
     window = int(t_mix_value)
-    sums = (_collision_loop if g.n <= _PAIRWISE_LIMIT
+    sums = (_collision_loop if window * (g.n + 2 * g.m) * g.n <= _LOOP_WORK
             else _collision_closed_form)
     sq_sums, returns = sums(g, window)
     pi = stationary(g)

@@ -505,18 +505,25 @@ def step_loop_collision(g, window):
     return sq_sums.max(), sq_sums.min(), returns.max()
 
 
+def takes_loop(g, window):
+    """collision_stats' rule: the step loop within _LOOP_WORK multiply-adds,
+    the closed form above it."""
+    return window * (g.n + 2 * g.m) * g.n <= chain._LOOP_WORK
+
+
 @pytest.mark.parametrize("spec", small_family_specs() + [
     FamilySpec("barbell", n=64),
     FamilySpec("binary_tree", levels=9),
 ], ids=lambda s: s.label())
 def test_collision_stats_matches_step_loop(spec):
     """The serial step loop against the rows @ P oracle, bit for bit:
-    through collision_stats up to n = 256, and called directly above."""
+    through collision_stats where its rule takes the loop, and called
+    directly where it takes the closed form."""
     g = generate(spec, seed=11)
     t_mix = chain.mixing_time(g).value
     for window in sorted({1, 2, t_mix}):
         want = [x.hex() for x in step_loop_collision(g, window)]
-        if g.n <= chain._PAIRWISE_LIMIT:
+        if takes_loop(g, window):
             stats = chain.collision_stats(g, t_mix_value=window)
             got = [stats.c_max, stats.c_min, stats.r_max]
         else:
@@ -530,10 +537,13 @@ def test_collision_stats_matches_step_loop(spec):
     FamilySpec("lower_bound", n=340, alpha=4.0),
     FamilySpec("cycle", n=301),
     FamilySpec("star", n=300),
+    FamilySpec("barbell", n=64),
+    FamilySpec("barbell", n=128),
 ], ids=lambda s: s.label())
 def test_collision_closed_form_matches_loop(spec):
     """The eigendecomposition sums against the step loop, start by start,
-    within 1e-10 relative; collision_stats takes them above n = 256."""
+    within 1e-10 relative; collision_stats returns the loop's sums bit for
+    bit within _LOOP_WORK and the closed form's above it."""
     g = generate(spec, seed=11)
     t_mix = chain.mixing_time(g).value
     for window in sorted({1, 2, t_mix}):
@@ -541,10 +551,25 @@ def test_collision_closed_form_matches_loop(spec):
         closed = chain._collision_closed_form(g, window)
         for want, got in zip(loop, closed):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-        if g.n > chain._PAIRWISE_LIMIT:
-            stats = chain.collision_stats(g, t_mix_value=window)
-            assert (stats.c_max, stats.c_min, stats.r_max) == (
-                closed[0].max(), closed[0].min(), closed[1].max())
+        taken = loop if takes_loop(g, window) else closed
+        stats = chain.collision_stats(g, t_mix_value=window)
+        assert (stats.c_max, stats.c_min, stats.r_max) == (
+            taken[0].max(), taken[0].min(), taken[1].max())
+
+
+@pytest.mark.parametrize("window, loop", [(1365, True), (1366, False)])
+def test_collision_work_cap_boundary(window, loop):
+    """cycle-64 costs (n + 2m) * n = 12288 multiply-adds per window step:
+    16 773 120 <= 2^24 at window 1365 runs the loop, 16 785 408 at 1366
+    the closed form, and collision_stats returns its sums bit for bit."""
+    g = generate(FamilySpec("cycle", n=64))
+    assert (g.n + 2 * g.m) * g.n == 12288
+    assert takes_loop(g, window) == loop
+    sums = chain._collision_loop if loop else chain._collision_closed_form
+    sq_sums, returns = sums(g, window)
+    stats = chain.collision_stats(g, t_mix_value=window)
+    assert (stats.c_max, stats.c_min, stats.r_max) == (
+        sq_sums.max(), sq_sums.min(), returns.max())
 
 
 def kron_meeting_solve(g, solve):

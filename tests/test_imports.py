@@ -1,7 +1,7 @@
 """The Monte Carlo path, graph validation, the dense exact solvers and the
-closed-form collision sums (n > 256) run on numpy alone; scipy loads for
-pairwise mixing, the collision step loop (n <= 256) and the sparse meeting
-branch. The names the benchmark tracer wraps all resolve."""
+closed-form collision sums (above the step loop's work cap) run on numpy
+alone; scipy loads for pairwise mixing, the collision step loop and the
+sparse meeting branch. The names the benchmark tracer wraps all resolve."""
 import json
 import os
 import subprocess
@@ -46,8 +46,11 @@ for argv in (["gen", "--family", "torus", "--dim", "3", "--side", "4"],
 monte_carlo = loaded()
 lb, tree = gs[2], graphs.generate(graphs.FamilySpec("binary_tree", levels=9))
 coll = chain.collision_stats(tree, chain.mixing_time(tree).value)
+barbell = graphs.generate(graphs.FamilySpec("barbell", n=64))
+bar = chain.collision_stats(barbell, 8496)  # its t_mix: the closed form
 numpy_only = {"collision": [coll.c_max.hex(), coll.c_min.hex(),
                             coll.r_max.hex()],
+              "barbell": [bar.c_max.hex(), bar.c_min.hex(), bar.r_max.hex()],
               "lambda2": chain.spectral(lb).lambda2.hex(),
               "ok": graphs.validate(lb).ok,
               "g2_lambda2": graphs.lower_bound_report(lb)["g2_lambda2"].hex(),
@@ -82,8 +85,13 @@ def test_monte_carlo_path_loads_no_scipy():
     lb = lower_bound_graph(64, 1.0, seed=3)
     tree = generate(FamilySpec("binary_tree", levels=9))
     coll = chain.collision_stats(tree, chain.mixing_time(tree).value)
+    barbell = generate(FamilySpec("barbell", n=64))
+    # window t_mix = 8496 is over the step loop's cap: the closed form runs
+    assert 8496 * (barbell.n + 2 * barbell.m) * barbell.n > chain._LOOP_WORK
+    bar = chain.collision_stats(barbell, 8496)
     assert out["numpy_only"] == {
         "collision": [coll.c_max.hex(), coll.c_min.hex(), coll.r_max.hex()],
+        "barbell": [bar.c_max.hex(), bar.c_min.hex(), bar.r_max.hex()],
         "lambda2": chain.spectral(lb).lambda2.hex(),
         "ok": True,
         "g2_lambda2": lower_bound_report(lb)["g2_lambda2"].hex(),
