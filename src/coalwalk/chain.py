@@ -37,7 +37,7 @@ from .graphs import Graph
 INV_E = 1.0 / math.e
 _PAIRWISE_LIMIT = 256  # mixing_time: largest n of the pairwise distance
 _LOOP_WORK = 2 ** 24  # collision_stats: most multiply-adds of the step loop
-_PER_TARGET_LIMIT = 128  # hitting_matrix: largest n solved target by target
+_PER_TARGET_LIMIT = 128  # hitting_matrix: largest n of the stacked solves
 _MEETING_LIMIT = 100  # meeting_exact: largest n of the product-chain solve
 _MAX_STEPS = 10 ** 8  # mixing_time, separation_time: largest t searched
 
@@ -222,35 +222,53 @@ class HittingProfile:
     method: str
 
 
+def _restricted_solves(g: Graph,
+                       targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (I - P without row and column v) h = 1 for each target v.
+
+    The k systems are gathered from I - P by one boolean mask, keep[v, i, j]
+    = (i != v) & (j != v), into a C-ordered (k, n-1, n-1) stack, and one
+    ``np.linalg.solve`` runs LAPACK gesv on each slice: the same matrix and
+    right-hand side, so the same bits, as a solve of that system alone.
+    Returns the stack and the (k, n) times, 0 at each target.
+    """
+    n, k = g.n, targets.size
+    off = np.arange(n) != targets[:, None]
+    keep = off[:, :, None] & off[:, None, :]
+    A = np.broadcast_to(np.eye(n) - _dense_transition(g), keep.shape)[keep]
+    A = A.reshape(k, n - 1, n - 1)
+    h = np.linalg.solve(A, np.ones((k, n - 1, 1)))
+    times = np.zeros((k, n))
+    times[off] = h.reshape(-1)
+    return A, times
+
+
 def hitting_to(g: Graph, target: int) -> HittingProfile:
     """Solve (I - P restricted to V minus {target}) h = 1.
 
-    One dense LU solve; ``residual`` is the max residual |A h - 1| of the
-    times returned.
+    One dense LU solve, a stack of one in ``_restricted_solves``;
+    ``residual`` is the max residual |A h - 1| of the times returned.
     """
     g.check_vertices((target,), "target")
-    others = np.flatnonzero(np.arange(g.n) != target)
-    rhs = np.ones(g.n - 1)
-    P = _dense_transition(g)
-    A = np.eye(g.n - 1) - P[np.ix_(others, others)]
-    h = np.linalg.solve(A, rhs)
-    resid = np.abs(A @ h - rhs).max()
-    full = np.zeros(g.n)
-    full[others] = h
-    return HittingProfile(target, full, float(resid), "dense")
+    A, times = _restricted_solves(g, np.array([target]))
+    h = np.delete(times[0], target)
+    resid = np.abs(A[0] @ h - 1.0).max()
+    return HittingProfile(target, times[0], float(resid), "dense")
 
 
 def hitting_matrix(g: Graph) -> np.ndarray:
     """All-pairs expected hitting times H[u, v] = E[time to v from u].
 
-    Graphs with n <= _PER_TARGET_LIMIT (128) run one restricted solve per
-    target; larger ones use the fundamental-matrix identity
-    H[u, v] = (Z[v, v] - Z[u, v]) / pi(v) with Z = (I - P + 1 pi^T)^{-1},
-    one dense solve total. The two routes agree to solver precision and the
-    tests hold them to that. Nothing is cached: each call solves afresh.
+    Graphs with n <= _PER_TARGET_LIMIT (128) solve the n restricted systems
+    of ``hitting_to`` in one stacked call (``_restricted_solves``), column v
+    bit for bit ``hitting_to(g, v).times``; larger ones use the
+    fundamental-matrix identity H[u, v] = (Z[v, v] - Z[u, v]) / pi(v) with
+    Z = (I - P + 1 pi^T)^{-1}, one dense solve total. The two routes agree
+    to solver precision and the tests hold them to that. Nothing is cached:
+    each call solves afresh.
     """
     if g.n <= _PER_TARGET_LIMIT:
-        return np.column_stack([hitting_to(g, v).times for v in range(g.n)])
+        return _restricted_solves(g, np.arange(g.n))[1].T.copy()
     pi = stationary(g)
     P = _dense_transition(g)
     Z = np.linalg.solve(np.eye(g.n) - P + pi[None, :], np.eye(g.n))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -401,15 +402,28 @@ class TestHitting:
         with pytest.raises(InvalidSpec):
             chain.hitting_to(cycle8, target)
 
-    def test_fundamental_matrix_matches_per_target(self, monkeypatch):
-        for spec in (FamilySpec("cycle", n=24), FamilySpec("barbell", n=16),
-                     FamilySpec("star", n=20)):
-            g = generate(spec, seed=1)
+    @pytest.mark.parametrize("source", ["named", "small", "family_grid"])
+    def test_fundamental_matrix_matches_per_target(self, source, monkeypatch):
+        """hitting_matrix's stacked solve gives hitting_to's columns bit
+        for bit up to _PER_TARGET_LIMIT (K2 and path-128 are its two ends),
+        and the fundamental-matrix route agrees to solver precision."""
+        if source == "named":
+            graphs = {s.label(): generate(s, seed=1) for s in (
+                FamilySpec("cycle", n=24), FamilySpec("barbell", n=16),
+                FamilySpec("star", n=20), FamilySpec("clique", n=2),
+                FamilySpec("path", n=chain._PER_TARGET_LIMIT))}
+        else:
+            graphs = oracle_graphs(source)
+        for name, g in graphs.items():
+            assert g.n <= chain._PER_TARGET_LIMIT, name
             per_target = np.column_stack(
                 [chain.hitting_to(g, v).times for v in range(g.n)])
-            monkeypatch.setattr(chain, "_PER_TARGET_LIMIT", 1)
-            fundamental = chain.hitting_matrix(g)
-            assert np.abs(per_target - fundamental).max() < 1e-7
+            assert chain.hitting_matrix(g).tobytes() == per_target.tobytes(), \
+                name
+            with monkeypatch.context() as patch:
+                patch.setattr(chain, "_PER_TARGET_LIMIT", 1)
+                fundamental = chain.hitting_matrix(g)
+            assert np.abs(per_target - fundamental).max() < 1e-7, name
 
 
 class TestMeeting:
@@ -505,6 +519,14 @@ def step_loop_collision(g, window):
     return sq_sums.max(), sq_sums.min(), returns.max()
 
 
+@functools.lru_cache(maxsize=None)
+def loop_sums(spec, window):
+    """chain._collision_loop on generate(spec, seed=11), computed once per
+    session: both collision tests below read binary_tree-9's and
+    barbell-64's loops at their t_mix."""
+    return chain._collision_loop(generate(spec, seed=11), window)
+
+
 def takes_loop(g, window):
     """collision_stats' rule: the step loop within _LOOP_WORK multiply-adds,
     the closed form above it."""
@@ -527,7 +549,7 @@ def test_collision_stats_matches_step_loop(spec):
             stats = chain.collision_stats(g, t_mix_value=window)
             got = [stats.c_max, stats.c_min, stats.r_max]
         else:
-            sq_sums, returns = chain._collision_loop(g, window)
+            sq_sums, returns = loop_sums(spec, window)
             got = [sq_sums.max(), sq_sums.min(), returns.max()]
         assert [float(x).hex() for x in got] == want, window
 
@@ -547,7 +569,7 @@ def test_collision_closed_form_matches_loop(spec):
     g = generate(spec, seed=11)
     t_mix = chain.mixing_time(g).value
     for window in sorted({1, 2, t_mix}):
-        loop = chain._collision_loop(g, window)
+        loop = loop_sums(spec, window)
         closed = chain._collision_closed_form(g, window)
         for want, got in zip(loop, closed):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)

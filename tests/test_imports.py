@@ -55,6 +55,7 @@ numpy_only = {"collision": [coll.c_max.hex(), coll.c_min.hex(),
               "ok": graphs.validate(lb).ok,
               "g2_lambda2": graphs.lower_bound_report(lb)["g2_lambda2"].hex(),
               "t_hit": chain.t_hit(tree).hex(),
+              "t_hit_per_target": chain.t_hit(gs[0]).hex(),
               "t_sep": chain.separation_time(tree),
               "bracket": chain.mixing_time(tree).bracket}
 dense = chain.meeting_exact(gs[0])
@@ -96,6 +97,7 @@ def test_monte_carlo_path_loads_no_scipy():
         "ok": True,
         "g2_lambda2": lower_bound_report(lb)["g2_lambda2"].hex(),
         "t_hit": chain.t_hit(tree).hex(),
+        "t_hit_per_target": chain.t_hit(cycle).hex(),
         "t_sep": chain.separation_time(tree),
         "bracket": list(chain.mixing_time(tree).bracket),
         "dense": ["dense", chain.meeting_exact(cycle).t_meet.hex()]}
