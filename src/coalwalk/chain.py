@@ -47,11 +47,11 @@ _MAX_STEPS = 10 ** 8  # mixing_time, separation_time: largest t searched
 # ---------------------------------------------------------------------------
 
 def _dense_rows(g: Graph, weights) -> np.ndarray:
-    """Dense n x n matrix with ``weights`` at the row entries of g; repeats
-    add up, as in ``toarray()`` of the CSR matrix over the same rows."""
+    """Dense n x n matrix with ``weights`` at the row entries of g, each
+    written once (rows are simple), as in ``toarray()`` of their CSR."""
     mat = np.zeros((g.n, g.n))
     keys = np.repeat(np.arange(g.n) * g.n, g.degrees) + g.indices
-    np.add.at(mat.reshape(-1), keys, weights)
+    mat.reshape(-1)[keys] = weights
     return mat
 
 
@@ -99,8 +99,10 @@ def _dbar(rows: np.ndarray) -> float:
 
 
 def _dmax(rows: np.ndarray, pi: np.ndarray) -> float:
-    """Worst total-variation distance to stationarity."""
-    return 0.5 * float(np.abs(rows - pi).sum(axis=1).max())
+    """Worst total-variation distance to stationarity, 64 rows at a time:
+    the whole matrix's row sums, with no n x n temporary."""
+    return 0.5 * max(float(np.abs(rows[a:a + 64] - pi).sum(axis=1).max())
+                     for a in range(0, len(rows), 64))
 
 
 def _first_time(g: Graph, predicate, max_steps: int, what: str) -> int:
@@ -177,10 +179,10 @@ def mixing_time(g: Graph) -> MixingResult:
 def separation_time(g: Graph) -> int:
     """First t with p^t(u, v) >= (1 - 1/e) pi(v) for every pair, searched
     up to t = _MAX_STEPS (10^8) like ``mixing_time``."""
-    floor = (1.0 - INV_E) * stationary(g)
+    floor = (1.0 - INV_E) * stationary(g) - 1e-15
 
     def ok(rows: np.ndarray) -> bool:
-        return bool(np.all(rows >= floor - 1e-15))
+        return bool(np.all(rows >= floor))
 
     return _first_time(g, ok, _MAX_STEPS, "separation_time")
 

@@ -181,10 +181,10 @@ def _lazy_moves(g: Graph, pos, uniforms) -> np.ndarray:
     With r = (u - 0.5) * 2.0 a walk stays when r < 0 and else moves to
     neighbor rank int(r * deg) of its vertex; r <= 1 - 2**-52, so the rank
     stays below deg. ``pos`` broadcasts against ``uniforms``; a staying
-    walk's rank is raised to 0 only to keep its unused index in range.
+    walk's rank is >= -deg >= -2m, an in-range index ``np.where`` discards.
     """
     residual = (uniforms - 0.5) * 2.0
-    ranks = np.maximum((residual * g.degrees[pos]).astype(np.int64), 0)
+    ranks = (residual * g.degrees[pos]).astype(np.int64)
     return np.where(residual >= 0.0, g.indices[g.indptr[pos] + ranks], pos)
 
 

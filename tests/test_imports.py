@@ -45,7 +45,8 @@ for argv in (["gen", "--family", "torus", "--dim", "3", "--side", "4"],
             assert done.code == 0, done.code
 monte_carlo = loaded()
 lb, tree = gs[2], graphs.generate(graphs.FamilySpec("binary_tree", levels=9))
-coll = chain.collision_stats(tree, chain.mixing_time(tree).value)
+tree_mix = chain.mixing_time(tree)
+coll = chain.collision_stats(tree, tree_mix.value)
 barbell = graphs.generate(graphs.FamilySpec("barbell", n=64))
 bar = chain.collision_stats(barbell, 8496)  # its t_mix: the closed form
 numpy_only = {"collision": [coll.c_max.hex(), coll.c_min.hex(),
@@ -57,7 +58,8 @@ numpy_only = {"collision": [coll.c_max.hex(), coll.c_min.hex(),
               "t_hit": chain.t_hit(tree).hex(),
               "t_hit_per_target": chain.t_hit(gs[0]).hex(),
               "t_sep": chain.separation_time(tree),
-              "bracket": chain.mixing_time(tree).bracket}
+              "tree_mix": [tree_mix.value, tree_mix.method,
+                           tree_mix.bracket]}
 dense = chain.meeting_exact(gs[0])
 numpy_only["dense"] = [dense.method, dense.t_meet.hex()]
 dense_exact = loaded()
@@ -85,7 +87,11 @@ def test_monte_carlo_path_loads_no_scipy():
     torus = generate(FamilySpec("torus", dim=3, side=4))
     lb = lower_bound_graph(64, 1.0, seed=3)
     tree = generate(FamilySpec("binary_tree", levels=9))
-    coll = chain.collision_stats(tree, chain.mixing_time(tree).value)
+    tree_mix = chain.mixing_time(tree)
+    # the exact_chain golden values of binary_tree-9
+    assert (tree_mix.value, tree_mix.method, tree_mix.bracket) == (
+        1992, "bracket", (872, 1992))
+    coll = chain.collision_stats(tree, tree_mix.value)
     barbell = generate(FamilySpec("barbell", n=64))
     # window t_mix = 8496 is over the step loop's cap: the closed form runs
     assert 8496 * (barbell.n + 2 * barbell.m) * barbell.n > chain._LOOP_WORK
@@ -98,8 +104,8 @@ def test_monte_carlo_path_loads_no_scipy():
         "g2_lambda2": lower_bound_report(lb)["g2_lambda2"].hex(),
         "t_hit": chain.t_hit(tree).hex(),
         "t_hit_per_target": chain.t_hit(cycle).hex(),
-        "t_sep": chain.separation_time(tree),
-        "bracket": list(chain.mixing_time(tree).bracket),
+        "t_sep": 2023,
+        "tree_mix": [1992, "bracket", [872, 1992]],
         "dense": ["dense", chain.meeting_exact(cycle).t_meet.hex()]}
     assert out["mix"] == chain.mixing_time(cycle).value
     assert out["sparse"] == ["sparse", chain.meeting_exact(torus).t_meet.hex()]

@@ -13,6 +13,7 @@ from coalwalk.simulate import (
     _cells,
     _coalesce_batch,
     _cuts_of,
+    _lazy_moves,
     _meeting_batch,
     _move_tables,
     _voter_batch,
@@ -622,6 +623,30 @@ def test_largest_uniform_rank_stays_below_degree():
     degs = [*range(1, 2**20 + 1), *powers]
     assert ((r * np.array(degs)).astype(np.int64) < degs).all()
     assert all(int(r * d) < d for d in degs)
+
+
+def _clipped_lazy_moves(g, pos, uniforms):
+    """The lazy step with a staying walk's rank raised to 0: the oracle of
+    ``_lazy_moves``, which indexes with the negative rank instead."""
+    residual = (uniforms - 0.5) * 2.0
+    ranks = np.maximum((residual * g.degrees[pos]).astype(np.int64), 0)
+    return np.where(residual >= 0.0, g.indices[g.indptr[pos] + ranks], pos)
+
+
+@pytest.mark.parametrize("g", [generate(FamilySpec("star", n=200)),
+                               lower_bound_graph(36, 4, seed=5)],
+                         ids=["star-200", "lower_bound-36"])
+def test_lazy_moves_match_clipped_ranks(g):
+    """At every vertex, on the smallest uniform (residual -1, rank -deg),
+    the last staying one, the first moving one, the largest one and random
+    ones."""
+    uniforms = np.concatenate([[0.0, 0.5 - 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                               np.random.default_rng(5).random(252)])
+    pos = np.arange(g.n)[:, None]
+    got = _lazy_moves(g, pos, uniforms)
+    assert got.shape == (g.n, uniforms.size)
+    assert (got == _clipped_lazy_moves(g, pos, uniforms)).all()
+    assert (got[:, :2] == pos).all()
 
 
 def _degree_set_rows(degrees):
